@@ -11,8 +11,6 @@ strings, and keys are sorted.  Subcommands:
     integrability       (d+η) residuals of the invariant spinors
     qham verify         moment axioms for a chosen model space
     verify-all          the full acceptance suite
-
-The only environment knob is PURESPIN_THREADS (sample-level parallelism).
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .moment import (
 )
 from .multivector import Multivector
 from .spinor import DoubledSpace, chevalley_pairing, spinor_of_lagrangian
-from .suites import map_samples, run_all
+from .suites import run_all
 
 SCHEMA = "purespin-report/1"
 
@@ -98,7 +96,14 @@ def emit_report(command: str, config: dict, checks: list[dict], out: str | None)
 # --------------------------------------------------------------------------- #
 # subcommands
 
+def _require_samples(count: int, flag: str) -> None:
+    """A run over no samples would pass vacuously; refuse it."""
+    if count < 1:
+        raise ValueError(f"{flag} must be at least 1, got {count}")
+
+
 def cmd_clifford(args) -> int:
+    _require_samples(args.samples, "--samples")
     rng = np.random.default_rng(args.seed)
     from .bilinear import make_split_space
     space = make_split_space(args.n)
@@ -138,6 +143,7 @@ def _split_orthogonal(space, rng):
 
 
 def cmd_spinor(args) -> int:
+    _require_samples(args.samples, "--samples")
     rng = np.random.default_rng(args.seed)
     doubled = DoubledSpace(args.n)
     b_eye = BilinearSpace(np.eye(args.n))
@@ -185,6 +191,7 @@ def cmd_dirac(args) -> int:
 
 
 def cmd_conjugacy_volume(args) -> int:
+    _require_samples(args.samples, "--samples")
     model = get_model(args.group)
     pin = PinLift(model)
     rng = np.random.default_rng(args.seed)
@@ -193,24 +200,22 @@ def cmd_conjugacy_volume(args) -> int:
     else:
         g0 = model.random_element(rng)
     pts = [random_class_point(model, g0, rng) for _ in range(args.samples)]
-
-    def record(item):
-        idx, pt = item
+    checks = []
+    for idx, pt in enumerate(pts):
         omega = ghjw_matrix(pt)
         dens = conjugacy_volume_top(pt, pin)
-        return {
+        checks.append({
             "index": idx,
             "point": np.asarray(pt.g).tolist(),
             "ghjw_rank": int(np.linalg.matrix_rank(omega, tol=1e-8)) if omega.size else 0,
             "density": dens,
             "passed": abs(dens) > 1e-6,
-        }
-
-    checks = map_samples(record, list(enumerate(pts)))
+        })
     return emit_report("conjugacy-volume", vars(args), checks, args.out)
 
 
 def cmd_integrability(args) -> int:
+    _require_samples(args.points, "--points")
     model = get_model(args.group)
     if not model.liftable:
         raise SystemExit(f"group {model.name!r} has no global lift")
@@ -233,6 +238,7 @@ def cmd_integrability(args) -> int:
 def cmd_qham(args) -> int:
     if args.action != "verify":
         raise SystemExit("usage: purespin qham verify ...")
+    _require_samples(args.samples, "--samples")
     model = get_model(args.group)
     pin = PinLift(model) if model.liftable else None
     rng = np.random.default_rng(args.seed)

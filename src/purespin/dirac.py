@@ -15,7 +15,8 @@ orthogonal map A to
 acting on (vector, covector-coefficient) columns.  A^κ(V) is the graph of
 the 2-form  x, y -> -B((I-A)(I+A)^{-1} x, y)/2, which yields the closed-form
 pure spinor of an orthogonal map; reflection factorization covers the locus
-det(A + I) = 0 and provides the Pin-lift route for sign tracking.
+det(A + I) = 0 and provides the Pin-lift route, an independent check of both
+the closed form and the spin lift of geometry.PinLift.
 """
 
 from __future__ import annotations

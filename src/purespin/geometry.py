@@ -22,23 +22,32 @@ Convention package (locked by conformance tests, see tests/test_geometry.py):
 * The bi-invariant 3-form is η(x, y, z) = -B(x, [y, z])/2, the unique
   normalization satisfying ι(ξ^♯) η = -d B((θ^L + θ^R)/2, ξ) with the
   conventions above.
+* The invariant pure spinors ψ (null space F) and φ (null space E) are
+  ρ(Ã_g^κ) applied to 1 and to the B-volume form, Ã_g^κ ∈ Spin(V ⊕ V*)
+  lifting A_g^κ.  g -> Ã_g^κ is a homomorphism, so at g = exp ξ it is the
+  exponential of the spin generators weighted by ξ (see PinLift): ψ_e = 1
+  fixes the branch, and -1 in SU(2) lifts to -1.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .bilinear import BilinearSpace, LagrangianSubspace
-from .clifford import factor_into_reflections
+from .dirac import spinor_of_orthogonal
 from .forms import FD_STEP, fd_exterior_derivative
 from .groups import GroupModel
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, rho_contravariant
+
+# imported after the package modules: imported first, it made the benchmark's
+# process set-up (setup_s) about 0.05 s slower on a 2-vCPU machine
+import scipy.linalg  # noqa: E402
 
 __all__ = [
     "section_matrix",
@@ -193,52 +202,213 @@ def structure_trivector(model: GroupModel) -> Multivector:
 
 
 # --------------------------------------------------------------------------- #
-# the invariant spinor pair (ψ, φ) with global sign tracking
+# the invariant spinor pair (ψ, φ) through the spin lift of the exponential
+
+def _rho_generators(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """ρ of the basis e_0..e_{d-1}, ε^0..ε^{d-1} of V ⊕ V* on the blades of Λ V*.
+
+    A blade is the bit mask of its indices.  ρ(e_i) = ι(e_i) clears bit i
+    and ρ(ε^i) = ε^i ∧ sets it, both with the sign (-1)^(set bits below i),
+    so each is a signed partial permutation: rows (target, sign) indexed by
+    the generator, with target -1 where the blade is sent to zero.
+    """
+    masks = np.arange(1 << d)
+    target = np.empty((2 * d, 1 << d), dtype=np.int32)
+    sign = np.empty((2 * d, 1 << d))
+    for i in range(d):
+        bit = 1 << i
+        has = (masks & bit) != 0
+        target[i] = np.where(has, masks ^ bit, -1)
+        target[d + i] = np.where(has, -1, masks | bit)
+        sign[i] = sign[d + i] = 1 - 2 * (np.bitwise_count(masks & (bit - 1)).astype(int) % 2)
+    return target, sign
+
+
+# Coefficients of an exponentiated spinor below this fraction of its largest
+# one are roundoff: on random su3 and coadjoint-semidirect points the exactly
+# vanishing blades come out below 1e-14 of the largest coefficient and the
+# others above 1e-9.  Dropping them keeps later wedges and pullbacks sparse.
+_ROUNDOFF_CUT = 1e-12
+
+
+def _kappa_derivative(x: np.ndarray, b: np.ndarray, b_inv: np.ndarray) -> np.ndarray:
+    """κ'(X): derivative at the identity of the embedding A -> A^κ (dirac.kappa_embed)."""
+    return np.block([[x / 2, x @ b_inv], [b @ x / 4, b @ x @ b_inv / 2]])
+
+
+def _traceless_log(g) -> np.ndarray:
+    """Skew-Hermitian logarithm of a unitary matrix whose eigen-angles sum to zero.
+
+    The principal eigen-angles of the complex Schur form, with round(Σθ/2π)
+    of the largest (or, for a negative sum, the smallest) moved by a whole
+    turn.  This lands in su(n) also where the principal logarithm is not
+    traceless: wrapped angle sums and central elements.
+    """
+    t, q = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
+    theta = np.angle(np.diag(t))
+    turns = int(round(float(theta.sum()) / (2 * math.pi)))
+    if turns:
+        order = np.argsort(theta)
+        shift = order[::-1][:turns] if turns > 0 else order[:-turns]
+        theta[shift] -= math.copysign(2 * math.pi, turns)
+    return (q * (1j * theta)) @ q.conj().T
+
+
+def _rotation_log(g) -> np.ndarray:
+    """Real skew logarithm of a rotation, from its real Schur form.
+
+    Each 2×2 block contributes the generator of its rotation angle, and
+    eigenvalues -1 are paired into half turns, which complex eigen-angles
+    cannot express as a real matrix.
+    """
+    t, q = scipy.linalg.schur(np.asarray(g, dtype=float), output="real")
+    n = t.shape[0]
+    x = np.zeros((n, n))
+    half_turns = []
+    i = 0
+    while i < n:
+        if i + 1 < n and t[i + 1, i] != 0.0:
+            angle = math.atan2(t[i + 1, i], t[i, i])
+            x[i + 1, i], x[i, i + 1] = angle, -angle
+            i += 2
+        else:
+            if t[i, i] < 0:
+                half_turns.append(i)
+            i += 1
+    for a, b in zip(half_turns[::2], half_turns[1::2]):
+        x[b, a], x[a, b] = math.pi, -math.pi
+    return q @ x @ q.T
+
+
+@dataclass
+class _SpinBlock:
+    """The spin generators on one parity block of Λ V*, stored sparsely.
+
+    Σ_a ξ_a S_a has the value ``weights @ ξ`` at the flat positions
+    ``entries`` of a (size, size) matrix and is zero elsewhere; ``seeds``
+    maps "psi"/"phi" to the block position of 1 and of the top blade.
+    """
+
+    size: int
+    entries: np.ndarray
+    weights: np.ndarray
+    blades: list
+    seeds: dict
+
 
 class PinLift:
     """Evaluates the invariant pure spinors ψ (for F) and φ (for E) on a group.
 
-    Values are produced by reflection factorization of the section matrix;
-    the two-fold sign ambiguity of the lift is resolved globally by requiring
-    ψ_e = 1 and propagating the sign along a path from the identity, with a
-    per-point cache.  The cache is the only shared state; inserts are
-    idempotent and guarded by a lock.
+    ψ_g = ρ(Ã_g^κ)·1 and φ_g = ρ(Ã_g^κ)·μ, with Ã_g^κ the lift of
+    A_g^κ = Ad(g^{-1})^κ to Spin(V ⊕ V*) and μ the B-volume form.  The lift
+    is a group homomorphism, so for g = exp ξ it is exp(Σ ξ_a S_a) with fixed
+    spin generators S_a = ½ Σ_k ρ(K_a f_k) ρ(f^k), where K_a = κ'(-ad e_a)
+    and (f_k), (f^k) are dual bases of V ⊕ V*.  This branch has ψ_e = 1 and
+    needs no sign tracking.  The S_a are even, so only the parity blocks of
+    Λ V* holding 1 and μ are built (on first use) and exponentiated.
+
+    ξ comes from the Schur form of g for unitary models (eigen-angles moved
+    by whole turns to sum to zero, or real rotation blocks for real models)
+    and from ``model.log`` otherwise, and is verified to lie in the Lie
+    algebra.
     """
 
-    def __init__(self, model: GroupModel, path_step: float = 0.4):
+    def __init__(self, model: GroupModel):
         self.model = model
-        self.doubled = DoubledSpace(model.dim)
-        self._bspace = BilinearSpace(model.B)
-        self._mu = Multivector.top(model.dim, math.sqrt(abs(float(np.linalg.det(model.B)))))
-        self._cache: dict[bytes, tuple[Multivector, Multivector]] = {}
-        self._lock = threading.Lock()
-        self._path_step = path_step
+        self._mu_scale = math.sqrt(abs(float(np.linalg.det(model.B))))
+        self._unitary = all(np.allclose(np.conj(x).T, -x) for x in model.basis)
+        self._real = not any(np.iscomplexobj(x) for x in model.basis)
 
-    # raw chain with arbitrary sign ------------------------------------- #
+    @cached_property
+    def _spin_blocks(self) -> list["_SpinBlock"]:
+        """The parity blocks of Λ V* holding 1 and μ, with the S_a restricted to them."""
+        model = self.model
+        d = model.dim
+        target, sign = _rho_generators(d)
+        # S_a = Σ_{j,k} ½ K_a[j, k] ρ(f_j) ρ(f^k), where f^k = f_{(k+d) mod 2d}
+        coeff = 0.5 * np.array([
+            _kappa_derivative(-model.ad(_unit(d, a)), model.B, model.B_inv) for a in range(d)])
+        pairs = np.argwhere(np.any(coeff, axis=0))  # (j, k) with some K_a[j, k] != 0
+        duals = (pairs[:, 1] + d) % (2 * d)
+        masks = np.arange(1 << d)
+        parity = np.bitwise_count(masks) % 2
+        blocks = []
+        for p in sorted({0, d % 2}):
+            members = masks[parity == p]
+            size = members.size
+            pos = np.zeros(1 << d, dtype=np.int32)
+            pos[members] = np.arange(size)
+            # ρ(f_j) ρ(f^k) on the block: two signed partial permutations in turn
+            mid = target[duals][:, members]
+            alive = mid >= 0
+            mid = np.where(alive, mid, 0)
+            end = target[pairs[:, :1], mid]
+            alive &= end >= 0
+            pair, col = np.nonzero(alive)
+            entries, where = np.unique(pos[end[alive]] * size + col, return_inverse=True)
+            signs = sign[duals[pair], members[col]] * sign[pairs[pair, 0], mid[alive]]
+            weights = np.stack([
+                np.bincount(where, signs * coeff[a, pairs[pair, 0], pairs[pair, 1]],
+                            minlength=entries.size)
+                for a in range(d)], axis=1)
+            blades = [tuple(i for i in range(d) if m >> i & 1) for m in members]
+            seeds = {}
+            if p == 0:
+                seeds["psi"] = int(pos[0])
+            if p == d % 2:
+                seeds["phi"] = int(pos[(1 << d) - 1])
+            blocks.append(_SpinBlock(size, entries, weights, blades, seeds))
+        return blocks
 
-    def _chain(self, g) -> tuple[Multivector, Multivector]:
-        a = section_matrix(self.model, g)
-        vectors = factor_into_reflections(a, self._bspace)
+    def _algebra_log(self, g) -> np.ndarray:
+        """ξ in the Lie algebra with exp ξ = g (a one-line ValueError if none is found)."""
+        model = self.model
+        if self._unitary:
+            x = _rotation_log(g) if self._real else _traceless_log(g)
+            xi = model.coeffs(x)
+            if np.linalg.norm(model.algebra_matrix(xi) - x) <= 1e-9 * (1.0 + np.linalg.norm(x)):
+                return xi
+        xi = model.log(g)
+        if np.linalg.norm(model.exp(xi) - g) <= 1e-8 * (1.0 + np.linalg.norm(g)):
+            return xi
+        raise ValueError(f"no logarithm of the element in the Lie algebra of {model.name!r}")
+
+    def _lift(self, g) -> tuple[Multivector, Multivector]:
+        """(ψ, φ) = exp(Σ ξ_a S_a)·(1, μ) for ξ = log g."""
+        xi = self._algebra_log(g)
         d = self.model.dim
-        psi = Multivector.scalar(d, 1.0)
-        phi = self._mu
-        for w in reversed(vectors):
-            w = np.asarray(w, dtype=float)
-            c = 0.5 * self._bspace.pairing(w, w)
-            w_hat = w / math.sqrt(abs(c))
-            arg = np.concatenate([w_hat, 0.5 * (self._bspace.gram @ w_hat)])
-            psi = rho_contravariant(self.doubled, arg, psi)
-            phi = rho_contravariant(self.doubled, arg, phi)
-        return psi, phi
+        out = {}
+        for block in self._spin_blocks:
+            exponent = np.zeros(block.size * block.size)
+            exponent[block.entries] = block.weights @ xi
+            flow = scipy.linalg.expm(exponent.reshape(block.size, block.size))
+            for name, col in block.seeds.items():
+                values = flow[:, col]
+                cut = _ROUNDOFF_CUT * np.abs(values).max()
+                out[name] = Multivector(d, {b: float(c) for b, c in zip(block.blades, values)
+                                            if abs(c) > cut})
+        return out["psi"], out["phi"].scale(self._mu_scale)
 
     @staticmethod
     def _overlap(x: Multivector, y: Multivector) -> float:
         return sum(float(c) * float(y.terms.get(b, 0.0)) for b, c in x.terms.items())
 
+    def forms_at(self, g) -> tuple[Multivector, Multivector]:
+        """(ψ, φ) at g with the global sign branch fixed by ψ_e = 1."""
+        if not self.model.liftable:
+            raise ValueError(
+                f"model {self.model.name!r} has no global lift; use forms_at_unsigned")
+        return self._lift(g)
+
     def forms_near(self, point, ref_psi: Multivector, ref_phi: Multivector
                    ) -> tuple[Multivector, Multivector]:
-        """(ψ, φ) at a point close to a reference, sign-aligned to the reference."""
-        psi, phi = self._chain(point)
+        """(ψ, φ) at a point close to a reference, sign-aligned to the reference.
+
+        The alignment guards the finite-difference stencils of
+        ``cartan_dirac_integrability`` against a change of sign branch
+        between neighbouring points.
+        """
+        psi, phi = self._lift(point)
         ov = self._overlap(psi, ref_psi)
         if abs(ov) < 0.05 * max(psi.norm() * ref_psi.norm(), 1e-30):
             ov = self._overlap(phi, ref_phi)
@@ -246,112 +416,18 @@ class PinLift:
             psi, phi = -psi, -phi
         return psi, phi
 
-    def _central_leg_generator(self, leg) -> np.ndarray | None:
-        """Traceless algebra preimage of a (near-)central leg, if one exists.
-
-        Central unitaries λI have exponential preimages of the shape
-        iθ diag(1, ..., 1, 1-r); the candidate is projected to the model
-        basis and verified, so non-unitary or product models simply decline.
-        """
-        model = self.model
-        r = model.rep_dim
-        lam = complex(np.trace(np.asarray(leg, dtype=complex))) / r
-        if abs(abs(lam) - 1.0) > 0.1:
-            return None
-        if np.linalg.norm(np.asarray(leg) - lam * np.eye(r)) > 0.2:
-            return None
-        theta = float(np.angle(lam))
-        if abs(theta) < 1e-12:
-            return None
-        z_mat = 1j * theta * np.diag([1.0] * (r - 1) + [1.0 - r])
-        z = model.coeffs(z_mat)
-        if np.linalg.norm(model.algebra_matrix(z) - z_mat) > 1e-8:
-            return None
-        if np.linalg.norm(model.exp(z) - lam * np.eye(r)) > 1e-8:
-            return None
-        return z
-
-    def _path_points(self, g) -> list:
-        """Points of a path from the identity to g (endpoint included, exactly g).
-
-        Legs are exponentials of verified principal logarithms.  Where the
-        principal matrix logarithm fails to land in the Lie algebra (wrapped
-        eigenvalue-angle sums, near-central legs), the walk follows the
-        traceless part of the logarithm and clears the residual central
-        factor through an explicit traceless generator.
-        """
-        model = self.model
-        eye = model.identity()
-        points: list = []
-        cur = eye
-        kick_rng = np.random.default_rng(
-            int.from_bytes(model.element_key(g)[:8], "little") | 1)
-        for _ in range(200):
-            leg = model.mul(model.inv(cur), g)
-            if np.linalg.norm(leg - eye) < 1e-12:
-                return points
-            x = model.log(leg)
-            faithful = np.linalg.norm(model.exp(x) - leg) < 1e-8 * (1 + np.linalg.norm(leg))
-            if faithful:
-                steps = max(1, int(math.ceil(float(np.linalg.norm(x)) / self._path_step)))
-                for k in range(1, steps + 1):
-                    points.append(model.mul(cur, model.exp(x * (k / steps))))
-                points[-1] = model.mul(cur, leg)  # land on g without roundoff drift
-                return points
-            z = self._central_leg_generator(leg)
-            if z is not None:
-                steps = max(1, int(math.ceil(float(np.linalg.norm(z)) / self._path_step)))
-                for k in range(1, steps + 1):
-                    points.append(model.mul(cur, model.exp(z * (k / steps))))
-                cur = points[-1]
-                continue
-            # wrapped but not central: follow the traceless direction a while
-            norm_x = float(np.linalg.norm(x))
-            if norm_x > 1e-6:
-                hop = x * min(1.0, self._path_step / norm_x)
-            else:
-                hop = model.random_algebra(kick_rng, 0.5 * self._path_step)
-            cur = model.mul(cur, model.exp(hop))
-            points.append(cur)
-        raise RuntimeError("could not assemble a verified path to the target element")
-
-    def forms_at(self, g) -> tuple[Multivector, Multivector]:
-        """(ψ, φ) at g with the global sign branch fixed by ψ_e = 1."""
-        if not self.model.liftable:
-            raise ValueError(
-                f"model {self.model.name!r} has no global lift; use forms_at_unsigned")
-        key = self.model.element_key(g)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ref_psi = Multivector.scalar(self.model.dim, 1.0)
-        ref_phi = self._mu
-        for point in self._path_points(g):
-            ref_psi, ref_phi = self.forms_near(point, ref_psi, ref_phi)
-        with self._lock:
-            self._cache.setdefault(key, (ref_psi, ref_phi))
-        return self._cache[key]
-
     def forms_at_unsigned(self, g) -> tuple[Multivector, Multivector]:
         """Sign-agnostic evaluation for models without a global lift."""
-        return self._chain(g)
+        return self._lift(g)
 
     def psi_closed_form(self, g) -> Multivector:
         """|det((A+I)/2)|^{1/2} exp of the Cayley 2-form; sign-ambiguous branch.
 
-        Valid away from det(A + I) = 0; used as a cross-check of the
-        reflection route and for fast magnitude estimates.
+        Valid away from det(A + I) = 0; the closed branch of
+        ``dirac.spinor_of_orthogonal``, kept as a cross-check of the lift.
         """
         a = section_matrix(self.model, g)
-        n = self.model.dim
-        det = float(np.linalg.det(a + np.eye(n)))
-        if abs(det) < 1e-9:
-            raise ValueError("det(A+I) vanishes; closed form unavailable")
-        c = np.linalg.solve((np.eye(n) + a).T, (np.eye(n) - a).T).T
-        m = -0.5 * self.model.B @ c
-        m = 0.5 * (m - m.T)
-        scale = math.sqrt(abs(det / 2.0 ** n))
-        return Multivector.from_antisymmetric_matrix(m).exp_wedge().scale(scale)
+        return spinor_of_orthogonal(a, BilinearSpace(self.model.B), method="closed").psi.form
 
 
 # --------------------------------------------------------------------------- #

@@ -126,9 +126,6 @@ class GroupModel:
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         return self.exp(self.random_algebra(rng, scale))
 
-    def element_key(self, g, decimals: int = 9) -> bytes:
-        return np.round(np.asarray(g, dtype=complex), decimals).tobytes()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"GroupModel({self.name}, dim={self.dim})"
 

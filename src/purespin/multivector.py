@@ -226,12 +226,6 @@ class Multivector:
         res.terms = out
         return res
 
-    def wedge_power(self, k: int) -> "Multivector":
-        acc = Multivector.scalar(self.dim)
-        for _ in range(k):
-            acc = acc.wedge(self)
-        return acc
-
     def exp_wedge(self) -> "Multivector":
         """Exterior exponential 1 + x + x∧x/2 + ...; requires no scalar part."""
         if () in self.terms:
@@ -344,14 +338,8 @@ class Multivector:
             total += float(coeff) * float(np.linalg.det(mat[:, list(blade)]))
         return total
 
-    def to_array(self, blades: Sequence[Blade]) -> np.ndarray:
-        return np.array([float(self.terms.get(b, 0)) for b in blades])
-
     def norm(self) -> float:
         return math.sqrt(sum(float(c) ** 2 for c in self.terms.values()))
-
-    def prune(self, tol: float) -> "Multivector":
-        return Multivector(self.dim, {b: c for b, c in self.terms.items() if abs(float(c)) > tol})
 
     def almost_equal(self, other: "Multivector", tol: float = 1e-9) -> bool:
         return (self - other).norm() <= tol

@@ -68,10 +68,6 @@ class DoubledSpace:
     def w(self, v, a) -> np.ndarray:
         return np.concatenate([np.asarray(v, dtype=float), np.asarray(a, dtype=float)])
 
-    def split(self, w):
-        w = np.asarray(w, dtype=float)
-        return w[: self.n], w[self.n:]
-
     def v_subspace(self) -> LagrangianSubspace:
         basis = np.vstack([np.eye(self.n), np.zeros((self.n, self.n))])
         return LagrangianSubspace(self.space, basis)

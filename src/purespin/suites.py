@@ -10,8 +10,6 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -53,23 +51,7 @@ from .spinor import (
     spinor_of_lagrangian,
 )
 
-__all__ = ["ALL_CRITERIA", "run_criterion", "run_all", "thread_count", "map_samples"]
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PURESPIN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def map_samples(fn, items):
-    """Apply fn over samples, optionally threaded, preserving input order."""
-    n = thread_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+__all__ = ["ALL_CRITERIA", "run_criterion", "run_all"]
 
 
 def _random_sparse_exact(algebra: CliffordAlgebra, rng, terms: int = 5) -> Multivector:
@@ -283,7 +265,7 @@ def criterion_7(seed: int = 7) -> dict:
     for trace in traces:
         g0 = su2_class_from_trace(trace)
         pts = [random_class_point(model, g0, rng) for _ in range(100)]
-        densities = map_samples(lambda pt: conjugacy_volume_top(pt, pin), pts)
+        densities = [conjugacy_volume_top(pt, pin) for pt in pts]
         min_density = min(min_density, min(abs(d) for d in densities))
         for pt in pts[:3]:
             psi = pin.forms_at(pt.g)[0]

@@ -83,14 +83,21 @@ class TestVerifyAll:
         assert all(c["passed"] for c in report["checks"])
 
 
-class TestThreading:
-    def test_thread_env_var_preserves_order(self, monkeypatch):
-        from purespin.suites import map_samples, thread_count
-        monkeypatch.setenv("PURESPIN_THREADS", "4")
-        assert thread_count() == 4
-        assert map_samples(lambda x: x * x, list(range(20))) == [x * x for x in range(20)]
-        monkeypatch.setenv("PURESPIN_THREADS", "bogus")
-        assert thread_count() == 1
+class TestSampleCounts:
+    @pytest.mark.parametrize("argv", [
+        ["conjugacy-volume", "--samples", "0"],
+        ["qham", "verify", "--space", "class", "--samples", "0"],
+        ["integrability", "--points", "0"],
+        ["clifford", "--n", "1", "--samples", "0"],
+        ["spinor", "--n", "1", "--samples", "-1"],
+    ])
+    def test_empty_run_is_an_error(self, capsys, argv):
+        # a run over no samples would report "passed" with nothing checked
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert message.startswith("error: --") and "\n" not in message
+        assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

@@ -294,6 +294,80 @@ class TestPinLiftForms:
         assert abs(conjugacy_volume_top(pt, pin)) > 1e-8
 
 
+def _overlap(x: Multivector, y: Multivector) -> float:
+    return sum(float(c) * float(y.terms.get(b, 0.0)) for b, c in x.terms.items())
+
+
+def _equal_up_to_sign(x: Multivector, y: Multivector) -> float:
+    return min((x - y).norm(), (x + y).norm()) / y.norm()
+
+
+class TestSpinLiftExponential:
+    """The spin-lift route against the independent reflection (Pin) route."""
+
+    @staticmethod
+    def _pin_route(model, g):
+        from purespin.dirac import phi_of_orthogonal, spinor_of_orthogonal
+        a = section_matrix(model, g)
+        b = BilinearSpace(model.B)
+        psi = spinor_of_orthogonal(a, b, method="reflections").psi.form
+        return psi, phi_of_orthogonal(a, b).form
+
+    def test_su3_matches_pin_route(self, su3, rng):
+        pin = PinLift(su3)
+        for scale in (0.5, 1.5, 3.0):
+            g = su3.random_element(rng, scale)
+            psi, phi = pin.forms_at(g)
+            ref_psi, ref_phi = self._pin_route(su3, g)
+            assert _equal_up_to_sign(psi, ref_psi) < 1e-10
+            assert _equal_up_to_sign(phi, ref_phi) < 1e-10
+
+    def test_semidirect_matches_pin_route(self, semidirect, rng):
+        pin = PinLift(semidirect)
+        for _ in range(4):
+            g = semidirect.random_element(rng, 0.8)
+            psi, phi = pin.forms_at(g)
+            ref_psi, ref_phi = self._pin_route(semidirect, g)
+            assert _equal_up_to_sign(psi, ref_psi) < 1e-10
+            assert _equal_up_to_sign(phi, ref_phi) < 1e-10
+
+    def test_so3_unsigned_matches_pin_route(self, rng):
+        from purespin.groups import so3_model
+        so3 = so3_model()
+        pin = PinLift(so3)
+        h = so3.random_element(rng)
+        half_turn = h @ np.diag([1.0, -1.0, -1.0]) @ h.T  # eigenvalue -1 twice
+        for g in [half_turn] + [so3.random_element(rng, 2.0) for _ in range(4)]:
+            psi, phi = pin.forms_at_unsigned(g)
+            ref_psi, ref_phi = self._pin_route(so3, g)
+            assert _equal_up_to_sign(psi, ref_psi) < 1e-10
+            assert _equal_up_to_sign(phi, ref_phi) < 1e-10
+
+    def test_su3_sign_is_continuous_along_one_parameter_subgroups(self, su3, rng):
+        # t -> exp(tξ) runs through the wrapped-logarithm region (t > 3/4 for
+        # the diagonal direction) and past the central element at t = 1; the
+        # lifted ψ must not jump to the other sign branch anywhere
+        pin = PinLift(su3)
+        h = su3.random_element(rng)
+        diagonal = su3.coeffs(np.diag([1j, 1j, -2j]) * 2 * np.pi / 3)
+        generic = su3.random_algebra(rng)
+        generic *= 2 * np.pi / np.linalg.norm(generic)
+        for xi in (diagonal, generic):
+            prev = None
+            for t in np.linspace(0.0, 1.5, 31):
+                g = h @ su3.exp(t * xi) @ np.linalg.inv(h)
+                psi, _ = pin.forms_at(g)
+                if prev is not None:
+                    assert _overlap(psi, prev) > 0.5 * psi.norm() * prev.norm(), t
+                prev = psi
+        center = pin.forms_at(h @ su3.exp(diagonal) @ np.linalg.inv(h))[0]
+        assert (center - Multivector.scalar(8, 1.0)).norm() < 1e-9
+
+    def test_element_outside_the_group_is_refused(self, su2, su2_pin):
+        with pytest.raises(ValueError, match="no logarithm"):
+            su2_pin.forms_at(np.diag([1j, 1j]))  # unitary but not special
+
+
 class TestVolume:
     def test_central_class_density_is_unit(self, su2, su2_pin):
         pt = class_point(su2, -np.eye(2, dtype=complex))
