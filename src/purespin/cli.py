@@ -144,6 +144,8 @@ def _split_orthogonal(space, rng):
 
 def cmd_spinor(args) -> int:
     _require_samples(args.samples, "--samples")
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     rng = np.random.default_rng(args.seed)
     doubled = DoubledSpace(args.n)
     b_eye = BilinearSpace(np.eye(args.n))
@@ -168,6 +170,8 @@ def cmd_spinor(args) -> int:
 
 def cmd_dirac(args) -> int:
     payload = json.loads(open(args.input).read() if args.input else sys.stdin.read())
+    if not isinstance(payload, dict) or not {"matrix", "dirac_basis"} <= payload.keys():
+        raise ValueError('input JSON needs "matrix" and "dirac_basis"')
     a = np.array(payload["matrix"], dtype=float)
     n_out, n_in = a.shape
     doubled_in = DoubledSpace(n_in)

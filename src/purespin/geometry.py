@@ -71,6 +71,7 @@ __all__ = [
     "random_class_point",
     "su2_class_from_trace",
     "conjugacy_volume_top",
+    "frame_volume_density",
     "volume_density_oracle",
     "pfaffian",
     "courant_bracket",
@@ -505,14 +506,68 @@ def _ghjw_matrix_direct(model: GroupModel, op: np.ndarray, params: np.ndarray) -
 # --------------------------------------------------------------------------- #
 # volume densities
 
+def _pfaffian_ltl(a: np.ndarray) -> float:
+    """Pfaffian by skew Parlett-Reid (LTL^T) elimination with partial pivoting.
+
+    O(n³); the pivot of each elimination step is the largest entry below the
+    diagonal of the current column (Wimmer, arXiv:1102.3440, algorithm 1).
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n % 2:
+        return 0.0
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        kp = k + 1 + int(np.abs(a[k + 1:, k]).argmax())
+        if kp != k + 1:
+            a[[k + 1, kp], k:] = a[[kp, k + 1], k:]
+            a[k:, [k + 1, kp]] = a[k:, [kp, k + 1]]
+            pf = -pf
+        if a[k + 1, k] == 0.0:
+            return 0.0
+        pf *= a[k, k + 1]
+        tau = a[k, k + 2:] / a[k, k + 1]
+        a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1]) - np.outer(a[k + 2:, k + 1], tau)
+    return pf
+
+
+def frame_volume_density(omega: np.ndarray, psi: Multivector, frame: np.ndarray) -> float:
+    """Top coefficient of e^ω ∧ frame*ψ on an m-dimensional frame, one Pfaffian per blade.
+
+    ``omega`` is the (m, m) 2-form on the frame and ``frame`` the (d, m)
+    matrix of the frame vectors in the coordinates of ψ.  For a blade
+    K = (k_1 < ... < k_r) of ψ with A_K = frame[K, :]^T (m × r),
+
+        top(e^ω ∧ frame*e^K) = (-1)^{r(r-1)/2} Pf([[ω, A_K], [-A_K^T, 0]]),
+
+    which vanishes unless m + r is even and r <= m.  Nothing is expanded.
+    """
+    d, m = frame.shape
+    border = np.block([[np.asarray(omega, dtype=float), frame.T], [-frame, np.zeros((d, d))]])
+    head = list(range(m))
+    total = 0.0
+    for blade, coeff in psi.terms.items():
+        r = len(blade)
+        if r > m or (m + r) % 2:
+            continue
+        idx = head + [m + k for k in blade]
+        pf = _pfaffian_ltl(border[np.ix_(idx, idx)])
+        total += (-pf if r * (r - 1) // 2 % 2 else pf) * float(coeff)
+    return total
+
+
 def conjugacy_volume_top(point: ConjugacyClassPoint, pin: PinLift) -> float:
-    """Frame density of the top part of e^ω ∧ (ψ restricted to the class)."""
+    """Frame density of the top part of e^ω ∧ (ψ restricted to the class).
+
+    Read off without building the product: the density is
+    Σ_K ψ_K (-1)^{r(r-1)/2} Pf([[ω, A_K], [-A_K^T, 0]]) over the blades
+    K = (k_1 < ... < k_r) of ψ, with ω the class 2-form on the frame and
+    A_K = frame[K, :]^T (see ``frame_volume_density``).  Exact for every ψ,
+    on the singular locus det(A_g + I) = 0 too.
+    """
     psi = (pin.forms_at(point.g) if point.model.liftable
            else pin.forms_at_unsigned(point.g))[0]
-    m = point.class_dim
-    omega = Multivector.from_antisymmetric_matrix(ghjw_matrix(point))
-    restricted = psi.pullback(point.frame)
-    density = float(omega.exp_wedge().wedge(restricted).top_coefficient())
+    density = frame_volume_density(ghjw_matrix(point), psi, point.frame)
     return density if point.model.liftable else abs(density)
 
 
@@ -627,15 +682,19 @@ def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift,
     doubled = DoubledSpace(d)
     eta = eta_multivector(model)
     psi_c, phi_c = pin.forms_at(g)
+    # both derivatives difference over the same stencil points: lift each once
+    lifts: dict[bytes, tuple[Multivector, Multivector]] = {}
 
-    def phi_field(point):
-        return pin.forms_near(point, psi_c, phi_c)[1]
+    def pair_at(point):
+        key = point.tobytes()
+        if key not in lifts:
+            lifts[key] = pin.forms_near(point, psi_c, phi_c)
+        return lifts[key]
 
-    def psi_field(point):
-        return pin.forms_near(point, psi_c, phi_c)[0]
-
-    res_phi = (fd_exterior_derivative(model, phi_field, g, h) + eta.wedge(phi_c))
-    res_psi = (fd_exterior_derivative(model, psi_field, g, h) + eta.wedge(psi_c))
+    res_phi = fd_exterior_derivative(model, lambda point: pair_at(point)[1], g, h) \
+        + eta.wedge(phi_c)
+    res_psi = fd_exterior_derivative(model, lambda point: pair_at(point)[0], g, h) \
+        + eta.wedge(psi_c)
 
     trivec = structure_trivector(model)
     e_mat, _ = cartan_section_bases(model, g)

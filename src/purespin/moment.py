@@ -30,6 +30,7 @@ from .geometry import (
     cartan_dirac_fiber,
     class_point,
     eta_multivector,
+    frame_volume_density,
     ghjw_matrix,
 )
 from .groups import GroupModel, SwapDoubleModel, product_model, swap_double_model
@@ -360,12 +361,16 @@ def fused_three_form_residual(factory: DoubleFactory, a, b, h: float = FD_STEP) 
 # volume densities
 
 def qham_volume_top(p: QHamPoint, pin: PinLift) -> float:
-    """Frame density of the top part of e^ω ∧ Φ*ψ."""
+    """Frame density of the top part of e^ω ∧ Φ*ψ.
+
+    Read off without building the product: with A_K = dΦ[:, K] (m × r) for
+    a blade K = (k_1 < ... < k_r) of ψ at Φ(x), the density is
+    Σ_K ψ_K (-1)^{r(r-1)/2} Pf([[ω, A_K], [-A_K^T, 0]])
+    (see ``geometry.frame_volume_density``).
+    """
     psi = (pin.forms_at(p.phi) if p.model.liftable
            else pin.forms_at_unsigned(p.phi))[0]
-    omega = Multivector.from_antisymmetric_matrix(p.omega)
-    pulled = psi.pullback(p.dphi.T)
-    density = float(omega.exp_wedge().wedge(pulled).top_coefficient())
+    density = frame_volume_density(p.omega, psi, p.dphi.T)
     return density if p.model.liftable else abs(density)
 
 

@@ -66,6 +66,15 @@ class TestSubcommands:
                 "--samples", "2", "--seed", "9"])
             assert code == 0 and report["passed"], space
 
+    def test_qham_su3_fused_double(self, capsys):
+        code, report = run_cli(capsys, [
+            "qham", "verify", "--space", "fused-double", "--group", "su3",
+            "--samples", "2", "--seed", "7"])
+        assert code == 0 and report["passed"]
+        assert len(report["checks"]) == 2
+        for check in report["checks"]:
+            assert abs(abs(float(check["volume_density"])) - 1.0) < 1e-8
+
     def test_unknown_group_fails(self, capsys):
         with pytest.raises(SystemExit):
             main(["integrability", "--group", "nope", "--points", "1"])
@@ -97,6 +106,28 @@ class TestSampleCounts:
             main(argv)
         message = str(exc.value.code)
         assert message.startswith("error: --") and "\n" not in message
+        assert capsys.readouterr().out == ""
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("payload", [
+        {"dirac_basis": [[1, 0], [0, 1], [0, 0], [0, 0]]},
+        {"matrix": [[1, 0], [0, 1]]},
+        [[1, 0], [0, 1]],
+    ])
+    def test_dirac_input_without_keys(self, capsys, tmp_path, payload):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["dirac", "image", "--input", str(path)])
+        assert exc.value.code == 'error: input JSON needs "matrix" and "dirac_basis"'
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_spinor_dimension_must_be_positive(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["spinor", "--n", n, "--samples", "1"])
+        assert exc.value.code == "error: --n must be at least 1"
         assert capsys.readouterr().out == ""
 
 

@@ -8,6 +8,7 @@ from purespin.dirac import kappa_embed
 from purespin.forms import fd_exterior_derivative
 from purespin.geometry import (
     PinLift,
+    _pfaffian_ltl,
     cartan_dirac_fiber,
     cartan_dirac_integrability,
     cartan_section_bases,
@@ -16,6 +17,7 @@ from purespin.geometry import (
     conjugacy_volume_top,
     courant_bracket,
     eta_multivector,
+    frame_volume_density,
     ghjw_matrix,
     ghjw_value,
     leaf_two_form_residual,
@@ -419,6 +421,83 @@ class TestVolume:
         b[2, 3], b[3, 2] = 2.0, -2.0
         assert pfaffian(b) == pytest.approx(2.0)
         assert pfaffian(np.zeros((3, 3))) == 0.0
+
+
+def _skew(rng, n):
+    x = rng.standard_normal((n, n))
+    return x - x.T
+
+
+class TestFrameVolumeDensity:
+    """The bordered-Pfaffian density against the independent minor expansion."""
+
+    @staticmethod
+    def _agrees_with_oracle(model, pin, pt):
+        psi = (pin.forms_at(pt.g) if model.liftable else pin.forms_at_unsigned(pt.g))[0]
+        omega = ghjw_matrix(pt)
+        oracle = volume_density_oracle(omega, psi, pt.frame)
+        density = frame_volume_density(omega, psi, pt.frame)
+        assert abs(density - oracle) < 1e-10 * max(1.0, abs(oracle))
+        return density
+
+    def test_su3_class_points(self, su3, rng):
+        pin = PinLift(su3)
+        for _ in range(3):
+            pt = random_class_point(su3, su3.random_element(rng), rng)
+            assert pt.class_dim == 6
+            assert abs(self._agrees_with_oracle(su3, pin, pt)) > 1e-6
+
+    def test_semidirect_class_points(self, semidirect, rng):
+        pin = PinLift(semidirect)
+        for _ in range(3):
+            pt = random_class_point(semidirect, semidirect.random_element(rng), rng)
+            assert pt.class_dim > 0
+            self._agrees_with_oracle(semidirect, pin, pt)
+
+    def test_su2_singular_locus(self, su2, su2_pin, rng):
+        # trace 0: det(A_g + I) = 0, where ψ has no Cayley-form expression
+        for _ in range(5):
+            pt = random_class_point(su2, su2_class_from_trace(0.0), rng)
+            assert abs(np.linalg.det(section_matrix(su2, pt.g) + np.eye(3))) < 1e-9
+            assert abs(self._agrees_with_oracle(su2, su2_pin, pt)) > 1e-6
+
+    @pytest.mark.parametrize("name", ["su2", "su3"])
+    def test_central_element_gives_the_scalar_part(self, name, su2, su3):
+        model = {"su2": su2, "su3": su3}[name]
+        n = model.basis[0].shape[0]
+        g = np.exp(2j * np.pi / n) * np.eye(n)
+        psi = PinLift(model).forms_at(g)[0]
+        density = frame_volume_density(np.zeros((0, 0)), psi, np.zeros((model.dim, 0)))
+        assert density == float(psi.scalar_part())
+        assert abs(density) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPfaffianLTL:
+    def test_matches_recursive_expansion(self, rng):
+        for n in range(0, 11, 2):
+            for _ in range(3):
+                a = _skew(rng, n)
+                expect = pfaffian(a)
+                assert _pfaffian_ltl(a) == pytest.approx(expect, rel=1e-10, abs=1e-12)
+
+    def test_zero_leading_pivot(self, rng):
+        for n in (4, 6, 8):
+            a = _skew(rng, n)
+            a[0, 1] = a[1, 0] = 0.0  # no pivoting would divide by zero here
+            assert _pfaffian_ltl(a) == pytest.approx(pfaffian(a), rel=1e-10, abs=1e-12)
+            a[0, :] = a[:, 0] = 0.0  # no pivot at all: singular
+            assert _pfaffian_ltl(a) == 0.0
+
+    def test_odd_and_empty_sizes(self, rng):
+        for n in (1, 3, 5, 7):
+            assert _pfaffian_ltl(_skew(rng, n)) == 0.0
+        assert _pfaffian_ltl(np.zeros((0, 0))) == 1.0
+
+    def test_leaves_its_argument_alone(self, rng):
+        a = _skew(rng, 6)
+        copy = a.copy()
+        _pfaffian_ltl(a)
+        assert np.array_equal(a, copy)
 
 
 class TestIntegrability:

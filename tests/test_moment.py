@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from purespin.geometry import (
+    PinLift,
     conjugacy_volume_top,
     ghjw_matrix,
     random_class_point,
@@ -228,6 +229,18 @@ class TestFrameIndependence:
         d1 = qham_volume_top(p, su2_pin)
         d2 = qham_volume_top(p.change_frame(s), su2_pin)
         assert abs(d2 - d1 * np.linalg.det(s)) < 1e-8 * max(1.0, abs(d1 * np.linalg.det(s)))
+
+    def test_su3_fused_double_density_transforms_by_determinant(self, su3, rng):
+        pin = PinLift(su3)
+        p = DoubleFactory(su3).fused_double_point(su3.random_element(rng),
+                                                  su3.random_element(rng))
+        s = np.eye(16) + 0.3 * rng.standard_normal((16, 16))
+        det = np.linalg.det(s)
+        assert abs(det) > 0.05
+        d1 = qham_volume_top(p, pin)
+        d2 = qham_volume_top(p.change_frame(s), pin)
+        assert abs(abs(d1) - 1.0) < 1e-8
+        assert abs(d2 - d1 * det) < 1e-8 * max(1.0, abs(d1 * det))
 
 
 class TestVolumes:
