@@ -335,12 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="su2")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--report", choices=["json"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_qham)
 
     p = sub.add_parser("verify-all", help="full acceptance suite")
-    p.add_argument("--group", default="su2")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_all)

@@ -41,7 +41,7 @@ import numpy as np
 from .bilinear import BilinearSpace, LagrangianSubspace
 from .dirac import spinor_of_orthogonal
 from .forms import FD_STEP, fd_exterior_derivative
-from .groups import GroupModel
+from .groups import GroupModel, _rotation_log
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, rho_contravariant
 
@@ -253,32 +253,6 @@ def _traceless_log(g) -> np.ndarray:
         shift = order[::-1][:turns] if turns > 0 else order[:-turns]
         theta[shift] -= math.copysign(2 * math.pi, turns)
     return (q * (1j * theta)) @ q.conj().T
-
-
-def _rotation_log(g) -> np.ndarray:
-    """Real skew logarithm of a rotation, from its real Schur form.
-
-    Each 2×2 block contributes the generator of its rotation angle, and
-    eigenvalues -1 are paired into half turns, which complex eigen-angles
-    cannot express as a real matrix.
-    """
-    t, q = scipy.linalg.schur(np.asarray(g, dtype=float), output="real")
-    n = t.shape[0]
-    x = np.zeros((n, n))
-    half_turns = []
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            angle = math.atan2(t[i + 1, i], t[i, i])
-            x[i + 1, i], x[i, i + 1] = angle, -angle
-            i += 2
-        else:
-            if t[i, i] < 0:
-                half_turns.append(i)
-            i += 1
-    for a, b in zip(half_turns[::2], half_turns[1::2]):
-        x[b, a], x[a, b] = math.pi, -math.pi
-    return q @ x @ q.T
 
 
 @dataclass

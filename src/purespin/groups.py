@@ -14,6 +14,7 @@ products, and the swap extension Z2 ⋉ (G × G) used to build double spaces.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -133,6 +134,32 @@ class GroupModel:
 # --------------------------------------------------------------------------- #
 # concrete models
 
+def _rotation_log(g) -> np.ndarray:
+    """Real skew logarithm of a rotation, from its real Schur form.
+
+    Each 2×2 block contributes the generator of its rotation angle, and
+    eigenvalues -1 are paired into half turns, which complex eigen-angles
+    cannot express as a real matrix.
+    """
+    t, q = scipy.linalg.schur(np.asarray(g, dtype=float), output="real")
+    n = t.shape[0]
+    x = np.zeros((n, n))
+    half_turns = []
+    i = 0
+    while i < n:
+        if i + 1 < n and t[i + 1, i] != 0.0:
+            angle = math.atan2(t[i + 1, i], t[i, i])
+            x[i + 1, i], x[i, i + 1] = angle, -angle
+            i += 2
+        else:
+            if t[i, i] < 0:
+                half_turns.append(i)
+            i += 1
+    for a, b in zip(half_turns[::2], half_turns[1::2]):
+        x[b, a], x[a, b] = math.pi, -math.pi
+    return q @ x @ q.T
+
+
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -174,12 +201,35 @@ def su3_model() -> GroupModel:
     return GroupModel("su3", basis, np.eye(8), liftable=True)
 
 
+class _CoadjointSemidirectModel(GroupModel):
+    """SO(3) ⋉ so(3)* with the closed-form logarithm of its elements."""
+
+    def log(self, g) -> np.ndarray:
+        """ξ with exp ξ = [[R, w], [0, 1]], for rotation angles in [0, π].
+
+        The rotation part ω̂ is the real Schur logarithm of R (half turns
+        paired); exp [[ω̂, p], [0, 0]] = [[R, V p], [0, 1]] with V the
+        top-right block of exp [[ω̂, I], [0, 0]], invertible at these angles,
+        so p = V⁻¹ w.
+        """
+        g = np.asarray(g).real
+        omega = _rotation_log(g[:3, :3])
+        block = np.zeros((6, 6))
+        block[:3, :3] = omega
+        block[:3, 3:] = np.eye(3)
+        x = np.zeros((4, 4))
+        x[:3, :3] = omega
+        x[:3, 3] = np.linalg.solve(scipy.linalg.expm(block)[:3, 3:], g[:3, 3])
+        return self.coeffs(x)
+
+
 def coadjoint_semidirect_model() -> GroupModel:
     """Rotations acting on the dual of their algebra: elements [[R, w], [0, 1]].
 
     Basis order (P_1..P_3, J_1..J_3); B is the duality pairing, a split form
     [[0, I], [I, 0]].  The double cover of the rotation factor is invisible
-    to everything adjoint-level, which is all this model is used for.
+    to everything adjoint-level, which is all this model is used for.  The
+    logarithm has a closed form (see ``_CoadjointSemidirectModel.log``).
     """
     so3 = so3_model()
     basis = []
@@ -194,7 +244,7 @@ def coadjoint_semidirect_model() -> GroupModel:
     B = np.zeros((6, 6))
     B[:3, 3:] = np.eye(3)
     B[3:, :3] = np.eye(3)
-    return GroupModel("coadjoint-semidirect", basis, B, liftable=True)
+    return _CoadjointSemidirectModel("coadjoint-semidirect", basis, B, liftable=True)
 
 
 def product_model(m1: GroupModel, m2: GroupModel, name: str | None = None) -> GroupModel:

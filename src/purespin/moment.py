@@ -391,25 +391,26 @@ def kirillov_poisson_matrix(model: GroupModel, x) -> np.ndarray:
 
 
 def homotopy_two_form(model: GroupModel, x, nodes: int = 32) -> np.ndarray:
-    """Radial homotopy of the pulled-back 3-form: ϖ_x(u,v) = ∫₀¹ t² (exp*η)_{tx}(x,u,v) dt."""
+    """Radial homotopy of the pulled-back 3-form: ϖ_x(u,v) = ∫₀¹ t² (exp*η)_{tx}(x,u,v) dt.
+
+    With T the antisymmetric coefficient tensor of η and F = dexp_frame(t x),
+    (exp*η)_{tx}(x, ·, ·) is the matrix Fᵀ (T·Fx) F, where (T·y)_{bc} =
+    Σ_a T_{abc} y_a; the integral is a Gauss-Legendre sum over t.
+    """
     x = np.asarray(x, dtype=float)
     d = model.dim
-    eta = eta_multivector(model)
+    tensor = np.zeros((d, d, d))
+    for (i, j, k), c in eta_multivector(model).terms.items():
+        for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+            tensor[a, b, e], tensor[b, a, e] = c, -c
     ts, ws = np.polynomial.legendre.leggauss(nodes)
     ts = 0.5 * (ts + 1.0)
     ws = 0.5 * ws
     out = np.zeros((d, d))
-    eye = np.eye(d)
     for t, w in zip(ts, ws):
         frame = model.dexp_frame(t * x)
-        fx = frame @ x
-        cols = frame @ eye
-        for i in range(d):
-            for j in range(i + 1, d):
-                val = eta.evaluate([fx, cols[:, i], cols[:, j]])
-                out[i, j] += w * t * t * val
-                out[j, i] -= w * t * t * val
-    return out
+        out += w * t * t * (frame.T @ np.tensordot(frame @ x, tensor, 1) @ frame)
+    return 0.5 * (out - out.T)
 
 
 def exp_orbit_qham_point(model: GroupModel, x, tol: float = 1e-9) -> QHamPoint:

@@ -4,7 +4,10 @@ A :class:`Multivector` of ambient dimension ``dim`` is a finite linear
 combination of basis blades ``e_I`` indexed by strictly increasing tuples
 ``I`` of indices in ``range(dim)``.  Coefficients may be exact
 (:class:`fractions.Fraction`, ``int``) or floating point; arithmetic never
-converts exact coefficients to floats on its own.
+converts exact coefficients to floats on its own.  The linear maps
+``pullback`` and ``pushforward`` are the exception: they are float routes
+(one batched determinant per grade) and return float coefficients, exact
+inputs included.
 
 The same container serves three roles in this package: elements of a wedge
 algebra of forms (``Λ V*``), elements of a wedge algebra of multivectors
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -281,45 +285,28 @@ class Multivector:
     # ------------------------------------------------------------------ #
     # linear maps
 
-    def map_generators(self, images: Sequence["Multivector"], dim_out: int) -> "Multivector":
-        """Extend ``e_i -> images[i]`` to an algebra map and apply it.
-
-        Used for the pullback of forms (images = rows of the matrix) and the
-        pushforward of multivector blades (images = columns).
-        """
-        out = Multivector.zero(dim_out)
-        for blade, coeff in self.terms.items():
-            acc = Multivector.scalar(dim_out, coeff)
-            for idx in blade:
-                acc = acc.wedge(images[idx])
-                if not acc:
-                    break
-            out = out + acc
-        return out
-
     def pullback(self, matrix) -> "Multivector":
         """Pullback A* of a form under the linear map with the given matrix.
 
         ``matrix`` has shape (dim_target, dim_source) mapping source
         coordinates to target coordinates; ``self`` lives over the target.
+        Grade by grade through the compound matrix:
+        (A*α)_J = Σ_I α_I det A[I, J] over |I| = |J| = k.  A float route.
         """
-        m = np.asarray(matrix)
-        rows, cols = m.shape
-        if rows != self.dim:
+        m = np.asarray(matrix, dtype=float)
+        if m.shape[0] != self.dim:
             raise ValueError("matrix target dimension does not match form")
-        images = [Multivector(cols, {(j,): m[i, j] for j in range(cols) if m[i, j] != 0})
-                  for i in range(rows)]
-        return self.map_generators(images, cols)
+        return _compound_apply(self, m)
 
     def pushforward(self, matrix) -> "Multivector":
-        """Pushforward A_* of a wedge of vectors under the matrix (target x source)."""
-        m = np.asarray(matrix)
-        rows, cols = m.shape
-        if cols != self.dim:
+        """Pushforward A_* of a wedge of vectors under the matrix (target x source).
+
+        (A_*χ)_I = Σ_J χ_J det A[I, J]: the pullback formula applied to Aᵀ.
+        """
+        m = np.asarray(matrix, dtype=float)
+        if m.shape[1] != self.dim:
             raise ValueError("matrix source dimension does not match multivector")
-        images = [Multivector(rows, {(i,): m[i, j] for i in range(rows) if m[i, j] != 0})
-                  for j in range(cols)]
-        return self.map_generators(images, rows)
+        return _compound_apply(self, m.T)
 
     # ------------------------------------------------------------------ #
     # evaluation and numerics
@@ -375,6 +362,36 @@ class Multivector:
             name = "1" if not blade else "e" + "".join(str(i) for i in blade)
             bits.append(f"{c}*{name}")
         return " + ".join(bits)
+
+
+def _compound_apply(x: Multivector, m: np.ndarray) -> Multivector:
+    """Σ_I x_I det m[I, J] e_J over every k-subset J of the columns of m, per grade k.
+
+    The grade-k part is x's coefficient row times the k-th compound matrix of
+    m restricted to the blades I of x: one batched determinant of the stacked
+    k×k submatrices m[I, J].  Grades above the column count vanish.
+    """
+    cols = m.shape[1]
+    by_grade: dict[int, list[tuple[Blade, Scalar]]] = {}
+    for blade, c in x.terms.items():
+        by_grade.setdefault(len(blade), []).append((blade, c))
+    out: dict[Blade, float] = {}
+    for k, items in sorted(by_grade.items()):
+        if k == 0:
+            out[()] = float(items[0][1])
+            continue
+        if k > cols:
+            continue
+        rows = np.array([b for b, _ in items])
+        coeffs = np.array([float(c) for _, c in items])
+        targets = np.array(list(combinations(range(cols), k)))
+        minors = np.linalg.det(m[rows[:, None, :, None], targets[None, :, None, :]])
+        for blade, value in zip(map(tuple, targets.tolist()), (coeffs @ minors).tolist()):
+            if value != 0:
+                out[blade] = value
+    res = Multivector.zero(cols)
+    res.terms = out
+    return res
 
 
 def _scalar_str(c: Scalar) -> str:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from purespin.cli import main
 from purespin.geometry import PinLift
 from purespin.groups import GroupModel, coadjoint_semidirect_model, su2_model, su3_model
 
@@ -39,3 +42,15 @@ def torus3_model() -> GroupModel:
 @pytest.fixture(scope="session")
 def torus3():
     return torus3_model()
+
+
+@pytest.fixture(scope="session")
+def verify_all_run(tmp_path_factory):
+    """Exit code and JSON report of one ``purespin verify-all --seed 7`` run.
+
+    The twelve criteria are the slowest part of the suite; the acceptance
+    tests and the CLI test assert on this one run.
+    """
+    path = tmp_path_factory.mktemp("verify-all") / "report.json"
+    code = main(["verify-all", "--seed", "7", "--out", str(path)])
+    return code, json.loads(path.read_text())

@@ -85,8 +85,8 @@ class TestSubcommands:
 
 
 class TestVerifyAll:
-    def test_all_criteria_pass(self, capsys):
-        code, report = run_cli(capsys, ["verify-all", "--group", "su2", "--seed", "7"])
+    def test_all_criteria_pass(self, verify_all_run):
+        code, report = verify_all_run
         assert code == 0 and report["passed"]
         assert len(report["checks"]) == 12
         assert all(c["passed"] for c in report["checks"])
@@ -129,6 +129,18 @@ class TestInputErrors:
             main(["spinor", "--n", n, "--samples", "1"])
         assert exc.value.code == "error: --n must be at least 1"
         assert capsys.readouterr().out == ""
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify-all", "--group", "su2"],
+        ["qham", "verify", "--report", "json"],
+    ])
+    def test_flag_is_rejected(self, capsys, argv):
+        # both were parsed and then ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestDeterminism:

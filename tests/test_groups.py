@@ -130,3 +130,29 @@ class TestExtensions:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             get_model("e8")
+
+
+class TestSemidirectLog:
+    """The closed-form logarithm of coadjoint-semidirect: ω̂ from R, then p = V(ω)⁻¹ w."""
+
+    def test_round_trip(self, semidirect, rng):
+        for _ in range(200):
+            g = semidirect.exp(semidirect.random_algebra(rng, rng.uniform(0.1, 3.0)))
+            xi = semidirect.log(g)
+            assert np.linalg.norm(semidirect.exp(xi) - g) < 1e-12 * (1 + np.linalg.norm(g))
+            assert np.linalg.norm(xi[3:]) <= np.pi + 1e-12  # principal rotation angle
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-8, 1e-4, -1e-8, -1e-4])
+    def test_round_trip_at_and_near_half_turn(self, semidirect, rng, offset):
+        axis = rng.standard_normal(3)
+        x = np.concatenate([rng.standard_normal(3), (np.pi - offset) * axis / np.linalg.norm(axis)])
+        g = semidirect.exp(x)
+        assert np.linalg.norm(semidirect.exp(semidirect.log(g)) - g) < 1e-12
+
+    def test_does_not_call_logm(self, semidirect, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("logm called")
+
+        monkeypatch.setattr(scipy.linalg, "logm", refuse)
+        g = semidirect.random_element(rng, 1.5)
+        assert np.linalg.norm(semidirect.exp(semidirect.log(g)) - g) < 1e-12

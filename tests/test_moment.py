@@ -6,11 +6,12 @@ import pytest
 from purespin.geometry import (
     PinLift,
     conjugacy_volume_top,
+    eta_multivector,
     ghjw_matrix,
     random_class_point,
     su2_class_from_trace,
 )
-from purespin.groups import swap_double_model
+from purespin.groups import get_model, swap_double_model
 from purespin.moment import (
     DoubleFactory,
     FusionData,
@@ -307,6 +308,21 @@ class TestExponential:
 
     def test_homotopy_form_vanishes_at_origin(self, su2):
         assert np.linalg.norm(homotopy_two_form(su2, np.zeros(3))) < 1e-12
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "coadjoint-semidirect"])
+    def test_homotopy_form_matches_quadrature_of_eta(self, name, rng):
+        # ϖ_x(e_i, e_j) = ∫₀¹ t² η(F x, F e_i, F e_j) dt, F = dexp_frame(t x), same nodes
+        model = get_model(name)
+        eta = eta_multivector(model)
+        x = model.random_algebra(rng, 0.8)
+        ts, ws = np.polynomial.legendre.leggauss(32)
+        expect = np.zeros((model.dim, model.dim))
+        for t, w in zip(0.5 * (ts + 1.0), 0.5 * ws):
+            frame = model.dexp_frame(t * x)
+            for i in range(model.dim):
+                for j in range(model.dim):
+                    expect[i, j] += w * t * t * eta.evaluate([frame @ x, frame[:, i], frame[:, j]])
+        assert np.abs(homotopy_two_form(model, x) - expect).max() < 1e-12
 
     def test_origin_conditions_exact(self, su2):
         rep = exp_dirac_report(su2, 1e-8 * np.ones(3))

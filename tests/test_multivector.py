@@ -1,6 +1,7 @@
 """Exterior algebra container: wedge, contraction, exponential, linear maps."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -92,6 +93,31 @@ class TestLinearMaps:
         b = rng.standard_normal((4, 2))
         chi = Multivector(2, {(0, 1): 2.0, (1,): 1.0})
         assert (chi.pushforward(a @ b) - chi.pushforward(b).pushforward(a)).norm() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 5), (5, 3)])
+    def test_pullback_matches_definition(self, rng, shape):
+        # (A*α)(v_1, ..., v_k) = α(A v_1, ..., A v_k), grade by grade of a dense form
+        rows, cols = shape
+        a = rng.standard_normal(shape)
+        form = Multivector(rows, {b: rng.standard_normal()
+                                  for k in range(rows + 1) for b in combinations(range(rows), k)})
+        pulled = form.pullback(a)
+        for k in range(cols + 1):
+            vectors = list(rng.standard_normal((k, cols)))
+            expect = form.evaluate([a @ v for v in vectors])
+            assert abs(pulled.evaluate(vectors) - expect) <= 1e-12 * max(1.0, abs(expect))
+
+    def test_pullback_grades_above_source_vanish(self, rng):
+        form = Multivector(5, {(0, 1, 2, 3): 1.0, (1, 2, 3, 4): 2.0, (0,): 1.5})
+        pulled = form.pullback(rng.standard_normal((5, 3)))
+        assert pulled.grades == {1}
+
+    def test_pullback_of_exact_form_is_float(self, rng):
+        exact = Multivector(3, {(): Fraction(1, 3), (1,): 3, (0, 2): Fraction(-2, 7)})
+        a = rng.standard_normal((3, 4))
+        pulled = exact.pullback(a)
+        assert pulled.terms == exact.to_float().pullback(a).terms
+        assert all(type(c) is float for c in pulled.terms.values())
 
     def test_identity_and_zero(self):
         chi = Multivector(3, {(0, 2): 1.0, (): 2.0})
