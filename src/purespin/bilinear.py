@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .multivector import _scalar_str
+
 DEFAULT_TOL = 1e-9
 
 __all__ = [
@@ -111,19 +113,11 @@ class BilinearSpace:
         )
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "gram": [[_num_str(x) for x in row] for row in self.gram_exact]}
+        return {"dim": self.dim, "gram": [[_scalar_str(x) for x in row] for row in self.gram_exact]}
 
     def __repr__(self) -> str:  # pragma: no cover
         p, q = self.signature()
         return f"BilinearSpace(dim={self.dim}, signature=({p},{q}))"
-
-
-def _num_str(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
 
 
 class Subspace:

@@ -44,7 +44,7 @@ from .moment import (
     qham_volume_top,
     strong_dirac_equivalence,
 )
-from .multivector import Multivector
+from .multivector import Multivector, _scalar_str
 from .spinor import DoubledSpace, chevalley_pairing, spinor_of_lagrangian
 from .suites import run_all
 
@@ -57,14 +57,10 @@ def _stringify(obj):
         return {str(k): _stringify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_stringify(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return repr(float(obj))
+    if isinstance(obj, (Fraction, int, np.integer, float, np.floating)):
+        return _scalar_str(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         z = complex(obj)
         return f"{z.real!r}{z.imag:+}j"

@@ -12,7 +12,19 @@ this relation and a conformance test pins it.
 Products are computed by sort-and-contract on index sequences against the
 Gram matrix, so the working basis need not be orthogonal; cost is fine for
 the ambient dimensions used here (<= 16 generators, typically <= 8).
-Coefficients stay exact whenever the Gram entries and inputs are exact.
+
+Each product runs in its operands' own number type.  The normal form of a
+generator word is cached once per algebra as integer numerators over one
+common denominator Q = D^dim, where D clears the denominators of every
+contraction factor <a, b> and <a, a>/2 (a word contracts at most dim times),
+together with the floats those numerators stand for.  With an exact Gram and
+int/Fraction operands, the operands are written as integers over their own
+common denominators, the product accumulates in Python ints and one Fraction
+is built per output blade, so coefficients stay exact.  Otherwise the product
+runs on float coefficients and the float normal form; ``float(k) * c`` is
+what ``Fraction.__rmul__`` computes, so float products do not depend on how
+the exact normal form is stored.  A float Gram's normal form is built in
+float arithmetic.
 """
 
 from __future__ import annotations
@@ -52,7 +64,14 @@ class CliffordAlgebra:
     def __init__(self, space: BilinearSpace):
         self.space = space
         self.dim = space.dim
-        self._norm_cache: dict[tuple[int, ...], dict[Blade, object]] = {}
+        self._exact = space.is_exact()
+        self._den = 1
+        if self._exact:
+            factors = [Fraction(g) for row in space.gram_exact for g in row]
+            factors += [HALF * row[i] for i, row in enumerate(space.gram_exact)]
+            self._den = math.lcm(*(f.denominator for f in factors)) ** self.dim
+        # generator word -> (blades, numerators over _den, float values)
+        self._norm_cache: dict[tuple[int, ...], tuple[tuple, tuple, tuple]] = {}
         self.blades: list[Blade] = [
             b for k in range(self.dim + 1) for b in combinations(range(self.dim), k)
         ]
@@ -76,60 +95,90 @@ class CliffordAlgebra:
 
     # -- core product ---------------------------------------------------- #
 
-    def _gram_entry(self, i: int, j: int):
-        return self.space.gram_exact[i][j]
+    def _normal_form(self, seq: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+        """Expansion of the generator word e_{s0} e_{s1} ... in the blade basis.
 
-    def _normal_form(self, seq: tuple[int, ...]) -> dict[Blade, object]:
-        """Expansion of the generator word e_{s0} e_{s1} ... in the blade basis."""
+        Returns (blades, numerators, floats).  With an exact Gram the
+        numerators are ints over the common denominator ``_den`` and the
+        floats their correctly rounded quotients; with a float Gram both are
+        the float coefficients.
+        """
         cached = self._norm_cache.get(seq)
         if cached is not None:
             return cached
         bad = next((p for p in range(len(seq) - 1) if seq[p] >= seq[p + 1]), None)
         if bad is None:
-            result = {seq: 1}
+            coeffs = {seq: self._den}
         else:
             a, b = seq[bad], seq[bad + 1]
-            result = {}
+            gram = self.space.gram_exact
+            rest = seq[:bad] + seq[bad + 2:]
             if a == b:
-                sub = self._normal_form(seq[:bad] + seq[bad + 2:])
-                g = HALF * self._gram_entry(a, a)
-                if g != 0:
-                    for blade, c in sub.items():
-                        result[blade] = result.get(blade, 0) + g * c
+                parts = [(HALF * gram[a][a], rest)]
             else:
-                swapped = self._normal_form(seq[:bad] + (b, a) + seq[bad + 2:])
-                for blade, c in swapped.items():
-                    result[blade] = result.get(blade, 0) - c
-                g = self._gram_entry(a, b)
+                parts = [(-1, seq[:bad] + (b, a) + seq[bad + 2:]), (gram[a][b], rest)]
+            coeffs = {}
+            for g, sub in parts:
                 if g != 0:
-                    contracted = self._normal_form(seq[:bad] + seq[bad + 2:])
-                    for blade, c in contracted.items():
-                        result[blade] = result.get(blade, 0) + g * c
-            result = {blade: c for blade, c in result.items() if c != 0}
-        self._norm_cache[seq] = result
+                    blades, nums, _ = self._normal_form(sub)
+                    for blade, c in zip(blades, nums):
+                        coeffs[blade] = coeffs.get(blade, 0) + g * c
+            # exact: each g * c is integral, since the word contracts at most dim times
+            coeffs = {blade: int(c) if self._exact else c
+                      for blade, c in coeffs.items() if c != 0}
+        blades, nums = tuple(coeffs), tuple(coeffs.values())
+        floats = tuple(k / self._den for k in nums) if self._exact else nums
+        result = self._norm_cache[seq] = (blades, nums, floats)
         return result
 
     def mul(self, x: Multivector, y: Multivector) -> Multivector:
-        out: dict[Blade, object] = {}
-        for bi, ci in x.terms.items():
-            for bj, cj in y.terms.items():
+        if self._exact and _is_exact(x) and _is_exact(y):
+            out = self._mul_exact(x, y)
+        else:
+            out = self._mul_float(x, y)
+        res = Multivector.zero(self.dim)
+        res.terms = out
+        return res
+
+    def _mul_exact(self, x: Multivector, y: Multivector) -> dict[Blade, Fraction]:
+        dx, xs = exact.scale_to_integers(x.terms.values())
+        dy, ys = exact.scale_to_integers(y.terms.values())
+        acc: dict[Blade, int] = {}
+        cache = self._norm_cache
+        for bi, ci in zip(x.terms, xs):
+            for bj, cj in zip(y.terms, ys):
                 c = ci * cj
-                for blade, k in self._normal_form(bi + bj).items():
+                blades, nums, _ = cache.get(bi + bj) or self._normal_form(bi + bj)
+                for blade, k in zip(blades, nums):
+                    acc[blade] = acc.get(blade, 0) + c * k
+        den = dx * dy * self._den
+        return {blade: Fraction(v, den) for blade, v in acc.items() if v}
+
+    def _mul_float(self, x: Multivector, y: Multivector) -> dict[Blade, float]:
+        xs = [(b, float(c)) for b, c in x.terms.items()]
+        ys = [(b, float(c)) for b, c in y.terms.items()]
+        out: dict[Blade, float] = {}
+        cache = self._norm_cache
+        for bi, ci in xs:
+            for bj, cj in ys:
+                c = ci * cj
+                blades, _, floats = cache.get(bi + bj) or self._normal_form(bi + bj)
+                for blade, k in zip(blades, floats):
                     s = out.get(blade, 0) + c * k
                     if s == 0:
                         out.pop(blade, None)
                     else:
                         out[blade] = s
-        res = Multivector.zero(self.dim)
-        res.terms = out
-        return res
+        return out
 
     def transpose(self, x: Multivector) -> Multivector:
         """Canonical anti-automorphism: reverse each generator word."""
         out = Multivector.zero(self.dim)
         for blade, c in x.terms.items():
+            blades, nums, floats = self._normal_form(tuple(reversed(blade)))
+            values = [Fraction(k, self._den) for k in nums] if self._exact else floats
             rev = Multivector.zero(self.dim)
-            rev.terms = dict(self._normal_form(tuple(reversed(blade))))
+            rev.terms = dict(zip(blades, values))
             out = out + rev.scale(c)
         return out
 
@@ -161,9 +210,7 @@ class CliffordAlgebra:
         """Inverse by linear solve in the regular representation."""
         one = np.zeros(len(self.blades))
         one[self._blade_index[()]] = 1.0
-        if self.space.is_exact() and all(
-            isinstance(c, (int, Fraction)) for c in x.terms.values()
-        ):
+        if self._exact and _is_exact(x):
             sol = exact.solve(
                 self.left_multiplication_matrix_exact(x),
                 [Fraction(int(v)) for v in one],
@@ -235,6 +282,10 @@ class CliffordAlgebra:
                 return PinElement(self.element(g.scale(1 / root)), sign)
         scale = 1.0 / math.sqrt(abs(float(c)))
         return PinElement(self.element(g.map_coeff(lambda v: float(v) * scale)), sign)
+
+
+def _is_exact(x: Multivector) -> bool:
+    return all(isinstance(c, (int, Fraction)) for c in x.terms.values())
 
 
 def _is_square(q: Fraction) -> bool:

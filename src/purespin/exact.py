@@ -1,13 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines on ``list[list[Fraction]]`` matrices, used wherever the
-test contracts demand exactness (Clifford relations, fixed-line dimensions,
-rank of the spinor representation).  Dimensions stay tiny (< 100), so plain
-Gaussian elimination is adequate.
+Small dense routines on ``list[list[Fraction]]`` matrices (int entries are
+accepted too), used wherever the test contracts demand exactness (Clifford
+relations, fixed-line dimensions, rank of the spinor representation).
+
+Elimination is fraction-free, the standard route to exact rank (Bareiss
+1968): each row is scaled by the least common multiple of its denominators to
+a row of Python ints, and Gauss–Jordan runs on those rows, replacing row i by
+p·row_i − f·row_r for pivot p and entry f.  Instead of Bareiss's division by
+the previous pivot, each updated row is divided by the gcd of its entries,
+which keeps the integers small and leaves rows with a zero in the pivot column
+untouched.  Row scaling and these row operations leave the reduced row echelon
+form unchanged, so ``rank`` reads the pivots without building any Fraction,
+and ``rref``, ``nullspace``, ``solve`` and ``inverse`` divide by a pivot only
+for the entries they return.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,6 +28,7 @@ Mat = list[list[Fraction]]
 
 __all__ = [
     "as_fraction_matrix",
+    "scale_to_integers",
     "identity",
     "mat_mul",
     "mat_vec",
@@ -32,6 +44,12 @@ __all__ = [
 
 def as_fraction_matrix(rows: Sequence[Sequence]) -> Mat:
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def scale_to_integers(values: Sequence) -> tuple[int, list[int]]:
+    """(d, [d·v for v in values]): int/Fraction values over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def identity(n: int) -> Mat:
@@ -51,24 +69,30 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> list[Fraction]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    a = [list(row) for row in m]
+def _integer_rref(m: Mat) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss–Jordan on row-scaled integer copies of the rows.
+
+    Returns (a, pivots): row r < len(pivots) of the reduced row echelon form
+    is a[r] / a[r][pivots[r]]; the remaining rows of a are zero.
+    """
+    a = [scale_to_integers(row)[1] for row in m]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1, 1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(a[i], prow)]
+                g = math.gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -76,22 +100,31 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     return a, pivots
 
 
+def rref(m: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and pivot columns."""
+    a, pivots = _integer_rref(m)
+    ncols = len(a[0]) if a else 0
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    red += [[Fraction(0)] * ncols for _ in range(len(a) - len(pivots))]
+    return red, pivots
+
+
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_integer_rref(m)[1])
 
 
 def nullspace(m: Mat) -> list[list[Fraction]]:
     """Basis of the right nullspace, one vector per free column."""
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    red, pivots = rref(m)
+    a, pivots = _integer_rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(a, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -101,22 +134,22 @@ def solve(a: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     aug = [list(row) + [Fraction(b[i])] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    red, pivots = _integer_rref(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][-1]
+    for row, pc in zip(red, pivots):
+        x[pc] = Fraction(row[-1], row[pc])
     return x
 
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
     aug = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
-    red, pivots = rref(aug)
+    red, pivots = _integer_rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(red, pivots)]
 
 
 def random_rational_orthogonal(n: int, rng: np.random.Generator,

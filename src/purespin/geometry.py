@@ -43,7 +43,7 @@ from .dirac import spinor_of_orthogonal
 from .forms import FD_STEP, fd_exterior_derivative
 from .groups import GroupModel, _rotation_log
 from .multivector import Multivector, merge_blades
-from .spinor import DoubledSpace, rho_contravariant
+from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_generators, rho_of_columns
 
 # imported after the package modules: imported first, it made the benchmark's
 # process set-up (setup_s) about 0.05 s slower on a 2-vCPU machine
@@ -205,26 +205,6 @@ def structure_trivector(model: GroupModel) -> Multivector:
 # --------------------------------------------------------------------------- #
 # the invariant spinor pair (ψ, φ) through the spin lift of the exponential
 
-def _rho_generators(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """ρ of the basis e_0..e_{d-1}, ε^0..ε^{d-1} of V ⊕ V* on the blades of Λ V*.
-
-    A blade is the bit mask of its indices.  ρ(e_i) = ι(e_i) clears bit i
-    and ρ(ε^i) = ε^i ∧ sets it, both with the sign (-1)^(set bits below i),
-    so each is a signed partial permutation: rows (target, sign) indexed by
-    the generator, with target -1 where the blade is sent to zero.
-    """
-    masks = np.arange(1 << d)
-    target = np.empty((2 * d, 1 << d), dtype=np.int32)
-    sign = np.empty((2 * d, 1 << d))
-    for i in range(d):
-        bit = 1 << i
-        has = (masks & bit) != 0
-        target[i] = np.where(has, masks ^ bit, -1)
-        target[d + i] = np.where(has, -1, masks | bit)
-        sign[i] = sign[d + i] = 1 - 2 * (np.bitwise_count(masks & (bit - 1)).astype(int) % 2)
-    return target, sign
-
-
 # Coefficients of an exponentiated spinor below this fraction of its largest
 # one are roundoff: on random su3 and coadjoint-semidirect points the exactly
 # vanishing blades come out below 1e-14 of the largest coefficient and the
@@ -299,7 +279,7 @@ class PinLift:
         """The parity blocks of Λ V* holding 1 and μ, with the S_a restricted to them."""
         model = self.model
         d = model.dim
-        target, sign = _rho_generators(d)
+        target, sign = rho_generators(d)
         # S_a = Σ_{j,k} ½ K_a[j, k] ρ(f_j) ρ(f^k), where f^k = f_{(k+d) mod 2d}
         coeff = 0.5 * np.array([
             _kappa_derivative(-model.ad(_unit(d, a)), model.B, model.B_inv) for a in range(d)])
@@ -644,6 +624,22 @@ def cartan_section_field(model: GroupModel, xi, which: str = "e"):
     return field
 
 
+def _structure_action(model: GroupModel, g, psi: Multivector) -> np.ndarray:
+    """Σ c_ijk R_i R_j R_k ψ over the structure trivector, as a dense vector over the blade masks.
+
+    R_i = ρ(e(ξ_i)) = Σ_m e_mat[m, i] P_m from the ρ table; the sum is taken as
+    U_i = Σ_jk c_ijk R_j R_k ψ, then Σ_i R_i U_i.
+    """
+    d = model.dim
+    e_mat, _ = cartan_section_bases(model, g)
+    coeff = np.zeros((d, d, d))
+    for (i, j, k), c in structure_trivector(model).terms.items():
+        coeff[i, j, k] = c
+    twice = rho_of_columns(e_mat, rho_of_columns(e_mat, mask_vector(psi)))
+    inner = np.einsum("ijk,jkn->in", coeff, twice)
+    return np.einsum("iin->n", rho_of_columns(e_mat, inner))
+
+
 def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift,
                                h: float = FD_STEP) -> dict:
     """Residuals of (d+η) on the invariant spinors at g.
@@ -652,8 +648,6 @@ def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift,
     and its failure is proportional to the cubic section action of the
     structure trivector, whose best-fit scalar is reported.
     """
-    d = model.dim
-    doubled = DoubledSpace(d)
     eta = eta_multivector(model)
     psi_c, phi_c = pin.forms_at(g)
     # both derivatives difference over the same stencil points: lift each once
@@ -670,19 +664,13 @@ def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift,
     res_psi = fd_exterior_derivative(model, lambda point: pair_at(point)[0], g, h) \
         + eta.wedge(psi_c)
 
-    trivec = structure_trivector(model)
-    e_mat, _ = cartan_section_bases(model, g)
-    rhs = Multivector.zero(d)
-    for blade, coeff in trivec.terms.items():
-        img = psi_c
-        for idx in reversed(blade):
-            img = rho_contravariant(doubled, e_mat[:, idx], img)
-        rhs = rhs + img.scale(coeff)
-    rhs_norm2 = sum(float(c) ** 2 for c in rhs.terms.values())
+    rhs = _structure_action(model, g, psi_c)
+    res_vec = mask_vector(res_psi)
+    rhs_norm2 = float(rhs @ rhs)
     lam = 0.0
     if rhs_norm2 > 1e-30:
-        lam = sum(float(c) * float(res_psi.terms.get(b, 0.0)) for b, c in rhs.terms.items()) / rhs_norm2
-    fit_residual = (res_psi - rhs.scale(lam)).norm()
+        lam = float(rhs @ res_vec) / rhs_norm2
+    fit_residual = float(np.linalg.norm(res_vec - lam * rhs))
     # (d+η) flips parity: the component of the residual sharing φ's parity is pure noise
     same_parity = res_phi.odd_part() if phi_c.min_grade() % 2 else res_phi.even_part()
     return {

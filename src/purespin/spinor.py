@@ -9,12 +9,23 @@ Lagrangians.  The contravariant module is Λ V* with
 which satisfies ρ(w)ρ(w') + ρ(w')ρ(w) = <w, w'> id on the nose (no extra
 factor of two with this pairing); the covariant module Λ V swaps the roles
 of V and V*.  Coordinates: indices 0..n-1 are V, indices n..2n-1 are V*.
+
+The ρ table.  A blade of Λ V* is the bit mask of its indices.  ρ(e_i) = ι(e_i)
+clears bit i and ρ(ε^i) = ε^i ∧ sets it, both with the sign (-1)^(set bits
+below i), so ρ of each of the 2n basis generators is a signed partial
+permutation P_k of the blades (``rho_generators``).  Every matrix of ρ in this
+package is read off that one table: ρ(w) = Σ_k w_k P_k (``rho_of_columns``),
+the word matrices of the spinor representation, the action matrices behind
+null spaces and fixed lines, and the spin generators of ``geometry.PinLift``.
+``rho_contravariant`` stays the sparse route for applying ρ(w) to a form,
+and the tests' oracle for the table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +44,9 @@ from .multivector import Multivector
 __all__ = [
     "DoubledSpace",
     "PureSpinor",
+    "rho_generators",
+    "rho_of_columns",
+    "mask_vector",
     "rho_contravariant",
     "rho_covariant",
     "null_space",
@@ -60,10 +74,9 @@ class DoubledSpace:
             gram[i][n + i] = 1
             gram[n + i][i] = 1
         self.space = BilinearSpace(gram, tol)
-        self.form_blades = [
-            b for k in range(n + 1) for b in combinations(range(n), k)
-        ]
-        self._blade_index = {b: i for i, b in enumerate(self.form_blades)}
+        # blade masks by grade, then lexicographically: the row order of the action matrices
+        self._grade_masks = np.array(
+            [sum(1 << i for i in b) for k in range(n + 1) for b in combinations(range(n), k)])
 
     def w(self, v, a) -> np.ndarray:
         return np.concatenate([np.asarray(v, dtype=float), np.asarray(a, dtype=float)])
@@ -82,40 +95,80 @@ class DoubledSpace:
         eye = np.eye(self.n)
         return np.block([[z, eye], [eye, z]])
 
-    # matrices of ρ in the blade basis of Λ V* -------------------------- #
+    def rho_word_matrix(self, indices) -> np.ndarray:
+        """Integer matrix of ρ(w_{i1}) ρ(w_{i2}) ... on Λ V* for generator indices of V ⊕ V*.
 
-    def rho_matrix(self, w, exact_entries: bool = False):
-        """Matrix of ρ(w) on Λ V* in the blade basis (contravariant action)."""
-        n_blades = len(self.form_blades)
-        v, a = (list(w[: self.n]), list(w[self.n:]))
-        if exact_entries:
-            m = [[Fraction(0)] * n_blades for _ in range(n_blades)]
-        else:
-            m = np.zeros((n_blades, n_blades))
-        for j, blade in enumerate(self.form_blades):
-            img = rho_contravariant(self, list(v) + list(a), Multivector(self.n, {blade: 1}))
-            for b, c in img.terms.items():
-                i = self._blade_index[b]
-                if exact_entries:
-                    m[i][j] = Fraction(c)
-                else:
-                    m[i][j] = float(c)
+        Rows and columns are the blades by bit mask; the word is composed as
+        signed partial permutations of the ρ table.
+        """
+        target, sign = rho_generators(self.n)
+        size = 1 << self.n
+        pos, sgn = np.arange(size), np.ones(size, dtype=np.int64)
+        for k in reversed(indices):
+            alive = pos >= 0
+            sgn = np.where(alive, sgn * sign[k][pos], 0)
+            pos = np.where(alive, target[k][pos], -1)
+        m = np.zeros((size, size), dtype=np.int64)
+        cols = np.flatnonzero(pos >= 0)
+        m[pos[cols], cols] = sgn[cols]
         return m
 
-    def rho_word_matrix(self, indices, exact_entries: bool = False):
-        """Matrix of ρ(w_{i1}) ρ(w_{i2}) ... for generator indices of the doubled space."""
-        n_blades = len(self.form_blades)
-        if exact_entries:
-            acc = exact.identity(n_blades)
-            for idx in indices:
-                gen = [Fraction(int(k == idx)) for k in range(2 * self.n)]
-                acc = exact.mat_mul(self.rho_matrix(gen, exact_entries=True), acc)
-            return acc
-        acc = np.eye(n_blades)
-        for idx in indices:
-            gen = np.eye(2 * self.n)[idx]
-            acc = self.rho_matrix(gen) @ acc
-        return acc
+
+@lru_cache(maxsize=None)
+def rho_generators(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ρ table: ρ of the basis e_0..e_{n-1}, ε^0..ε^{n-1} of V ⊕ V* on Λ V*.
+
+    Read-only integer arrays (target, sign) of shape (2n, 2^n), indexed by the
+    generator and the bit mask of a blade: P_k sends blade m to sign[k, m]
+    times blade target[k, m], or to zero where target[k, m] = -1.
+    """
+    masks = np.arange(1 << n)
+    target = np.empty((2 * n, 1 << n), dtype=np.int64)
+    sign = np.empty((2 * n, 1 << n), dtype=np.int64)
+    for i in range(n):
+        bit = 1 << i
+        has = (masks & bit) != 0
+        target[i] = np.where(has, masks ^ bit, -1)
+        target[n + i] = np.where(has, -1, masks | bit)
+        sign[i] = sign[n + i] = 1 - 2 * (np.bitwise_count(masks & (bit - 1)).astype(np.int64) % 2)
+    target.flags.writeable = sign.flags.writeable = False
+    return target, sign
+
+
+def _rho_each(x: np.ndarray) -> np.ndarray:
+    """P_k x for each of the 2n generators: x is (..., 2^n) over the blade masks, the result (2n, ..., 2^n)."""
+    n = x.shape[-1].bit_length() - 1
+    target, sign = rho_generators(n)
+    # P_k is the transpose of P_k' for k' = (k + n) mod 2n, so P_k x gathers
+    # through the table row of k': (P_k x)[t] = sign[k', t] x[target[k', t]]
+    source = np.roll(target, n, axis=0)
+    weight = np.roll(np.where(target >= 0, sign, 0), n, axis=0)
+    return np.moveaxis(x[..., source] * weight, -2, 0)
+
+
+def rho_of_columns(ws: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ρ(w_j) x = Σ_k w_kj P_k x for every column w_j of ``ws`` (shape (2n, m)).
+
+    x holds forms as dense vectors over the blade masks, shape (..., 2^n);
+    the result has shape (m, ..., 2^n).  Float arrays give floats and object
+    arrays of ints give exact ints.
+    """
+    return np.tensordot(ws.T, _rho_each(x), axes=1)
+
+
+def mask_vector(phi: Multivector, exact_ints: bool = False) -> np.ndarray:
+    """φ as a dense vector over the blade masks.
+
+    With ``exact_ints`` the int/Fraction coefficients are scaled to integers
+    over their common denominator (an object array of ints proportional to φ).
+    """
+    coeffs = list(phi.terms.values())
+    if exact_ints:
+        coeffs = exact.scale_to_integers(coeffs)[1]
+    vec = np.zeros(1 << phi.dim, dtype=object if exact_ints else float)
+    for blade, c in zip(phi.terms, coeffs):
+        vec[sum(1 << i for i in blade)] = c
+    return vec
 
 
 def rho_contravariant(doubled: DoubledSpace, w, phi: Multivector) -> Multivector:
@@ -160,28 +213,20 @@ class PureSpinor:
 
 
 def _spinor_action_matrix(doubled: DoubledSpace, phi: Multivector, covariant: bool):
-    """Columns ρ(w_k) φ over the generator basis of the doubled space, stacked."""
-    n2 = 2 * doubled.n
-    rows = len(doubled.form_blades)
-    action = rho_covariant if covariant else rho_contravariant
+    """Columns ρ(w_k) φ over the generator basis of the doubled space, stacked.
+
+    Exact coefficients give an integer matrix proportional to the exact one
+    (the same null space).  The covariant action on Λ V is the contravariant
+    table with V and V* exchanged.
+    """
     exact_ok = all(isinstance(c, (int, Fraction)) for c in phi.terms.values())
-    cols = []
-    for k in range(n2):
-        gen = [0.0] * n2
-        gen[k] = 1
-        img = action(doubled, gen, phi)
-        cols.append(img)
+    cols = _rho_each(mask_vector(phi, exact_ok))[:, doubled._grade_masks]
+    if covariant:
+        cols = np.roll(cols, doubled.n, axis=0)
     if exact_ok:
-        m = [[Fraction(0)] * n2 for _ in range(rows)]
-        for k, img in enumerate(cols):
-            for b, c in img.terms.items():
-                m[doubled._blade_index[b]][k] = Fraction(c)
-        return m, True
-    m = np.zeros((rows, n2))
-    for k, img in enumerate(cols):
-        for b, c in img.terms.items():
-            m[doubled._blade_index[b], k] = float(c)
-    return m, False
+        return cols.T.tolist(), True
+    # structural zeros as +0.0: LAPACK picks reflector signs by the sign of zeros too
+    return cols.T + 0.0, False
 
 
 def _null_space(doubled: DoubledSpace, phi: Multivector, covariant: bool,
@@ -338,33 +383,24 @@ def fixed_line_dimension(doubled: DoubledSpace, E: LagrangianSubspace,
                          exact_basis=None) -> int:
     """Dimension of {φ ∈ Λ V* : ρ(w)φ = 0 for all w ∈ E}.
 
-    With ``exact_basis`` (columns over the rationals) the computation is
-    exact; otherwise SVD at the space tolerance.
+    The matrices ρ(w) = Σ_k w_k P_k of a basis of E are read off the ρ table
+    and stacked.  With ``exact_basis`` (columns over the rationals, each
+    scaled to integers) the rank is exact; otherwise SVD at the space
+    tolerance.
     """
-    rows = []
-    nb = len(doubled.form_blades)
+    size = 1 << doubled.n
     if exact_basis is not None:
-        stacked: list[list[Fraction]] = []
-        for w in exact_basis:
-            op_rows = [[Fraction(0)] * nb for _ in range(nb)]
-            for j, blade in enumerate(doubled.form_blades):
-                img = rho_contravariant(doubled, w, Multivector(doubled.n, {blade: 1}))
-                for b, c in img.terms.items():
-                    op_rows[doubled._blade_index[b]][j] = Fraction(c)
-            stacked.extend(op_rows)
-        return len(exact.nullspace(stacked))
-    for k in range(E.dim):
-        w = E.basis[:, k]
-        op = np.zeros((nb, nb))
-        for j, blade in enumerate(doubled.form_blades):
-            img = rho_contravariant(doubled, w, Multivector(doubled.n, {blade: 1}))
-            for b, c in img.terms.items():
-                op[doubled._blade_index[b], j] = float(c)
-        rows.append(op)
-    stacked_np = np.vstack(rows)
-    s = np.linalg.svd(stacked_np, compute_uv=False)
+        ws = np.array([exact.scale_to_integers(list(w))[1] for w in exact_basis], dtype=object).T
+        eye = np.eye(size, dtype=object)
+    else:
+        ws, eye = E.basis, np.eye(size)
+    # rho_of_columns(ws, eye)[b, s] is column s of ρ(w_b)
+    stacked = rho_of_columns(ws, eye).transpose(0, 2, 1).reshape(-1, size)
+    if exact_basis is not None:
+        return size - exact.rank(stacked.tolist())
+    s = np.linalg.svd(stacked, compute_uv=False)
     cut = doubled.space.tol * (s[0] if s.size else 1.0)
-    return int(nb - np.sum(s > cut))
+    return int(size - np.sum(s > cut))
 
 
 def decompose_pure_spinor(doubled: DoubledSpace, phi: Multivector,

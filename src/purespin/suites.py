@@ -87,8 +87,7 @@ def criterion_1(seed: int = 7) -> dict:
         doubled = DoubledSpace(n)
         rows = []
         for blade in CliffordAlgebra(doubled.space).blades:
-            word = doubled.rho_word_matrix(blade, exact_entries=True)
-            rows.append([c for row in word for c in row])
+            rows.append(doubled.rho_word_matrix(blade).ravel().tolist())
         ranks[n] = exact.rank(rows)
     rank_ok = all(ranks[n] == 4 ** n for n in (1, 2, 3))
     proj_ok = True

@@ -9,6 +9,7 @@ from purespin.forms import fd_exterior_derivative
 from purespin.geometry import (
     PinLift,
     _pfaffian_ltl,
+    _structure_action,
     cartan_dirac_fiber,
     cartan_dirac_integrability,
     cartan_section_bases,
@@ -26,12 +27,19 @@ from purespin.geometry import (
     random_class_point,
     section_matrix,
     sharp_vector,
+    structure_trivector,
     su2_class_from_trace,
     transverse_fiber,
     volume_density_oracle,
 )
 from purespin.multivector import Multivector
-from purespin.spinor import DoubledSpace, graph_two_form_of, null_space
+from purespin.spinor import (
+    DoubledSpace,
+    graph_two_form_of,
+    mask_vector,
+    null_space,
+    rho_contravariant,
+)
 
 
 class TestCartanSections:
@@ -512,6 +520,25 @@ class TestIntegrability:
         lams = [cartan_dirac_integrability(su2, su2.random_element(rng), su2_pin)
                 ["xi_fit_coefficient"] for _ in range(5)]
         assert max(lams) - min(lams) < 1e-6  # a single scalar fits all points
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "semidirect"])
+    def test_structure_action_against_the_sparse_route(self, name, request, rng):
+        model = request.getfixturevalue(name)
+        pin = PinLift(model)
+        doubled = DoubledSpace(model.dim)
+        for _ in range(2):
+            g = model.random_element(rng)
+            psi, _ = pin.forms_at(g)
+            e_mat, _ = cartan_section_bases(model, g)
+            expect = Multivector.zero(model.dim)
+            for blade, coeff in structure_trivector(model).terms.items():
+                img = psi
+                for idx in reversed(blade):
+                    img = rho_contravariant(doubled, e_mat[:, idx], img)
+                expect = expect + img.scale(coeff)
+            expect = mask_vector(expect)
+            got = _structure_action(model, g, psi)
+            assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
     def test_abelian_everything_flat(self, torus3):
         pin = PinLift(torus3)

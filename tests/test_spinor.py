@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from purespin.bilinear import BilinearSpace, LagrangianSubspace, random_orthogonal, transverse
+from purespin import exact
+from purespin.bilinear import (
+    BilinearSpace,
+    LagrangianSubspace,
+    Subspace,
+    random_orthogonal,
+    transverse,
+)
 from purespin.dirac import kappa_embed
 from purespin.multivector import Multivector
 from purespin.spinor import (
@@ -16,11 +23,14 @@ from purespin.spinor import (
     fixed_line_dimension,
     graph_two_form_of,
     null_space,
+    mask_vector,
     null_space_covariant,
     pullback,
     pushforward,
     rho_contravariant,
     rho_covariant,
+    rho_generators,
+    rho_of_columns,
     spinor_of_lagrangian,
     star_to_covariant,
     transversality_by_pairing,
@@ -72,6 +82,78 @@ class TestActions:
             lhs = (rho_covariant(d, w1, rho_covariant(d, w2, chi))
                    + rho_covariant(d, w2, rho_covariant(d, w1, chi)))
             assert (lhs - chi.scale(d.space.pairing(w1, w2))).norm() < 1e-12
+
+
+def _blade(mask: int) -> tuple:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _matrix_of(doubled, w) -> np.ndarray:
+    """ρ(w) on Λ V* by bit mask, column by column through rho_contravariant."""
+    size = 1 << doubled.n
+    m = np.zeros((size, size))
+    for j in range(size):
+        img = rho_contravariant(doubled, w, Multivector(doubled.n, {_blade(j): 1}))
+        for b, c in img.terms.items():
+            m[sum(1 << i for i in b), j] = c
+    return m
+
+
+class TestRhoTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_generator_on_every_blade(self, n):
+        d = DoubledSpace(n)
+        target, sign = rho_generators(n)
+        assert target.shape == sign.shape == (2 * n, 1 << n)
+        for k in range(2 * n):
+            gen = [0] * (2 * n)
+            gen[k] = 1
+            for m in range(1 << n):
+                img = rho_contravariant(d, gen, Multivector(n, {_blade(m): 1}))
+                expect = {} if target[k, m] < 0 else {_blade(int(target[k, m])): int(sign[k, m])}
+                assert img.terms == expect
+
+    def test_table_is_read_only(self):
+        _, sign = rho_generators(2)
+        with pytest.raises(ValueError):
+            sign[0, 0] = -sign[0, 0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_word_matrix_composes_left_to_right(self, n, rng):
+        d = DoubledSpace(n)
+        eye = np.eye(2 * n)
+        for _ in range(20):
+            word = [int(k) for k in rng.integers(0, 2 * n, size=int(rng.integers(0, 5)))]
+            expect = np.eye(1 << n)
+            for k in word:
+                expect = expect @ _matrix_of(d, eye[k])
+            m = d.rho_word_matrix(word)
+            assert m.dtype.kind == "i"
+            assert np.array_equal(m, expect)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_columns_against_the_sparse_route(self, n, rng):
+        d = DoubledSpace(n)
+        ws = rng.standard_normal((2 * n, 3))
+        forms = rng.standard_normal((2, 1 << n))
+        out = rho_of_columns(ws, forms)
+        assert out.shape == (3, 2, 1 << n)
+        for j in range(3):
+            m = _matrix_of(d, ws[:, j])
+            assert np.allclose(out[j], forms @ m.T, rtol=0, atol=1e-13)
+
+    def test_exact_columns_stay_integers(self, rng):
+        n = 3
+        d = DoubledSpace(n)
+        ws = np.array([[int(v) for v in rng.integers(-4, 5, size=2)] for _ in range(2 * n)],
+                      dtype=object)
+        phi = Multivector(n, {(): Fraction(1, 3), (0, 2): Fraction(-5, 2), (1,): 7})
+        vec = mask_vector(phi, exact_ints=True)
+        out = rho_of_columns(ws, vec)
+        assert all(type(c) is int for c in out.ravel())
+        for j in range(2):
+            img = rho_contravariant(d, list(ws[:, j]), phi.scale(6))
+            assert out[j].tolist() == mask_vector(img, exact_ints=False).astype(int).tolist()
 
 
 class TestNullSpaces:
@@ -155,6 +237,21 @@ class TestSpinorOfLagrangian:
             for _ in range(10):
                 lag = _random_lagrangian(d, rng)
                 assert fixed_line_dimension(d, lag) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fixed_space_exact_matches_float(self, n, rng):
+        # an isotropic k-plane of a rational Lagrangian fixes a 2^(n-k)-dimensional space
+        d = DoubledSpace(n)
+        for _ in range(8):
+            a = exact.random_rational_orthogonal(n, rng)
+            cols = [[a[i][j] - int(i == j) for i in range(n)]
+                    + [(a[i][j] + int(i == j)) / 2 for i in range(n)] for j in range(n)]
+            for k in range(n, 0, -1):
+                basis = cols[:k]
+                sub = Subspace(d.space, np.array([[float(x) for x in c] for c in basis]).T,
+                               check_rank=False)
+                exact_dim = fixed_line_dimension(d, sub, exact_basis=basis)
+                assert exact_dim == fixed_line_dimension(d, sub) == 2 ** (n - k)
 
 
 class TestGraphTwoForm:
