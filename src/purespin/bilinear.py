@@ -102,11 +102,6 @@ class BilinearSpace:
         eig = np.linalg.eigvalsh(self.gram)
         return int(np.sum(eig > 0)), int(np.sum(eig < 0))
 
-    @property
-    def is_split(self) -> bool:
-        p, q = self.signature()
-        return p == q
-
     def is_exact(self) -> bool:
         return all(
             isinstance(x, (int, Fraction)) for row in self.gram_exact for x in row

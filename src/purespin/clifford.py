@@ -90,9 +90,6 @@ class CliffordAlgebra:
     def vector(self, coeffs: Sequence) -> "CliffordElement":
         return self.element(Multivector.from_vector(coeffs))
 
-    def basis_element(self, blade: Blade) -> "CliffordElement":
-        return self.element(Multivector(self.dim, {tuple(blade): 1}))
-
     # -- core product ---------------------------------------------------- #
 
     def _normal_form(self, seq: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
@@ -188,22 +185,16 @@ class CliffordAlgebra:
 
     # -- regular representation ------------------------------------------ #
 
-    def left_multiplication_matrix(self, x: Multivector) -> np.ndarray:
-        n = len(self.blades)
-        m = np.zeros((n, n))
-        for j, blade in enumerate(self.blades):
-            col = self.mul(x, Multivector(self.dim, {blade: 1}))
-            for b, c in col.terms.items():
-                m[self._blade_index[b], j] = float(c)
-        return m
+    def left_multiplication_matrix(self, x: Multivector) -> exact.Mat:
+        """Matrix of y -> x y on the blade basis, as rows of the product's own coefficients.
 
-    def left_multiplication_matrix_exact(self, x: Multivector) -> exact.Mat:
+        Exact operands over an exact Gram give Fractions, all others floats.
+        """
         n = len(self.blades)
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for j, blade in enumerate(self.blades):
-            col = self.mul(x, Multivector(self.dim, {blade: 1}))
-            for b, c in col.terms.items():
-                m[self._blade_index[b]][j] = Fraction(c)
+            for b, c in self.mul(x, Multivector(self.dim, {blade: 1})).terms.items():
+                m[self._blade_index[b]][j] = c
         return m
 
     def inverse(self, x: Multivector) -> Multivector:
@@ -212,7 +203,7 @@ class CliffordAlgebra:
         one[self._blade_index[()]] = 1.0
         if self._exact and _is_exact(x):
             sol = exact.solve(
-                self.left_multiplication_matrix_exact(x),
+                self.left_multiplication_matrix(x),
                 [Fraction(int(v)) for v in one],
             )
             if sol is None:
@@ -221,7 +212,7 @@ class CliffordAlgebra:
                 self.dim,
                 {self.blades[i]: sol[i] for i in range(len(sol)) if sol[i] != 0},
             )
-        m = self.left_multiplication_matrix(x)
+        m = np.array(self.left_multiplication_matrix(x), dtype=float)
         try:
             sol = np.linalg.solve(m, one)
         except np.linalg.LinAlgError as err:
@@ -326,9 +317,6 @@ class CliffordElement:
 
     def inverse(self) -> "CliffordElement":
         return CliffordElement(self.algebra, self.algebra.inverse(self.mv))
-
-    def almost_equal(self, other: "CliffordElement", tol: float = 1e-9) -> bool:
-        return self.mv.almost_equal(other.mv, tol)
 
     def to_json(self) -> dict:
         return {"space": self.algebra.space.to_json(), "element": self.mv.to_json()}

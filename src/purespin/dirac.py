@@ -39,8 +39,8 @@ from .spinor import (
     DoubledSpace,
     PureSpinor,
     chevalley_pairing,
-    null_space,
     pullback,
+    pure_spinor,
     rho_contravariant,
     spinor_of_lagrangian,
 )
@@ -115,10 +115,7 @@ def graph_of_bivector(doubled: DoubledSpace, pi, mu: Multivector | None = None) 
         term = contraction_by_bivector(pi_mv, term)
         if k > n:
             break
-    null, pure = null_space(doubled, form, doubled.space.tol)
-    if not pure:
-        raise AssertionError("bivector spinor is not pure")
-    return PureSpinor(doubled, form, LagrangianSubspace(doubled.space, null.basis, check=False))
+    return pure_spinor(doubled, form)
 
 
 def _inv_factorial(k: int) -> float:
@@ -142,6 +139,43 @@ def gauge_transform_spinor(doubled: DoubledSpace, phi: Multivector, tau) -> Mult
 # --------------------------------------------------------------------------- #
 # Dirac maps
 
+def _transport(a: np.ndarray, E: LinearDirac, doubled_out: DoubledSpace,
+               forward: bool) -> LinearDirac:
+    """Image of E through the relation ~_A, checked to be Lagrangian.
+
+    v ⊕ Aᵀα' ~_A Av ⊕ α' for every v ⊕ α': the two sides are the blocks
+    S = [[I,0],[0,Aᵀ]] and T = [[A,0],[0,I]] applied to one vector u.  The
+    forward image is {Tu : Su ∈ E}, the backward image {Su : Tu ∈ E}.
+    """
+    n_out, n_in = a.shape
+    source = np.block([
+        [np.eye(n_in), np.zeros((n_in, n_out))],
+        [np.zeros((n_in, n_in)), a.T],
+    ])
+    target = np.block([
+        [a, np.zeros((n_out, n_out))],
+        [np.zeros((n_out, n_in)), np.eye(n_out)],
+    ])
+    constraint, out_map = (source, target) if forward else (target, source)
+    proj = E.projector()
+    k = nullspace_basis((np.eye(constraint.shape[0]) - proj) @ constraint, E.ambient.tol)
+    basis = column_space_basis(out_map @ k, E.ambient.tol)
+    out = LagrangianSubspace(doubled_out.space, basis, check=False)
+    if not out.is_lagrangian(1e-7):
+        direction = "forward" if forward else "backward"
+        raise AssertionError(f"{direction} image of a Lagrangian must be Lagrangian")
+    return out
+
+
+def _meets(E: LinearDirac, basis: np.ndarray, covectors: bool = False) -> bool:
+    """Whether E meets span(basis) ⊕ 0, or 0 ⊕ span(basis), in a nonzero vector."""
+    if basis.shape[1] == 0:
+        return False
+    pad = np.zeros_like(basis)
+    block = np.vstack([pad, basis] if covectors else [basis, pad])
+    return E.intersection(Subspace(E.ambient, block, check_rank=False)).dim > 0
+
+
 def dirac_image(A, E: LinearDirac, doubled_target: DoubledSpace) -> tuple[LinearDirac, bool]:
     """Forward image E' = {w' : ∃ w ∈ E, w ~_A w'} and a strongness flag.
 
@@ -150,50 +184,17 @@ def dirac_image(A, E: LinearDirac, doubled_target: DoubledSpace) -> tuple[Linear
     exactly the strong Dirac condition E ∩ (ker A ⊕ 0) = 0.
     """
     a = np.asarray(A, dtype=float)
-    n_out, n_in = a.shape
-    constraint = np.block([
-        [np.eye(n_in), np.zeros((n_in, n_out))],
-        [np.zeros((n_in, n_in)), a.T],
-    ])
-    proj = E.projector()
-    k = nullspace_basis((np.eye(2 * n_in) - proj) @ constraint, E.ambient.tol)
-    out_map = np.block([
-        [a, np.zeros((n_out, n_out))],
-        [np.zeros((n_out, n_in)), np.eye(n_out)],
-    ])
-    basis = column_space_basis(out_map @ k, E.ambient.tol)
-    image = LagrangianSubspace(doubled_target.space, basis, check=False)
-    if not image.is_lagrangian(1e-7):
-        raise AssertionError("forward image of a Lagrangian must be Lagrangian")
+    image = _transport(a, E, doubled_target, forward=True)
     return image, is_strong_dirac(a, E)
 
 
 def dirac_preimage(A, F_target: LinearDirac, doubled_source: DoubledSpace) -> tuple[LinearDirac, bool]:
     """Backward image F = {w : ∃ w' ∈ F', w ~_A w'} and a pullback-nonzero flag."""
     a = np.asarray(A, dtype=float)
-    n_out, n_in = a.shape
-    constraint = np.block([
-        [a, np.zeros((n_out, n_out))],
-        [np.zeros((n_out, n_in)), np.eye(n_out)],
-    ])
-    proj = F_target.projector()
-    k = nullspace_basis((np.eye(2 * n_out) - proj) @ constraint, F_target.ambient.tol)
-    out_map = np.block([
-        [np.eye(n_in), np.zeros((n_in, n_out))],
-        [np.zeros((n_in, n_in)), a.T],
-    ])
-    basis = column_space_basis(out_map @ k, F_target.ambient.tol)
-    pre = LagrangianSubspace(doubled_source.space, basis, check=False)
-    if not pre.is_lagrangian(1e-7):
-        raise AssertionError("backward image of a Lagrangian must be Lagrangian")
+    pre = _transport(a, F_target, doubled_source, forward=False)
     # pullback of the spinor line dies iff F' ∩ (0 ⊕ ann(ran A)) ≠ 0
     ann = nullspace_basis(a.T, F_target.ambient.tol)
-    nonzero = True
-    if ann.shape[1]:
-        block = np.vstack([np.zeros((n_out, ann.shape[1])), ann])
-        inter = F_target.intersection(Subspace(F_target.ambient, block, check_rank=False))
-        nonzero = inter.dim == 0
-    return pre, nonzero
+    return pre, not _meets(F_target, ann, covectors=True)
 
 
 def is_dirac_map(A, E: LinearDirac, E_target: LinearDirac,
@@ -206,18 +207,12 @@ def is_strong_dirac(A, E: LinearDirac, E_target: LinearDirac | None = None,
                     doubled_target: DoubledSpace | None = None, tol: float = 1e-8) -> bool:
     """E ∩ (ker A ⊕ 0) = 0; with a target, also require the image to match."""
     a = np.asarray(A, dtype=float)
-    n_in = a.shape[1]
     if E_target is not None:
         if doubled_target is None:
             raise ValueError("doubled_target required when checking the image")
         if not is_dirac_map(a, E, E_target, doubled_target, tol):
             return False
-    ker = nullspace_basis(a, E.ambient.tol)
-    if ker.shape[1] == 0:
-        return True
-    block = np.vstack([ker, np.zeros((n_in, ker.shape[1]))])
-    inter = E.intersection(Subspace(E.ambient, block, check_rank=False))
-    return inter.dim == 0
+    return not _meets(E, nullspace_basis(a, E.ambient.tol))
 
 
 # --------------------------------------------------------------------------- #
@@ -309,14 +304,11 @@ def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
         raise ValueError(f"unknown method {method!r}")
     if not form.has_pure_parity():
         raise AssertionError("orthogonal-map spinor has mixed parity")
-    null, pure = null_space(doubled, form, B.tol)
-    if not pure:
-        raise AssertionError("orthogonal-map spinor is not pure")
+    psi = pure_spinor(doubled, form)
     expected = Subspace(doubled.space, kappa_embed(a, B)[:, :n], check_rank=False)
-    if null.distance(expected) > 1e-6:
+    if psi.null.distance(expected) > 1e-6:
         raise AssertionError("null space of ψ does not match A^κ(V)")
-    lag = LagrangianSubspace(doubled.space, null.basis, check=False)
-    return OrthogonalLift(a, PureSpinor(doubled, form, lag), sign, method, pin)
+    return OrthogonalLift(a, psi, sign, method, pin)
 
 
 def phi_of_orthogonal(A, B: BilinearSpace, sign: int = 1) -> PureSpinor:
@@ -326,13 +318,11 @@ def phi_of_orthogonal(A, B: BilinearSpace, sign: int = 1) -> PureSpinor:
     doubled = DoubledSpace(n, B.tol)
     vectors = factor_into_reflections(a, B)
     form = _reflection_chain(vectors, B, b_volume_form(B).scale(float(sign)))
-    null, pure = null_space(doubled, form, B.tol)
-    if not pure:
-        raise AssertionError("orthogonal-map spinor is not pure")
+    phi = pure_spinor(doubled, form)
     expected = Subspace(doubled.space, kappa_embed(a, B)[:, n:], check_rank=False)
-    if null.distance(expected) > 1e-6:
+    if phi.null.distance(expected) > 1e-6:
         raise AssertionError("null space of φ does not match A^κ(V*)")
-    return PureSpinor(doubled, form, LagrangianSubspace(doubled.space, null.basis, check=False))
+    return phi
 
 
 # --------------------------------------------------------------------------- #
@@ -352,11 +342,8 @@ def pullback_transversality(A, E: LinearDirac, E_target: LinearDirac,
     psi = pullback(a, psi_target.form)
     if psi.norm() <= 1e-12:
         raise AssertionError("pullback of the transverse spinor vanished")
-    null, pure = null_space(doubled_source, psi, doubled_source.space.tol)
-    if not pure:
-        raise AssertionError("pullback spinor is not pure")
+    pulled = pure_spinor(doubled_source, psi)
     phi_e = spinor_of_lagrangian(doubled_source, E)
     if abs(float(chevalley_pairing(phi_e.form, psi))) <= 1e-12:
         raise AssertionError("pullback spinor is not transverse to E")
-    return PureSpinor(doubled_source, psi,
-                      LagrangianSubspace(doubled_source.space, null.basis, check=False))
+    return pulled

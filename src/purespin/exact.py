@@ -27,7 +27,6 @@ import numpy as np
 Mat = list[list[Fraction]]
 
 __all__ = [
-    "as_fraction_matrix",
     "scale_to_integers",
     "identity",
     "mat_mul",
@@ -40,10 +39,6 @@ __all__ = [
     "inverse",
     "random_rational_orthogonal",
 ]
-
-
-def as_fraction_matrix(rows: Sequence[Sequence]) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def scale_to_integers(values: Sequence) -> tuple[int, list[int]]:

@@ -6,12 +6,11 @@ arguments are left-invariant frame coordinates (θ^L values of tangent
 vectors).  The exterior derivative is computed in the normal chart
 x -> g exp(Σ x_i ξ_i): the chart frame at x is the analytic differential of
 exp, so only the outer difference quotient is approximate (O(h²) central
-differences, one optional Richardson level).
+differences).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +21,6 @@ from .multivector import Multivector
 FormField = Callable[[np.ndarray], Multivector]
 
 __all__ = [
-    "TrivializedForm",
     "FD_STEP",
     "fd_exterior_derivative",
     "fd_exterior_derivative_flat",
@@ -30,14 +28,6 @@ __all__ = [
 ]
 
 FD_STEP = 1e-4
-
-
-@dataclass
-class TrivializedForm:
-    """A form value at a base point, in left-trivialized coordinates."""
-
-    point: np.ndarray
-    mv: Multivector
 
 
 def _chart_value(model: GroupModel, field: FormField, g, x: np.ndarray) -> Multivector:
@@ -48,34 +38,25 @@ def _chart_value(model: GroupModel, field: FormField, g, x: np.ndarray) -> Multi
 
 
 def fd_exterior_derivative(model: GroupModel, field: FormField, g,
-                           h: float = FD_STEP, richardson: bool = False) -> Multivector:
+                           h: float = FD_STEP) -> Multivector:
     """Exterior derivative of a left-trivialized form field at g.
 
-    Uses d(Σ f_I dx^I) = Σ_j dx^j ∧ ∂_j(Σ f_I dx^I) in the normal chart
+    The flat derivative of the chart components at x = 0 in the normal chart
     centered at g, whose coordinate frame at the center is the left-invariant
     frame.
     """
-    if h <= 0 or h < 1e-300:
-        raise ValueError("step underflow")
-    if richardson:
-        coarse = fd_exterior_derivative(model, field, g, h, richardson=False)
-        fine = fd_exterior_derivative(model, field, g, h / 2, richardson=False)
-        return fine.scale(4.0 / 3.0) + coarse.scale(-1.0 / 3.0)
-    d = model.dim
-    out = Multivector.zero(d)
-    for j in range(d):
-        step = np.zeros(d)
-        step[j] = h
-        plus = _chart_value(model, field, g, step)
-        minus = _chart_value(model, field, g, -step)
-        partial = (plus - minus).scale(1.0 / (2.0 * h))
-        out = out + Multivector.basis_vector(d, j).wedge(partial)
-    return out
+    return fd_exterior_derivative_flat(lambda x: _chart_value(model, field, g, x),
+                                       np.zeros(model.dim), h)
 
 
 def fd_exterior_derivative_flat(field: Callable[[np.ndarray], Multivector], x0,
                                 h: float = FD_STEP) -> Multivector:
-    """Exterior derivative of a form field on a vector space (flat chart)."""
+    """Exterior derivative of a form field on a vector space (flat chart).
+
+    Uses d(Σ f_I dx^I) = Σ_j dx^j ∧ ∂_j(Σ f_I dx^I) with central differences.
+    """
+    if h < 1e-300:
+        raise ValueError("step underflow")
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
     out = Multivector.zero(d)

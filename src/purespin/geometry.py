@@ -40,7 +40,7 @@ import numpy as np
 
 from .bilinear import BilinearSpace, LagrangianSubspace
 from .dirac import spinor_of_orthogonal
-from .forms import FD_STEP, fd_exterior_derivative
+from .forms import FD_STEP, fd_exterior_derivative, fd_exterior_derivative_flat
 from .groups import GroupModel, _rotation_log
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_generators, rho_of_columns
@@ -59,12 +59,9 @@ __all__ = [
     "ghjw_value",
     "ghjw_matrix",
     "eta_multivector",
-    "eta_form",
     "moment_covector",
     "moment_form_field",
     "structure_trivector",
-    "psi_on_group",
-    "phi_on_group",
     "PinLift",
     "ConjugacyClassPoint",
     "class_point",
@@ -136,36 +133,11 @@ def eta_multivector(model: GroupModel) -> Multivector:
     return Multivector(d, terms)
 
 
-def eta_form(model: GroupModel, g) -> "TrivializedForm":
-    """η as a trivialized form at a base point (the coefficients are constant)."""
-    from .forms import TrivializedForm
-    return TrivializedForm(np.asarray(g), eta_multivector(model))
-
-
 def cartan_sections(model: GroupModel, g, xi) -> tuple[np.ndarray, np.ndarray]:
     """The pair (e(ξ), f(ξ)) at g as vectors of the doubled algebra."""
     e_mat, f_mat = cartan_section_bases(model, g)
     xi = np.asarray(xi, dtype=float)
     return e_mat @ xi, f_mat @ xi
-
-
-def psi_on_group(model: GroupModel, pin: "PinLift", g) -> "TrivializedForm":
-    """The invariant pure spinor of the non-integrable fiber, at g.
-
-    For models without a global lift (``model.liftable`` false) the returned
-    value is only a local representative with an ambiguous sign; quantities
-    consuming it should work sign-agnostically (densities as absolute values).
-    """
-    from .forms import TrivializedForm
-    value = pin.forms_at(g)[0] if model.liftable else pin.forms_at_unsigned(g)[0]
-    return TrivializedForm(np.asarray(g), value)
-
-
-def phi_on_group(model: GroupModel, pin: "PinLift", g) -> "TrivializedForm":
-    """The invariant pure spinor of the integrable fiber, at g (see psi_on_group)."""
-    from .forms import TrivializedForm
-    value = pin.forms_at(g)[1] if model.liftable else pin.forms_at_unsigned(g)[1]
-    return TrivializedForm(np.asarray(g), value)
 
 
 def _unit(d: int, i: int) -> np.ndarray:
@@ -402,28 +374,36 @@ class ConjugacyClassPoint:
         return self.frame.shape[1]
 
 
-def class_point(model: GroupModel, g, tol: float = 1e-9) -> ConjugacyClassPoint:
-    """Greedy frame for T_g C, pivoting on the largest remaining generator image."""
-    a = section_matrix(model, g)
-    gen = a - np.eye(model.dim)
-    candidates = [gen[:, i] for i in range(model.dim)]
-    params = [_unit(model.dim, i) for i in range(model.dim)]
-    frame: list[np.ndarray] = []
-    chosen: list[np.ndarray] = []
-    residual = [c.copy() for c in candidates]
-    scale = max(np.linalg.norm(gen, 2), 1.0)
+# A remaining generator image at or below this multiple of max(‖gen‖₂, 1)
+# counts as dependent: 1e3 times the 1e-9 rank tolerance of the package.
+_FRAME_CUT = 1e3 * 1e-9
+
+
+def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy frame of ran(gen), pivoting on the largest remaining generator image.
+
+    Returns (frame, params): the chosen columns of the square matrix ``gen``
+    and the unit vectors selecting them, so that frame = gen @ params.
+    """
+    d = gen.shape[1]
+    residual = [gen[:, i].copy() for i in range(d)]
+    cut = _FRAME_CUT * max(np.linalg.norm(gen, 2), 1.0)
+    chosen: list[int] = []
     while True:
         norms = [np.linalg.norm(r) for r in residual]
         best = int(np.argmax(norms))
-        if norms[best] <= 1e3 * tol * scale:
+        if norms[best] <= cut:
             break
-        frame.append(candidates[best])
-        chosen.append(params[best])
+        chosen.append(best)
         q = residual[best] / norms[best]
         residual = [r - (q @ r) * q for r in residual]
-    u = np.array(frame).T if frame else np.zeros((model.dim, 0))
-    z = np.array(chosen).T if chosen else np.zeros((model.dim, 0))
-    return ConjugacyClassPoint(model, np.asarray(g), u, z)
+    return gen.T[chosen].T, np.eye(d)[chosen].T
+
+
+def class_point(model: GroupModel, g) -> ConjugacyClassPoint:
+    """Greedy frame for T_g C, pivoting on the largest remaining generator image."""
+    frame, params = _pivoted_frame(section_matrix(model, g) - np.eye(model.dim))
+    return ConjugacyClassPoint(model, np.asarray(g), frame, params)
 
 
 def random_class_point(model: GroupModel, g0, rng: np.random.Generator,
@@ -713,11 +693,6 @@ def leaf_two_form_residual(point: ConjugacyClassPoint, h: float = FD_STEP) -> fl
         w = _ghjw_matrix_direct(model, op, params)
         return Multivector.from_antisymmetric_matrix(w)
 
-    d_omega = Multivector.zero(m)
-    for a in range(m):
-        step = np.zeros(m)
-        step[a] = h
-        partial = (omega_components(step) - omega_components(-step)).scale(1.0 / (2 * h))
-        d_omega = d_omega + Multivector.basis_vector(m, a).wedge(partial)
+    d_omega = fd_exterior_derivative_flat(omega_components, np.zeros(m), h)
     pulled_eta = eta.pullback(point.frame)
     return (d_omega - pulled_eta).norm()

@@ -27,6 +27,7 @@ from .dirac import (
 from .forms import FD_STEP, fd_exterior_derivative, fd_exterior_derivative_flat
 from .geometry import (
     PinLift,
+    _pivoted_frame,
     cartan_dirac_fiber,
     class_point,
     eta_multivector,
@@ -413,7 +414,7 @@ def homotopy_two_form(model: GroupModel, x, nodes: int = 32) -> np.ndarray:
     return 0.5 * (out - out.T)
 
 
-def exp_orbit_qham_point(model: GroupModel, x, tol: float = 1e-9) -> QHamPoint:
+def exp_orbit_qham_point(model: GroupModel, x) -> QHamPoint:
     """Adjoint-orbit point made q-Hamiltonian through the exponential.
 
     ω = (orbit symplectic form) + restriction of the homotopy 2-form,
@@ -422,26 +423,7 @@ def exp_orbit_qham_point(model: GroupModel, x, tol: float = 1e-9) -> QHamPoint:
     x = np.asarray(x, dtype=float)
     d = model.dim
     neg_ad = -model.ad(x)
-    # greedy frame for the orbit tangent {[ζ, x]}
-    frame_cols: list[np.ndarray] = []
-    params: list[np.ndarray] = []
-    residual = [neg_ad[:, i].copy() for i in range(d)]
-    scale = max(np.linalg.norm(neg_ad, 2), 1.0)
-    chosen_idx: list[int] = []
-    while True:
-        norms = [np.linalg.norm(r) for r in residual]
-        best = int(np.argmax(norms))
-        if norms[best] <= 1e3 * tol * scale:
-            break
-        frame_cols.append(neg_ad[:, best])
-        e = np.zeros(d)
-        e[best] = 1.0
-        params.append(e)
-        chosen_idx.append(best)
-        q = residual[best] / norms[best]
-        residual = [r - (q @ r) * q for r in residual]
-    u = np.array(frame_cols).T if frame_cols else np.zeros((d, 0))
-    z = np.array(params).T if params else np.zeros((d, 0))
+    u, z = _pivoted_frame(neg_ad)  # the orbit tangent {[ζ, x]}
     m = u.shape[1]
     kks = np.zeros((m, m))
     for i in range(m):

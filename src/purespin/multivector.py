@@ -27,28 +27,11 @@ import numpy as np
 Blade = tuple[int, ...]
 Scalar = object  # Fraction | int | float
 
-__all__ = ["Multivector", "merge_blades", "blade_sign_of_permutation"]
+__all__ = ["Multivector", "merge_blades"]
 
 
 def _is_zero(c) -> bool:
     return c == 0
-
-
-def blade_sign_of_permutation(seq: Sequence[int]) -> tuple[int, Blade]:
-    """Sort ``seq`` (distinct indices), returning (sign, sorted tuple).
-
-    Sign is the parity of the permutation applied; 0 is never returned here,
-    repeated indices must be handled by the caller.
-    """
-    arr = list(seq)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(arr)
 
 
 def merge_blades(I: Blade, J: Blade) -> tuple[int, Blade] | None:
@@ -327,9 +310,6 @@ class Multivector:
 
     def norm(self) -> float:
         return math.sqrt(sum(float(c) ** 2 for c in self.terms.values()))
-
-    def almost_equal(self, other: "Multivector", tol: float = 1e-9) -> bool:
-        return (self - other).norm() <= tol
 
     def to_float(self) -> "Multivector":
         return self.map_coeff(float)

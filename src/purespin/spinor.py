@@ -44,6 +44,7 @@ from .multivector import Multivector
 __all__ = [
     "DoubledSpace",
     "PureSpinor",
+    "pure_spinor",
     "rho_generators",
     "rho_of_columns",
     "mask_vector",
@@ -77,9 +78,6 @@ class DoubledSpace:
         # blade masks by grade, then lexicographically: the row order of the action matrices
         self._grade_masks = np.array(
             [sum(1 << i for i in b) for k in range(n + 1) for b in combinations(range(n), k)])
-
-    def w(self, v, a) -> np.ndarray:
-        return np.concatenate([np.asarray(v, dtype=float), np.asarray(a, dtype=float)])
 
     def v_subspace(self) -> LagrangianSubspace:
         basis = np.vstack([np.eye(self.n), np.zeros((self.n, self.n))])
@@ -205,9 +203,6 @@ class PureSpinor:
     def parity(self) -> int:
         return self.form.min_grade() % 2
 
-    def pairing_with(self, other: "PureSpinor"):
-        return chevalley_pairing(self.form, other.form)
-
     def to_json(self) -> dict:
         return {"form": self.form.to_json(), "null_basis": self.null.basis.tolist()}
 
@@ -277,6 +272,14 @@ def null_space_covariant(doubled: DoubledSpace, chi: Multivector, tol: float = 1
                        diagnostics=diagnostics)
 
 
+def pure_spinor(doubled: DoubledSpace, form: Multivector) -> PureSpinor:
+    """A constructed spinor with its null space at the space tolerance, asserted pure."""
+    null, pure = null_space(doubled, form, doubled.space.tol)
+    if not pure:
+        raise AssertionError("constructed spinor is not pure")
+    return PureSpinor(doubled, form, LagrangianSubspace(doubled.space, null.basis, check=False))
+
+
 def graph_two_form_of(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Range, induced 2-form, and kernel of a Lagrangian E ⊂ V ⊕ V*.
 
@@ -329,11 +332,7 @@ def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace,
     form = (-two_form).exp_wedge().wedge(mu)
     if not form.has_pure_parity():
         raise AssertionError("constructed spinor has mixed parity")
-    null, pure = null_space(doubled, form, doubled.space.tol)
-    if not pure:
-        raise AssertionError("constructed spinor is not pure")
-    lag = LagrangianSubspace(doubled.space, null.basis, check=False)
-    return PureSpinor(doubled, form, lag)
+    return pure_spinor(doubled, form)
 
 
 def covariant_spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace) -> Multivector:

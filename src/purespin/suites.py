@@ -15,7 +15,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .bilinear import BilinearSpace, LagrangianSubspace, random_orthogonal, transverse
+from .bilinear import (
+    BilinearSpace,
+    LagrangianSubspace,
+    make_split_space,
+    random_orthogonal,
+    transverse,
+)
 from .clifford import CliffordAlgebra, projector_p
 from .dirac import kappa_embed, spinor_of_orthogonal
 from .geometry import (
@@ -63,11 +69,6 @@ def _random_sparse_exact(algebra: CliffordAlgebra, rng, terms: int = 5) -> Multi
     return Multivector(algebra.dim, out)
 
 
-def _exact_split_space(n: int) -> BilinearSpace:
-    from .bilinear import make_split_space
-    return make_split_space(n)
-
-
 # --------------------------------------------------------------------------- #
 
 def criterion_1(seed: int = 7) -> dict:
@@ -75,7 +76,7 @@ def criterion_1(seed: int = 7) -> dict:
     rng = np.random.default_rng(seed)
     assoc_failures = 0
     for n in (1, 2, 3):
-        algebra = CliffordAlgebra(_exact_split_space(n))
+        algebra = CliffordAlgebra(make_split_space(n))
         for _ in range(200):
             x, y, z = (_random_sparse_exact(algebra, rng) for _ in range(3))
             left = algebra.mul(algebra.mul(x, y), z)
@@ -92,7 +93,7 @@ def criterion_1(seed: int = 7) -> dict:
     rank_ok = all(ranks[n] == 4 ** n for n in (1, 2, 3))
     proj_ok = True
     for n in (1, 2, 3):
-        algebra = CliffordAlgebra(_exact_split_space(n))
+        algebra = CliffordAlgebra(make_split_space(n))
         e_basis = []
         f_basis = []
         for i in range(n):

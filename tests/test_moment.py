@@ -5,7 +5,9 @@ import pytest
 
 from purespin.geometry import (
     PinLift,
+    class_point,
     conjugacy_volume_top,
+    section_matrix,
     eta_multivector,
     ghjw_matrix,
     random_class_point,
@@ -352,3 +354,34 @@ class TestExponential:
             md = minimal_degeneracy(p)
             assert md["original"] and md["elegant"]
             assert strong_dirac_equivalence(p)["agree"]
+
+
+class TestRankDeficientFrames:
+    """Pivoted frames on su3 where the generator matrix drops rank.
+
+    exp(t X_8) and t e_8 have centralizer u(2), so their class and orbit are
+    4-dimensional; a generic element gives 6 and the origin 0.
+    """
+
+    @staticmethod
+    def _assert_q_hamiltonian(p):
+        assert moment_condition_residual(p) < 1e-8
+        md = minimal_degeneracy(p)
+        assert md["original"] and md["elegant"]
+
+    @pytest.mark.parametrize("t", [0.7, 1.3, 2.0])
+    def test_degenerate_class(self, su3, t):
+        g = su3.exp(t * np.eye(8)[7])
+        pt = class_point(su3, g)
+        assert pt.class_dim == 4
+        gen = section_matrix(su3, g) - np.eye(8)
+        assert np.array_equal(pt.frame, gen @ pt.params)
+        assert np.linalg.matrix_rank(pt.frame) == 4
+        self._assert_q_hamiltonian(conjugacy_qham_point(su3, g))
+
+    def test_exp_orbit_frames(self, su3, rng):
+        cases = [(0.9 * np.eye(8)[7], 4), (su3.random_algebra(rng, 0.8), 6), (np.zeros(8), 0)]
+        for x, dim in cases:
+            p = exp_orbit_qham_point(su3, x)
+            assert p.frame_dim == dim
+            self._assert_q_hamiltonian(p)
