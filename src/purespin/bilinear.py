@@ -174,10 +174,14 @@ class Subspace:
 
 
 class LagrangianSubspace(Subspace):
-    """Maximal isotropic subspace: E = E^⊥."""
+    """Maximal isotropic subspace: E = E^⊥.
+
+    ``check=False`` skips both the rank and the Lagrangian test, for bases
+    that are Lagrangian and of full rank by construction.
+    """
 
     def __init__(self, ambient: BilinearSpace, basis, check: bool = True):
-        super().__init__(ambient, basis)
+        super().__init__(ambient, basis, check_rank=check)
         if check and not self.is_lagrangian():
             raise ValueError("subspace is not Lagrangian")
 

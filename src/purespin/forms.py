@@ -3,50 +3,87 @@
 Differential forms are carried in left trivialization: at a base point g the
 value of a form field is a :class:`Multivector` over the Lie algebra whose
 arguments are left-invariant frame coordinates (θ^L values of tangent
-vectors).  The exterior derivative is computed in the normal chart
-x -> g exp(Σ x_i ξ_i): the chart frame at x is the analytic differential of
-exp, so only the outer difference quotient is approximate (O(h²) central
-differences).
+vectors).  The exterior derivative is the left-invariant formula
+
+    dα(g) = Σ_j e^j ∧ X_j α(g) + d_CE α(g),
+
+with X_j α(g) the central quotient (α(g e^{h e_j}) - α(g e^{-h e_j})) / 2h
+along the left-invariant field of e_j, and d_CE the Chevalley–Eilenberg
+differential of the Lie algebra (``GroupModel.chevalley_eilenberg_triples``),
+which is exact.  Only the quotient is approximate (O(h²)); no chart frame is
+differentiated.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .groups import GroupModel
 from .multivector import Multivector
+from .spinor import mask_vector
 
 FormField = Callable[[np.ndarray], Multivector]
 
 __all__ = [
     "FD_STEP",
+    "chevalley_eilenberg",
     "fd_exterior_derivative",
     "fd_exterior_derivative_flat",
+    "left_invariant_derivative",
     "lie_derivative_residual",
 ]
 
 FD_STEP = 1e-4
 
 
-def _chart_value(model: GroupModel, field: FormField, g, x: np.ndarray) -> Multivector:
-    """Chart components of the field at coordinate x: pull back by the chart frame."""
-    point = model.mul(g, model.exp(x))
-    frame = model.dexp_frame(x)
-    return field(point).pullback(frame)
+def _central_quotient(stencil: Iterable[tuple[Multivector, Multivector]], dim: int,
+                      h: float) -> Multivector:
+    """Σ_j e^j ∧ (f₊_j - f₋_j) / 2h over the stencil pairs (f₊_j, f₋_j), j = 0, 1, ...
+
+    The step is checked before the stencil is consumed, so a lazy stencil
+    evaluates nothing for a refused step.
+    """
+    if h < 1e-300:
+        raise ValueError("step underflow")
+    out = Multivector.zero(dim)
+    for j, (plus, minus) in enumerate(stencil):
+        partial = (plus - minus).scale(1.0 / (2.0 * h))
+        out = out + Multivector.basis_vector(dim, j).wedge(partial)
+    return out
+
+
+def chevalley_eilenberg(model: GroupModel, alpha: Multivector) -> Multivector:
+    """d_CE α = -½ Σ c_ij^k ε^i ∧ ε^j ∧ ι(e_k) α, from the model's sparse triples."""
+    rows, cols, vals = model.chevalley_eilenberg_triples
+    out = np.bincount(rows, vals * mask_vector(alpha)[cols], minlength=1 << model.dim)
+    return Multivector(model.dim, {
+        tuple(i for i in range(model.dim) if m >> i & 1): float(out[m])
+        for m in np.flatnonzero(out)})
+
+
+def left_invariant_derivative(model: GroupModel, value: Multivector,
+                              stencil: Iterable[tuple[Multivector, Multivector]],
+                              h: float = FD_STEP) -> Multivector:
+    """dα(g) from α(g) and the pairs (α(g e^{h e_j}), α(g e^{-h e_j})) for j = 0..d-1."""
+    return _central_quotient(stencil, model.dim, h) + chevalley_eilenberg(model, value)
 
 
 def fd_exterior_derivative(model: GroupModel, field: FormField, g,
                            h: float = FD_STEP) -> Multivector:
     """Exterior derivative of a left-trivialized form field at g.
 
-    The flat derivative of the chart components at x = 0 in the normal chart
-    centered at g, whose coordinate frame at the center is the left-invariant
-    frame.
+    Differences the field along the left-invariant fields of the basis and
+    adds the exact Chevalley–Eilenberg term (see the module docstring).
     """
-    return fd_exterior_derivative_flat(lambda x: _chart_value(model, field, g, x),
-                                       np.zeros(model.dim), h)
+    def along(j: int, sign: float) -> Multivector:
+        step = np.zeros(model.dim)
+        step[j] = sign * h
+        return field(model.mul(g, model.exp(step)))
+
+    stencil = ((along(j, 1.0), along(j, -1.0)) for j in range(model.dim))
+    return left_invariant_derivative(model, field(g), stencil, h)
 
 
 def fd_exterior_derivative_flat(field: Callable[[np.ndarray], Multivector], x0,
@@ -55,17 +92,10 @@ def fd_exterior_derivative_flat(field: Callable[[np.ndarray], Multivector], x0,
 
     Uses d(Σ f_I dx^I) = Σ_j dx^j ∧ ∂_j(Σ f_I dx^I) with central differences.
     """
-    if h < 1e-300:
-        raise ValueError("step underflow")
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
-    out = Multivector.zero(d)
-    for j in range(d):
-        step = np.zeros(d)
-        step[j] = h
-        partial = (field(x0 + step) - field(x0 - step)).scale(1.0 / (2.0 * h))
-        out = out + Multivector.basis_vector(d, j).wedge(partial)
-    return out
+    steps = h * np.eye(d)
+    return _central_quotient(((field(x0 + s), field(x0 - s)) for s in steps), d, h)
 
 
 def lie_derivative_residual(model: GroupModel, field: FormField, g, vector_field,

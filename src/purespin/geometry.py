@@ -40,7 +40,12 @@ import numpy as np
 
 from .bilinear import BilinearSpace, LagrangianSubspace
 from .dirac import spinor_of_orthogonal
-from .forms import FD_STEP, fd_exterior_derivative, fd_exterior_derivative_flat
+from .forms import (
+    FD_STEP,
+    fd_exterior_derivative,
+    fd_exterior_derivative_flat,
+    left_invariant_derivative,
+)
 from .groups import GroupModel, _rotation_log
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_generators, rho_of_columns
@@ -223,6 +228,38 @@ class _SpinBlock:
     seeds: dict
 
 
+def _flank_flows(block: _SpinBlock, cols: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(h S_a) and exp(-h S_a) applied to the block vectors ``cols``, for every a.
+
+    A truncated Taylor series on the sparse S_a: the terms (h S_a)^k cols / k!
+    are added until, for every a and column, the last one is below the unit
+    roundoff of the sum; for -h the odd terms change sign.  Returns two arrays
+    of shape (d, size, columns).
+    """
+    size, seeds = cols.shape
+    d = block.weights.shape[1]
+    gen, entry = np.nonzero(block.weights.T)
+    rows, src = np.divmod(block.entries[entry], size)
+    weight = block.weights[entry, gen]
+    rows, src = gen * size + rows, gen * size + src  # positions in the (d·size) stack
+    term = np.tile(cols, (d, 1))
+    even, odd = term.copy(), np.zeros_like(term)
+    unit_roundoff = np.finfo(float).eps / 2
+    k = 0
+    while True:
+        k += 1
+        gathered = weight[:, None] * term[src]
+        term = np.stack([np.bincount(rows, gathered[:, c], minlength=d * size)
+                         for c in range(seeds)], axis=1) * (h / k)
+        acc = odd if k % 2 else even
+        acc += term
+        last = np.abs(term).reshape(d, size, seeds).max(axis=1)
+        total = np.abs(even + odd).reshape(d, size, seeds).max(axis=1)
+        if not np.any(last > unit_roundoff * total):
+            break
+    return (even + odd).reshape(d, size, seeds), (even - odd).reshape(d, size, seeds)
+
+
 class PinLift:
     """Evaluates the invariant pure spinors ψ (for F) and φ (for E) on a group.
 
@@ -232,7 +269,9 @@ class PinLift:
     spin generators S_a = ½ Σ_k ρ(K_a f_k) ρ(f^k), where K_a = κ'(-ad e_a)
     and (f_k), (f^k) are dual bases of V ⊕ V*.  This branch has ψ_e = 1 and
     needs no sign tracking.  The S_a are even, so only the parity blocks of
-    Λ V* holding 1 and μ are built (on first use) and exponentiated.
+    Λ V* holding 1 and μ are built (on first use) and exponentiated.  Near
+    g the same homomorphism gives L(g·exp(±h e_a)) = exp(±h S_a)·L(g), which
+    ``forms_near`` uses for finite-difference stencils.
 
     ξ comes from the Schur form of g for unitary models (eigen-angles moved
     by whole turns to sum to zero, or real rotation blocks for real models)
@@ -300,52 +339,59 @@ class PinLift:
             return xi
         raise ValueError(f"no logarithm of the element in the Lie algebra of {model.name!r}")
 
-    def _lift(self, g) -> tuple[Multivector, Multivector]:
-        """(ψ, φ) = exp(Σ ξ_a S_a)·(1, μ) for ξ = log g."""
+    def _lift_columns(self, g) -> list[np.ndarray]:
+        """exp(Σ ξ_a S_a) on the seeds of each block for ξ = log g, as (size, seeds) arrays."""
         xi = self._algebra_log(g)
-        d = self.model.dim
-        out = {}
+        out = []
         for block in self._spin_blocks:
             exponent = np.zeros(block.size * block.size)
             exponent[block.entries] = block.weights @ xi
             flow = scipy.linalg.expm(exponent.reshape(block.size, block.size))
-            for name, col in block.seeds.items():
-                values = flow[:, col]
+            out.append(flow[:, list(block.seeds.values())])
+        return out
+
+    def _pair(self, columns: list[np.ndarray]) -> tuple[Multivector, Multivector]:
+        """(ψ, φ) from the seed columns of every block."""
+        d = self.model.dim
+        out = {}
+        for block, cols in zip(self._spin_blocks, columns):
+            for name, values in zip(block.seeds, cols.T):
                 cut = _ROUNDOFF_CUT * np.abs(values).max()
                 out[name] = Multivector(d, {b: float(c) for b, c in zip(block.blades, values)
                                             if abs(c) > cut})
         return out["psi"], out["phi"].scale(self._mu_scale)
 
-    @staticmethod
-    def _overlap(x: Multivector, y: Multivector) -> float:
-        return sum(float(c) * float(y.terms.get(b, 0.0)) for b, c in x.terms.items())
-
-    def forms_at(self, g) -> tuple[Multivector, Multivector]:
-        """(ψ, φ) at g with the global sign branch fixed by ψ_e = 1."""
+    def _require_lift(self) -> None:
         if not self.model.liftable:
             raise ValueError(
                 f"model {self.model.name!r} has no global lift; use forms_at_unsigned")
-        return self._lift(g)
 
-    def forms_near(self, point, ref_psi: Multivector, ref_phi: Multivector
-                   ) -> tuple[Multivector, Multivector]:
-        """(ψ, φ) at a point close to a reference, sign-aligned to the reference.
+    def forms_at(self, g) -> tuple[Multivector, Multivector]:
+        """(ψ, φ) at g with the global sign branch fixed by ψ_e = 1."""
+        self._require_lift()
+        return self._pair(self._lift_columns(g))
 
-        The alignment guards the finite-difference stencils of
-        ``cartan_dirac_integrability`` against a change of sign branch
-        between neighbouring points.
+    def forms_near(self, g, h: float) -> tuple[tuple[Multivector, Multivector], list]:
+        """(ψ, φ) at g and at the 2d stencil points g·exp(±h e_a), from one lift.
+
+        Returns ((ψ_g, φ_g), stencil) with stencil[a] the pair of
+        ((ψ, φ) at g·exp(h e_a), (ψ, φ) at g·exp(-h e_a)).  A_{gk} = A_k A_g,
+        so the lift satisfies L(g·exp(±h e_a)) = exp(±h S_a)·L(g): the
+        stencil values are exp(±h S_a) applied to the block vectors of ψ_g
+        and φ_g (``_flank_flows``), and a point costs one logarithm and one
+        exponential of each block.
         """
-        psi, phi = self._lift(point)
-        ov = self._overlap(psi, ref_psi)
-        if abs(ov) < 0.05 * max(psi.norm() * ref_psi.norm(), 1e-30):
-            ov = self._overlap(phi, ref_phi)
-        if ov < 0:
-            psi, phi = -psi, -phi
-        return psi, phi
+        self._require_lift()
+        columns = self._lift_columns(g)
+        flanks = [_flank_flows(block, cols, h) for block, cols in zip(self._spin_blocks, columns)]
+        stencil = [(self._pair([plus[a] for plus, _ in flanks]),
+                    self._pair([minus[a] for _, minus in flanks]))
+                   for a in range(self.model.dim)]
+        return self._pair(columns), stencil
 
     def forms_at_unsigned(self, g) -> tuple[Multivector, Multivector]:
         """Sign-agnostic evaluation for models without a global lift."""
-        return self._lift(g)
+        return self._pair(self._lift_columns(g))
 
     def psi_closed_form(self, g) -> Multivector:
         """|det((A+I)/2)|^{1/2} exp of the Cayley 2-form; sign-ambiguous branch.
@@ -629,19 +675,10 @@ def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift,
     structure trivector, whose best-fit scalar is reported.
     """
     eta = eta_multivector(model)
-    psi_c, phi_c = pin.forms_at(g)
-    # both derivatives difference over the same stencil points: lift each once
-    lifts: dict[bytes, tuple[Multivector, Multivector]] = {}
-
-    def pair_at(point):
-        key = point.tobytes()
-        if key not in lifts:
-            lifts[key] = pin.forms_near(point, psi_c, phi_c)
-        return lifts[key]
-
-    res_phi = fd_exterior_derivative(model, lambda point: pair_at(point)[1], g, h) \
+    (psi_c, phi_c), stencil = pin.forms_near(g, h)
+    res_phi = left_invariant_derivative(model, phi_c, ((p[1], m[1]) for p, m in stencil), h) \
         + eta.wedge(phi_c)
-    res_psi = fd_exterior_derivative(model, lambda point: pair_at(point)[0], g, h) \
+    res_psi = left_invariant_derivative(model, psi_c, ((p[0], m[0]) for p, m in stencil), h) \
         + eta.wedge(psi_c)
 
     rhs = _structure_action(model, g, psi_c)

@@ -15,10 +15,13 @@ products, and the swap extension Z2 ⋉ (G × G) used to build double spaces.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+
+from .spinor import rho_generators
 
 __all__ = [
     "GroupModel",
@@ -109,6 +112,38 @@ class GroupModel:
 
     def pairing(self, x, y) -> float:
         return float(np.asarray(x, dtype=float) @ self.B @ np.asarray(y, dtype=float))
+
+    @cached_property
+    def chevalley_eilenberg_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """d_CE = -½ Σ c_ij^k ε^i ∧ ε^j ∧ ι(e_k) on Λ g* as sparse (row, col, value) triples.
+
+        Rows and columns are blade masks (``spinor.rho_generators``); each
+        nonzero c_ij^k with i < j contributes the signed partial permutation
+        ι(e_k), then ε^j ∧, then ε^i ∧, weighted by -c_ij^k.
+        """
+        d = self.dim
+        target, sign = rho_generators(d)
+        masks = np.arange(1 << d)
+        # empty first parts: an abelian algebra has no c_ij^k and an empty d_CE
+        rows, cols, vals = [masks[:0]], [masks[:0]], [np.zeros(0)]
+        for i, j, k in np.argwhere(self.structure):
+            if i > j:
+                continue
+            row, col = masks, masks
+            val = np.full(masks.size, -self.structure[i, j, k])
+            for gen in (k, d + j, d + i):
+                nxt = target[gen, row]
+                alive = nxt >= 0
+                val = (val * sign[gen, row])[alive]
+                row, col = nxt[alive], col[alive]
+            rows.append(row)
+            cols.append(col)
+            vals.append(val)
+        keys, where = np.unique(np.concatenate(rows) << d | np.concatenate(cols),
+                                return_inverse=True)
+        values = np.bincount(where, np.concatenate(vals), minlength=keys.size)
+        keep = values != 0
+        return keys[keep] >> d, keys[keep] & ((1 << d) - 1), values[keep]
 
     def dexp_frame(self, x) -> np.ndarray:
         """Left-trivialized differential of exp at x: (1 - e^{-ad_x}) / ad_x."""

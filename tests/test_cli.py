@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,13 @@ class TestSubcommands:
         code, report = run_cli(capsys, ["integrability", "--group", "su2",
                                         "--points", "2", "--seed", "5"])
         assert code == 0 and report["passed"]
+
+    @pytest.mark.parametrize("group", ["su3", "coadjoint-semidirect"])
+    def test_integrability_larger_models(self, capsys, group):
+        code, report = run_cli(capsys, ["integrability", "--group", group, "--points", "2"])
+        assert code == 0 and report["passed"]
+        for check in report["checks"]:
+            assert float(check["phi_residual"]) < 1e-4 < float(check["psi_residual"])
 
     def test_qham_spaces(self, capsys):
         for space in ("class", "double", "fused-double", "exp"):
@@ -164,3 +175,27 @@ class TestDeterminism:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["command"] == "spinor"
+
+
+class TestMemory:
+    def test_integrability_does_not_import_scipy_sparse(self):
+        # importing scipy.sparse grows resident memory by about 11 MB; the
+        # integrability check and criterion 6 must not need it
+        script = (
+            "import sys, numpy as np\n"
+            "import purespin.cli\n"
+            "from purespin.geometry import PinLift, cartan_dirac_integrability\n"
+            "from purespin.groups import su3_model\n"
+            "from purespin.suites import run_criterion\n"
+            "m = su3_model()\n"
+            "cartan_dirac_integrability(m, m.random_element(np.random.default_rng(1)), PinLift(m))\n"
+            "run_criterion(6)\n"
+            "print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

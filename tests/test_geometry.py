@@ -189,6 +189,8 @@ class TestEta:
             fd_exterior_derivative(su2, lambda p: Multivector.scalar(3), su2.identity(), h=0.0)
         with pytest.raises(ValueError):
             fd_exterior_derivative_flat(lambda x: Multivector.scalar(3), np.zeros(3), h=0.0)
+        with pytest.raises(ValueError):
+            cartan_dirac_integrability(su2, su2.identity(), PinLift(su2), h=0.0)
 
     def test_bi_invariant_form_has_zero_lie_derivative(self, su2, rng):
         from purespin.forms import lie_derivative_residual
@@ -369,6 +371,53 @@ class TestSpinLiftExponential:
     def test_element_outside_the_group_is_refused(self, su2, su2_pin):
         with pytest.raises(ValueError, match="no logarithm"):
             su2_pin.forms_at(np.diag([1j, 1j]))  # unitary but not special
+
+
+class TestStencilLift:
+    """forms_near's stencil, exp(±h S_a)·L(g), against the direct lift at g·exp(±h e_a)."""
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "semidirect"])
+    def test_matches_the_direct_lift(self, name, request, rng):
+        model = request.getfixturevalue(name)
+        pin = PinLift(model)
+        g = model.random_element(rng)
+        for h in (1e-4, 1e-3):
+            center, stencil = pin.forms_near(g, h)
+            for got, expect in zip(center, pin.forms_at(g)):
+                assert (got - expect).norm() == 0.0
+            for a, pairs in enumerate(stencil):
+                for sign, pair in zip((1.0, -1.0), pairs):
+                    point = model.mul(g, model.exp(sign * h * np.eye(model.dim)[a]))
+                    for got, expect in zip(pair, pin.forms_at(point)):
+                        assert (got - expect).norm() <= 1e-12 * expect.norm(), (h, a, sign)
+
+    def test_refused_without_a_global_lift(self, rng):
+        from purespin.groups import so3_model
+        so3 = so3_model()
+        pin = PinLift(so3)
+        g = so3.random_element(rng)
+        with pytest.raises(ValueError) as at:
+            pin.forms_at(g)
+        with pytest.raises(ValueError) as near:
+            pin.forms_near(g, 1e-4)
+        assert str(near.value) == str(at.value)
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "semidirect"])
+    def test_integrability_matches_the_group_derivative(self, name, request, rng):
+        # the stencil route against fd_exterior_derivative of the directly lifted fields
+        model = request.getfixturevalue(name)
+        pin = PinLift(model)
+        eta = eta_multivector(model)
+        g = model.random_element(rng)
+        rep = cartan_dirac_integrability(model, g, pin)
+        psi, phi = pin.forms_at(g)
+        res_psi = fd_exterior_derivative(model, lambda p: pin.forms_at(p)[0], g) + eta.wedge(psi)
+        res_phi = fd_exterior_derivative(model, lambda p: pin.forms_at(p)[1], g) + eta.wedge(phi)
+        # stencil values agree to ~1e-15, so the quotients to ~1e-15 / h
+        assert abs(rep["psi_residual"] - res_psi.norm()) <= 1e-9 * res_psi.norm()
+        assert abs(rep["phi_residual"] - res_phi.norm()) <= 1e-10 * phi.norm()
+        # criterion 6's control
+        assert rep["psi_residual"] >= 10 * rep["phi_residual"]
 
 
 class TestVolume:
