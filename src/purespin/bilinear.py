@@ -5,6 +5,10 @@ subspaces are stored as basis matrices (columns).  Because bases are not
 unique, equality of subspaces is decided by comparing orthogonal projectors
 at a tolerance.  Exact (rational) Gram data is carried alongside the float
 matrix when available so the Clifford layer can compute exactly.
+
+``DEFAULT_TOL`` is the package's one rank cut: null spaces, column spaces,
+the purity of spinors and the independence of bases all discard singular
+values at or below it times the largest.
 """
 
 from __future__ import annotations
@@ -76,15 +80,14 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
 class BilinearSpace:
     """Finite-dimensional real space with a nondegenerate symmetric form."""
 
-    def __init__(self, gram, tol: float = DEFAULT_TOL):
+    def __init__(self, gram):
         rows = [list(r) for r in gram]
         self.dim = len(rows)
         self.gram_exact = rows  # entries as given (Fraction/int/float)
         self.gram = np.array([[float(x) for x in r] for r in rows])
-        self.tol = tol
-        if not np.allclose(self.gram, self.gram.T, atol=tol):
+        if not np.allclose(self.gram, self.gram.T, atol=DEFAULT_TOL):
             raise ValueError("Gram matrix must be symmetric")
-        if abs(np.linalg.det(self.gram)) < tol:
+        if abs(np.linalg.det(self.gram)) < DEFAULT_TOL:
             raise ValueError("Gram matrix must be nondegenerate")
 
     def pairing(self, u, v) -> float:
@@ -125,7 +128,7 @@ class Subspace:
             raise ValueError("basis rows must match ambient dimension")
         if check_rank and self.basis.shape[1]:
             s = np.linalg.svd(self.basis, compute_uv=False)
-            if s[-1] <= ambient.tol * s[0]:
+            if s[-1] <= DEFAULT_TOL * s[0]:
                 raise ValueError("basis columns are not linearly independent")
 
     @property
@@ -138,12 +141,10 @@ class Subspace:
     def distance(self, other: "Subspace") -> float:
         return float(np.linalg.norm(self.projector() - other.projector(), 2))
 
-    def equals(self, other: "Subspace", tol: float | None = None) -> bool:
-        tol = self.ambient.tol if tol is None else tol
+    def equals(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         return self.dim == other.dim and self.distance(other) <= tol
 
-    def contains(self, vector, tol: float | None = None) -> bool:
-        tol = self.ambient.tol if tol is None else tol
+    def contains(self, vector, tol: float = DEFAULT_TOL) -> bool:
         v = np.asarray(vector, dtype=float)
         scale = max(1.0, float(np.linalg.norm(v)))
         return float(np.linalg.norm(self.projector() @ v - v)) <= tol * scale
@@ -152,21 +153,20 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.ambient, np.zeros((self.ambient.dim, 0)), check_rank=False)
         stacked = np.hstack([self.basis, -other.basis])
-        ker = nullspace_basis(stacked, self.ambient.tol)
+        ker = nullspace_basis(stacked)
         vecs = self.basis @ ker[: self.dim]
-        return Subspace(self.ambient, column_space_basis(vecs, self.ambient.tol), check_rank=False)
+        return Subspace(self.ambient, column_space_basis(vecs), check_rank=False)
 
     def gram_on_basis(self) -> np.ndarray:
         return self.basis.T @ self.ambient.gram @ self.basis
 
-    def is_isotropic(self, tol: float | None = None) -> bool:
-        tol = self.ambient.tol if tol is None else tol
+    def is_isotropic(self, tol: float = DEFAULT_TOL) -> bool:
         if self.dim == 0:
             return True
         scale = max(1.0, float(np.linalg.norm(self.basis, 2)) ** 2)
         return float(np.abs(self.gram_on_basis()).max()) <= tol * scale
 
-    def is_lagrangian(self, tol: float | None = None) -> bool:
+    def is_lagrangian(self, tol: float = DEFAULT_TOL) -> bool:
         return self.ambient.dim == 2 * self.dim and self.is_isotropic(tol)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -186,7 +186,7 @@ class LagrangianSubspace(Subspace):
             raise ValueError("subspace is not Lagrangian")
 
 
-def make_split_space(n: int, tol: float = DEFAULT_TOL) -> BilinearSpace:
+def make_split_space(n: int) -> BilinearSpace:
     """R^{n,n}: <e_i, e_j> = ±δ_ij with + for i = j <= n, − for i = j > n."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -194,21 +194,18 @@ def make_split_space(n: int, tol: float = DEFAULT_TOL) -> BilinearSpace:
     for i in range(n):
         gram[i][i] = 1
         gram[n + i][n + i] = -1
-    return BilinearSpace(gram, tol)
+    return BilinearSpace(gram)
 
 
-def lagrangian_from_orthogonal(A, space: BilinearSpace | None = None,
-                               tol: float = DEFAULT_TOL) -> LagrangianSubspace:
+def lagrangian_from_orthogonal(A) -> LagrangianSubspace:
     """E_A = {(Av, v)} in R^{n,n}; Lagrangian exactly when A is orthogonal."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     defect = np.linalg.norm(A.T @ A - np.eye(n))
-    if defect > 1000 * tol:
+    if defect > 1000 * DEFAULT_TOL:
         raise ValueError(f"matrix is not orthogonal (‖AᵀA−I‖ = {defect:.2e})")
-    if space is None:
-        space = make_split_space(n, tol)
     basis = np.vstack([A, np.eye(n)])
-    return LagrangianSubspace(space, basis)
+    return LagrangianSubspace(make_split_space(n), basis)
 
 
 def orthogonal_from_lagrangian(E: Subspace) -> np.ndarray:
@@ -219,13 +216,13 @@ def orthogonal_from_lagrangian(E: Subspace) -> np.ndarray:
     return top @ np.linalg.inv(bottom)
 
 
-def transverse(E: Subspace, F: Subspace, tol: float | None = None) -> bool:
-    tol = E.ambient.tol if tol is None else tol
+def transverse(E: Subspace, F: Subspace) -> bool:
     if E.dim + F.dim < E.ambient.dim:
         return False
     stacked = np.hstack([E.basis, F.basis])
     s = np.linalg.svd(stacked, compute_uv=False)
-    return bool(s[min(E.ambient.dim, E.dim + F.dim) - 1] > tol * s[0]) and E.dim + F.dim == E.ambient.dim
+    full_rank = s[min(E.ambient.dim, E.dim + F.dim) - 1] > DEFAULT_TOL * s[0]
+    return bool(full_rank) and E.dim + F.dim == E.ambient.dim
 
 
 def same_component(E: LagrangianSubspace, F: LagrangianSubspace) -> bool:

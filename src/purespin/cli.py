@@ -46,7 +46,7 @@ from .moment import (
 )
 from .multivector import Multivector, _scalar_str
 from .spinor import DoubledSpace, chevalley_pairing, spinor_of_lagrangian
-from .suites import run_all
+from .suites import TOLERANCES, run_all
 
 SCHEMA = "purespin-report/1"
 
@@ -156,9 +156,11 @@ def cmd_spinor(args) -> int:
         ps2 = spinor_of_lagrangian(doubled, lag2)
         worst = max(worst, ps1.null.distance(lag1), ps2.null.distance(lag2))
         pairing = abs(float(chevalley_pairing(ps1.form, ps2.form)))
-        agree = agree and ((pairing > 1e-8) == transverse(lag1, lag2))
+        agree = agree and ((pairing > TOLERANCES["chevalley-transversality"])
+                           == transverse(lag1, lag2))
     checks = [
-        {"name": "purity-round-trip", "passed": worst < 1e-9, "max_distance": worst},
+        {"name": "purity-round-trip", "passed": worst < TOLERANCES["purity-round-trip"],
+         "max_distance": worst},
         {"name": "pairing-transversality", "passed": agree},
     ]
     return emit_report("spinor", vars(args), checks, args.out)
@@ -209,7 +211,7 @@ def cmd_conjugacy_volume(args) -> int:
             "point": np.asarray(pt.g).tolist(),
             "ghjw_rank": int(np.linalg.matrix_rank(omega, tol=1e-8)) if omega.size else 0,
             "density": dens,
-            "passed": abs(dens) > 1e-6,
+            "passed": abs(dens) > TOLERANCES["conjugacy-volume-nondegeneracy"]["density"],
         })
     return emit_report("conjugacy-volume", vars(args), checks, args.out)
 
@@ -221,6 +223,7 @@ def cmd_integrability(args) -> int:
         raise SystemExit(f"group {model.name!r} has no global lift")
     pin = PinLift(model)
     rng = np.random.default_rng(args.seed)
+    bound = TOLERANCES["cartan-dirac-integrability"]["phi_residual"]
     checks = []
     for idx in range(args.points):
         g = model.random_element(rng)
@@ -230,7 +233,7 @@ def cmd_integrability(args) -> int:
             "phi_residual": rep["phi_residual"],
             "psi_residual": rep["psi_residual"],
             "xi_fit_coefficient": rep["xi_fit_coefficient"],
-            "passed": rep["phi_residual"] < 1e-4 < rep["psi_residual"],
+            "passed": rep["phi_residual"] < bound < rep["psi_residual"],
         })
     return emit_report("integrability", vars(args), checks, args.out)
 
@@ -243,6 +246,7 @@ def cmd_qham(args) -> int:
     pin = PinLift(model) if model.liftable else None
     rng = np.random.default_rng(args.seed)
     factory = DoubleFactory(model)
+    bound = TOLERANCES["qham-suite"]["moment_residual"]
     checks = []
     for idx in range(args.samples):
         if args.space == "class":
@@ -265,7 +269,7 @@ def cmd_qham(args) -> int:
             "moment_residual": residual,
             "minimal_degeneracy": md,
             "equivalence_agrees": eq["agree"],
-            "passed": residual < 1e-8 and md["original"] and md["elegant"] and eq["agree"],
+            "passed": residual < bound and md["original"] and md["elegant"] and eq["agree"],
         }
         if pin is not None and p.model is model:
             entry["volume_density"] = qham_volume_top(p, pin)
@@ -274,7 +278,6 @@ def cmd_qham(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    from .suites import TOLERANCES
     reports = run_all(args.seed)
     config = dict(vars(args))
     config["tolerances"] = TOLERANCES

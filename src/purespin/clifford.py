@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exact
-from .bilinear import BilinearSpace
+from .bilinear import DEFAULT_TOL, BilinearSpace
 from .multivector import Blade, Multivector
 
 HALF = Fraction(1, 2)
@@ -235,13 +235,12 @@ class CliffordAlgebra:
             g_inv = self.inverse(g)
         return self.mul(self.mul(self.parity(g), y), g_inv)
 
-    def group_action(self, g: Multivector, tol: float | None = None) -> tuple[bool, np.ndarray]:
+    def group_action(self, g: Multivector) -> tuple[bool, np.ndarray]:
         """Membership in the Clifford group and the induced matrix on W.
 
         Returns (is_member, A) where A has columns Π(g) e_j g^{-1}; membership
         requires every column to be a pure vector, which forces A ∈ O(W).
         """
-        tol = self.space.tol if tol is None else tol
         g_inv = self.inverse(g)
         a = np.zeros((self.dim, self.dim))
         ok = True
@@ -249,7 +248,7 @@ class CliffordAlgebra:
             y = self.twisted_conjugation(g, Multivector.basis_vector(self.dim, j), g_inv)
             stray = sum(float(c) ** 2 for b, c in y.terms.items() if len(b) != 1)
             scale = max(1.0, y.norm())
-            if math.sqrt(stray) > tol * scale * 100:
+            if math.sqrt(stray) > DEFAULT_TOL * scale * 100:
                 ok = False
             for b, c in y.terms.items():
                 if len(b) == 1:
@@ -346,7 +345,7 @@ def _orthogonal_basis(space: BilinearSpace) -> list[np.ndarray]:
     return [q[:, i] / math.sqrt(abs(lam[i])) for i in range(space.dim)]
 
 
-def factor_into_reflections(A, space: BilinearSpace, tol: float | None = None) -> list[np.ndarray]:
+def factor_into_reflections(A, space: BilinearSpace) -> list[np.ndarray]:
     """Write an orthogonal map as a product of reflections in non-isotropic vectors.
 
     Returns vectors w_1, ..., w_k with A = R_{w_1} ∘ ... ∘ R_{w_k}.  Each basis
@@ -355,18 +354,18 @@ def factor_into_reflections(A, space: BilinearSpace, tol: float | None = None) -
     isotropic cone.  For a definite form k <= dim W; in split signature the
     two-reflection fallback can push k up to 2 dim W.
     """
-    tol = space.tol if tol is None else tol
     A = np.asarray(A, dtype=float)
     gmat = space.gram
     defect = np.linalg.norm(A.T @ gmat @ A - gmat)
     if defect > 1e-6 * max(1.0, np.linalg.norm(gmat)):
         raise ValueError(f"matrix is not orthogonal for this form (defect {defect:.2e})")
     gram_scale = max(1.0, float(np.linalg.norm(gmat, 2)))
+    cut = 1e3 * DEFAULT_TOL
     reflections: list[np.ndarray] = []
     m = A.copy()
     for v in _orthogonal_basis(space):
         mv = m @ v
-        if np.linalg.norm(mv - v) <= 1e3 * tol:
+        if np.linalg.norm(mv - v) <= cut:
             continue
         w1 = mv - v
         w2 = mv + v
@@ -374,10 +373,10 @@ def factor_into_reflections(A, space: BilinearSpace, tol: float | None = None) -
         n2 = abs(float(w2 @ gmat @ w2))
         # one reflection unless Mv - v is dangerously close to the isotropic
         # cone, in which case route through -v with two reflections
-        if n1 > 1e3 * tol * gram_scale * float(w1 @ w1):
+        if n1 > cut * gram_scale * float(w1 @ w1):
             reflections.append(w1 / np.linalg.norm(w1))
             m = reflection_matrix(w1, space) @ m
-        elif n2 > 1e3 * tol * gram_scale * float(w2 @ w2):
+        elif n2 > cut * gram_scale * float(w2 @ w2):
             # R_v R_{w2} maps Mv through -v back to v.
             reflections.append(w2 / np.linalg.norm(w2))
             reflections.append(v)
@@ -400,23 +399,21 @@ def pin_lift_from_reflections(algebra: CliffordAlgebra, vectors: Sequence[np.nda
     return PinElement(g, sign)
 
 
-def projector_p(algebra: CliffordAlgebra, e_basis: Sequence, f_basis: Sequence,
-                check: bool = True) -> CliffordElement:
+def projector_p(algebra: CliffordAlgebra, e_basis: Sequence, f_basis: Sequence) -> CliffordElement:
     """Idempotent p = Π e_i f^i from dual bases of transverse Lagrangians.
 
-    Requires <e_i, f^j> = δ_ij; then p² = p, E p = 0, p F = 0 and p − 1 lies
-    in the left ideal generated by E.
+    Requires <e_i, f^j> = δ_ij (checked); then p² = p, E p = 0, p F = 0 and
+    p − 1 lies in the left ideal generated by E.
     """
     n = len(e_basis)
-    if check:
-        for i in range(n):
-            for j in range(n):
-                expect = 1 if i == j else 0
-                val = algebra.space.pairing_exact(list(e_basis[i]), list(f_basis[j])) \
-                    if algebra.space.is_exact() and not isinstance(e_basis[i], np.ndarray) \
-                    else algebra.space.pairing(e_basis[i], f_basis[j])
-                if abs(float(val) - expect) > 1e-9:
-                    raise ValueError("bases are not dual-normalized")
+    for i in range(n):
+        for j in range(n):
+            expect = 1 if i == j else 0
+            val = algebra.space.pairing_exact(list(e_basis[i]), list(f_basis[j])) \
+                if algebra.space.is_exact() and not isinstance(e_basis[i], np.ndarray) \
+                else algebra.space.pairing(e_basis[i], f_basis[j])
+            if abs(float(val) - expect) > 1e-9:
+                raise ValueError("bases are not dual-normalized")
     p = algebra.scalar(1)
     for i in range(n):
         p = p * (algebra.vector(e_basis[i]) * algebra.vector(f_basis[i]))

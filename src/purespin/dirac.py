@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinear import (
+    DEFAULT_TOL,
     BilinearSpace,
     LagrangianSubspace,
     Subspace,
@@ -39,7 +40,6 @@ from .spinor import (
     DoubledSpace,
     PureSpinor,
     chevalley_pairing,
-    pullback,
     pure_spinor,
     rho_contravariant,
     spinor_of_lagrangian,
@@ -97,12 +97,11 @@ def contraction_by_bivector(pi_mv: Multivector, phi: Multivector) -> Multivector
     return out
 
 
-def graph_of_bivector(doubled: DoubledSpace, pi, mu: Multivector | None = None) -> PureSpinor:
-    """Pure spinor e^{-ι(π)} μ whose null space is Gr_π."""
+def graph_of_bivector(doubled: DoubledSpace, pi) -> PureSpinor:
+    """Pure spinor e^{-ι(π)} μ whose null space is Gr_π, μ the unit top form."""
     n = doubled.n
     p = np.asarray(pi, dtype=float)
-    if mu is None:
-        mu = Multivector.top(n)
+    mu = Multivector.top(n)
     pi_mv = Multivector.from_antisymmetric_matrix(p)
     form = Multivector.zero(n)
     term = mu
@@ -158,8 +157,8 @@ def _transport(a: np.ndarray, E: LinearDirac, doubled_out: DoubledSpace,
     ])
     constraint, out_map = (source, target) if forward else (target, source)
     proj = E.projector()
-    k = nullspace_basis((np.eye(constraint.shape[0]) - proj) @ constraint, E.ambient.tol)
-    basis = column_space_basis(out_map @ k, E.ambient.tol)
+    k = nullspace_basis((np.eye(constraint.shape[0]) - proj) @ constraint)
+    basis = column_space_basis(out_map @ k)
     out = LagrangianSubspace(doubled_out.space, basis, check=False)
     if not out.is_lagrangian(1e-7):
         direction = "forward" if forward else "backward"
@@ -193,26 +192,27 @@ def dirac_preimage(A, F_target: LinearDirac, doubled_source: DoubledSpace) -> tu
     a = np.asarray(A, dtype=float)
     pre = _transport(a, F_target, doubled_source, forward=False)
     # pullback of the spinor line dies iff F' ∩ (0 ⊕ ann(ran A)) ≠ 0
-    ann = nullspace_basis(a.T, F_target.ambient.tol)
+    ann = nullspace_basis(a.T)
     return pre, not _meets(F_target, ann, covectors=True)
 
 
 def is_dirac_map(A, E: LinearDirac, E_target: LinearDirac,
-                 doubled_target: DoubledSpace, tol: float = 1e-8) -> bool:
+                 doubled_target: DoubledSpace) -> bool:
+    """Whether the forward image of E is E_target, to a projector distance of 1e-8."""
     image, _ = dirac_image(A, E, doubled_target)
-    return image.dim == E_target.dim and image.distance(E_target) <= tol
+    return image.dim == E_target.dim and image.distance(E_target) <= 1e-8
 
 
 def is_strong_dirac(A, E: LinearDirac, E_target: LinearDirac | None = None,
-                    doubled_target: DoubledSpace | None = None, tol: float = 1e-8) -> bool:
+                    doubled_target: DoubledSpace | None = None) -> bool:
     """E ∩ (ker A ⊕ 0) = 0; with a target, also require the image to match."""
     a = np.asarray(A, dtype=float)
     if E_target is not None:
         if doubled_target is None:
             raise ValueError("doubled_target required when checking the image")
-        if not is_dirac_map(a, E, E_target, doubled_target, tol):
+        if not is_dirac_map(a, E, E_target, doubled_target):
             return False
-    return not _meets(E, nullspace_basis(a, E.ambient.tol))
+    return not _meets(E, nullspace_basis(a))
 
 
 # --------------------------------------------------------------------------- #
@@ -264,7 +264,7 @@ def b_volume_form(B: BilinearSpace) -> Multivector:
 
 def _reflection_chain(vectors, B: BilinearSpace, seed: Multivector) -> Multivector:
     """Apply ρ(κ(w ⊕ 0)) for each Pin-normalized reflection vector, right to left."""
-    doubled = DoubledSpace(B.dim, B.tol)
+    doubled = DoubledSpace(B.dim)
     out = seed
     for w in reversed(list(vectors)):
         w = np.asarray(w, dtype=float)
@@ -286,11 +286,11 @@ def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
     n = a.shape[0]
     det_gate = abs(float(np.linalg.det(a + np.eye(n))))
     if method == "auto":
-        method = "closed" if det_gate > 1e3 * B.tol else "reflections"
-    doubled = DoubledSpace(n, B.tol)
+        method = "closed" if det_gate > 1e3 * DEFAULT_TOL else "reflections"
+    doubled = DoubledSpace(n)
     pin = None
     if method == "closed":
-        if det_gate <= 1e3 * B.tol:
+        if det_gate <= 1e3 * DEFAULT_TOL:
             raise ValueError("det(A+I) too small for the closed form")
         m = _cayley_two_form(a, B.gram)
         scale = math.sqrt(abs(float(np.linalg.det((a + np.eye(n)) / 2))))
@@ -311,13 +311,13 @@ def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
     return OrthogonalLift(a, psi, sign, method, pin)
 
 
-def phi_of_orthogonal(A, B: BilinearSpace, sign: int = 1) -> PureSpinor:
+def phi_of_orthogonal(A, B: BilinearSpace) -> PureSpinor:
     """Pure spinor ρ(Ã^κ) μ with null space A^κ(V*), μ the B-volume form."""
     a = np.asarray(A, dtype=float)
     n = a.shape[0]
-    doubled = DoubledSpace(n, B.tol)
+    doubled = DoubledSpace(n)
     vectors = factor_into_reflections(a, B)
-    form = _reflection_chain(vectors, B, b_volume_form(B).scale(float(sign)))
+    form = _reflection_chain(vectors, B, b_volume_form(B))
     phi = pure_spinor(doubled, form)
     expected = Subspace(doubled.space, kappa_embed(a, B)[:, n:], check_rank=False)
     if phi.null.distance(expected) > 1e-6:
@@ -339,7 +339,7 @@ def pullback_transversality(A, E: LinearDirac, E_target: LinearDirac,
     a = np.asarray(A, dtype=float)
     if not is_strong_dirac(a, E, E_target, doubled_target):
         raise ValueError("map is not a strong Dirac map for (E, E')")
-    psi = pullback(a, psi_target.form)
+    psi = psi_target.form.pullback(a)
     if psi.norm() <= 1e-12:
         raise AssertionError("pullback of the transverse spinor vanished")
     pulled = pure_spinor(doubled_source, psi)

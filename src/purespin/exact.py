@@ -147,28 +147,25 @@ def inverse(a: Mat) -> Mat:
     return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(red, pivots)]
 
 
-def random_rational_orthogonal(n: int, rng: np.random.Generator,
-                               denominator: int = 7, special: bool | None = None) -> Mat:
+def random_rational_orthogonal(n: int, rng: np.random.Generator) -> Mat:
     """Exactly orthogonal rational matrix via the Cayley transform.
 
-    A = (I - S)(I + S)^{-1} for a random rational skew matrix S lies in SO(n)
-    and satisfies AᵀA = I exactly.  With ``special=False`` one column sign is
-    flipped to land in the other component of O(n).
+    A = (I - S)(I + S)^{-1} for a random skew matrix S with entries in
+    {-1, -6/7, ..., 6/7, 1} lies in SO(n) and satisfies AᵀA = I exactly.  On a
+    fair coin one column sign is then flipped, landing in the other component
+    of O(n).
     """
     s = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            val = Fraction(int(rng.integers(-denominator, denominator + 1)), denominator)
+            val = Fraction(int(rng.integers(-7, 8)), 7)
             s[i][j] = val
             s[j][i] = -val
     eye = identity(n)
     i_minus = [[eye[i][j] - s[i][j] for j in range(n)] for i in range(n)]
     i_plus = [[eye[i][j] + s[i][j] for j in range(n)] for i in range(n)]
     a = mat_mul(i_minus, inverse(i_plus))
-    if special is False:
-        for row in a:
-            row[0] = -row[0]
-    elif special is None and rng.integers(2):
+    if rng.integers(2):
         for row in a:
             row[0] = -row[0]
     return a

@@ -98,18 +98,17 @@ def fd_exterior_derivative_flat(field: Callable[[np.ndarray], Multivector], x0,
     return _central_quotient(((field(x0 + s), field(x0 - s)) for s in steps), d, h)
 
 
-def lie_derivative_residual(model: GroupModel, field: FormField, g, vector_field,
-                            h: float = FD_STEP) -> float:
+def lie_derivative_residual(model: GroupModel, field: FormField, g, vector_field) -> float:
     """‖L_X ω‖ at g by Cartan's formula, for invariance checks.
 
     ``vector_field`` maps a group element to left-trivialized coordinates.
     """
-    d_of = fd_exterior_derivative(model, field, g, h)
+    d_of = fd_exterior_derivative(model, field, g)
     x = np.asarray(vector_field(g), dtype=float)
     term1 = d_of.contract(list(x))
 
     def contracted(point):
         return field(point).contract(list(np.asarray(vector_field(point), dtype=float)))
 
-    term2 = fd_exterior_derivative(model, contracted, g, h)
+    term2 = fd_exterior_derivative(model, contracted, g)
     return (term1 + term2).norm()

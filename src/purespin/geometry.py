@@ -38,8 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bilinear import BilinearSpace, LagrangianSubspace
-from .dirac import spinor_of_orthogonal
+from .bilinear import DEFAULT_TOL, LagrangianSubspace
 from .forms import (
     FD_STEP,
     fd_exterior_derivative,
@@ -393,15 +392,6 @@ class PinLift:
         """Sign-agnostic evaluation for models without a global lift."""
         return self._pair(self._lift_columns(g))
 
-    def psi_closed_form(self, g) -> Multivector:
-        """|det((A+I)/2)|^{1/2} exp of the Cayley 2-form; sign-ambiguous branch.
-
-        Valid away from det(A + I) = 0; the closed branch of
-        ``dirac.spinor_of_orthogonal``, kept as a cross-check of the lift.
-        """
-        a = section_matrix(self.model, g)
-        return spinor_of_orthogonal(a, BilinearSpace(self.model.B), method="closed").psi.form
-
 
 # --------------------------------------------------------------------------- #
 # conjugacy classes
@@ -421,8 +411,8 @@ class ConjugacyClassPoint:
 
 
 # A remaining generator image at or below this multiple of max(‖gen‖₂, 1)
-# counts as dependent: 1e3 times the 1e-9 rank tolerance of the package.
-_FRAME_CUT = 1e3 * 1e-9
+# counts as dependent: 1e3 times the rank cut of the package.
+_FRAME_CUT = 1e3 * DEFAULT_TOL
 
 
 def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,9 +442,8 @@ def class_point(model: GroupModel, g) -> ConjugacyClassPoint:
     return ConjugacyClassPoint(model, np.asarray(g), frame, params)
 
 
-def random_class_point(model: GroupModel, g0, rng: np.random.Generator,
-                       scale: float = 1.0) -> ConjugacyClassPoint:
-    h = model.random_element(rng, scale)
+def random_class_point(model: GroupModel, g0, rng: np.random.Generator) -> ConjugacyClassPoint:
+    h = model.random_element(rng)
     return class_point(model, model.mul(model.mul(h, g0), model.inv(h)))
 
 
@@ -545,10 +534,17 @@ def conjugacy_volume_top(point: ConjugacyClassPoint, pin: PinLift) -> float:
     A_K = frame[K, :]^T (see ``frame_volume_density``).  Exact for every ψ,
     on the singular locus det(A_g + I) = 0 too.
     """
-    psi = (pin.forms_at(point.g) if point.model.liftable
-           else pin.forms_at_unsigned(point.g))[0]
-    density = frame_volume_density(ghjw_matrix(point), psi, point.frame)
-    return density if point.model.liftable else abs(density)
+    return _lift_density(pin, point.g, ghjw_matrix(point), point.frame)
+
+
+def _lift_density(pin: PinLift, g, omega: np.ndarray, frame: np.ndarray) -> float:
+    """``frame_volume_density`` of ψ at g, as |·| when the model has no global lift.
+
+    Without a lift ψ is defined only up to sign, and so is the density.
+    """
+    if pin.model.liftable:
+        return frame_volume_density(omega, pin.forms_at(g)[0], frame)
+    return abs(frame_volume_density(omega, pin.forms_at_unsigned(g)[0], frame))
 
 
 def pfaffian(a: np.ndarray) -> float:
@@ -601,8 +597,7 @@ def _rho_field(doubled: DoubledSpace, section, form_field):
     return field
 
 
-def courant_bracket(model: GroupModel, w1, w2, g, eta: Multivector | None = None,
-                    h: float = FD_STEP) -> np.ndarray:
+def courant_bracket(model: GroupModel, w1, w2, g, eta: Multivector | None = None) -> np.ndarray:
     """Derived bracket of two section fields of the doubled bundle at g.
 
     ``w1``/``w2`` map group elements to left-trivialized (vector, covector)
@@ -615,7 +610,7 @@ def courant_bracket(model: GroupModel, w1, w2, g, eta: Multivector | None = None
     eta_mv = eta if eta is not None else Multivector.zero(d)
 
     def d_plus_eta_at(form_field, point):
-        return fd_exterior_derivative(model, form_field, point, h) + eta_mv.wedge(form_field(point))
+        return fd_exterior_derivative(model, form_field, point) + eta_mv.wedge(form_field(point))
 
     def bracket_on(probe: Multivector) -> Multivector:
         probe_field = lambda point: probe
@@ -699,7 +694,7 @@ def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift,
     }
 
 
-def leaf_two_form_residual(point: ConjugacyClassPoint, h: float = FD_STEP) -> float:
+def leaf_two_form_residual(point: ConjugacyClassPoint) -> float:
     """‖dω_C - ι*η‖ at a class point, by differencing along the conjugation chart.
 
     The chart is x -> exp(z(x)) g exp(-z(x)) with z(x) = Σ x_a ζ_a over the
@@ -730,6 +725,6 @@ def leaf_two_form_residual(point: ConjugacyClassPoint, h: float = FD_STEP) -> fl
         w = _ghjw_matrix_direct(model, op, params)
         return Multivector.from_antisymmetric_matrix(w)
 
-    d_omega = fd_exterior_derivative_flat(omega_components, np.zeros(m), h)
+    d_omega = fd_exterior_derivative_flat(omega_components, np.zeros(m))
     pulled_eta = eta.pullback(point.frame)
     return (d_omega - pulled_eta).norm()

@@ -39,15 +39,13 @@ __all__ = [
 class GroupModel:
     """Matrix Lie group with a fixed Lie algebra basis and invariant form B."""
 
-    def __init__(self, name: str, basis: Sequence[np.ndarray], B, liftable: bool,
-                 center_test=None):
+    def __init__(self, name: str, basis: Sequence[np.ndarray], B, liftable: bool):
         self.name = name
         self.basis = [np.asarray(x) for x in basis]
         self.dim = len(self.basis)
         self.B = np.asarray(B, dtype=float)
         self.B_inv = np.linalg.inv(self.B)
         self.liftable = liftable
-        self.center_test = center_test
         rep_dim = self.basis[0].shape[0]
         self.rep_dim = rep_dim
         self._complex = any(np.iscomplexobj(x) for x in self.basis)
@@ -205,8 +203,7 @@ _PAULI = [
 def su2_model() -> GroupModel:
     """SU(2) as 2x2 unitaries; basis X_k = -(i/2) σ_k, B = Id (so [X_i,X_j] = ε_ijk X_k)."""
     basis = [-0.5j * s for s in _PAULI]
-    center = lambda g: min(np.linalg.norm(g - np.eye(2)), np.linalg.norm(g + np.eye(2))) < 1e-9
-    return GroupModel("su2", basis, np.eye(3), liftable=True, center_test=center)
+    return GroupModel("su2", basis, np.eye(3), liftable=True)
 
 
 def so3_model() -> GroupModel:
@@ -214,8 +211,7 @@ def so3_model() -> GroupModel:
     l1 = np.array([[0.0, 0, 0], [0, 0, -1], [0, 1, 0]])
     l2 = np.array([[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]])
     l3 = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    center = lambda g: np.linalg.norm(g - np.eye(3)) < 1e-9
-    return GroupModel("so3", [l1, l2, l3], np.eye(3), liftable=False, center_test=center)
+    return GroupModel("so3", [l1, l2, l3], np.eye(3), liftable=False)
 
 
 _GELL_MANN = [
@@ -282,7 +278,7 @@ def coadjoint_semidirect_model() -> GroupModel:
     return _CoadjointSemidirectModel("coadjoint-semidirect", basis, B, liftable=True)
 
 
-def product_model(m1: GroupModel, m2: GroupModel, name: str | None = None) -> GroupModel:
+def product_model(m1: GroupModel, m2: GroupModel) -> GroupModel:
     """Direct product with block-diagonal representation and B = B1 ⊕ B2."""
     r1, r2 = m1.rep_dim, m2.rep_dim
     basis = []
@@ -297,7 +293,7 @@ def product_model(m1: GroupModel, m2: GroupModel, name: str | None = None) -> Gr
     B = np.zeros((m1.dim + m2.dim, m1.dim + m2.dim))
     B[:m1.dim, :m1.dim] = m1.B
     B[m1.dim:, m1.dim:] = m2.B
-    model = GroupModel(name or f"{m1.name}x{m2.name}", basis, B,
+    model = GroupModel(f"{m1.name}x{m2.name}", basis, B,
                        liftable=m1.liftable and m2.liftable)
     model.factors = (m1, m2)  # type: ignore[attr-defined]
     return model
@@ -337,16 +333,6 @@ class SwapDoubleModel(GroupModel):
             out[:r, :r] = g1
             out[r:, r:] = g2
         return out
-
-    def blocks(self, g) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Return (g1, g2, swapped) for an element of either component."""
-        r = self.base.rep_dim
-        g = np.asarray(g)
-        diag_mass = np.linalg.norm(g[:r, :r]) + np.linalg.norm(g[r:, r:])
-        off_mass = np.linalg.norm(g[:r, r:]) + np.linalg.norm(g[r:, :r])
-        if diag_mass >= off_mass:
-            return g[:r, :r], g[r:, r:], False
-        return g[:r, r:], g[r:, :r], True
 
 
 def swap_double_model(base: GroupModel) -> SwapDoubleModel:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilinear import column_space_basis, nullspace_basis, subspace_distance
+from .bilinear import DEFAULT_TOL, column_space_basis, nullspace_basis, subspace_distance
 from .dirac import (
     dirac_image,
     gauge_transform,
@@ -27,11 +27,11 @@ from .dirac import (
 from .forms import FD_STEP, fd_exterior_derivative, fd_exterior_derivative_flat
 from .geometry import (
     PinLift,
+    _lift_density,
     _pivoted_frame,
     cartan_dirac_fiber,
     class_point,
     eta_multivector,
-    frame_volume_density,
     ghjw_matrix,
 )
 from .groups import GroupModel, SwapDoubleModel, product_model, swap_double_model
@@ -46,8 +46,6 @@ __all__ = [
     "strong_dirac_equivalence",
     "conjugacy_qham_point",
     "symmetric_space_record",
-    "double_point",
-    "fused_double_point",
     "DoubleFactory",
     "fuse",
     "fusion_tau",
@@ -121,11 +119,13 @@ def moment_condition_residual(p: QHamPoint) -> float:
     return float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 
 
-def minimal_degeneracy(p: QHamPoint, tol: float = 1e-8) -> dict:
+def minimal_degeneracy(p: QHamPoint) -> dict:
     """Both forms of the kernel condition, and whether they agree.
 
     Original: ker ω = {ξ^♯ : Ad_Φ ξ = -ξ}.  Elegant: ker ω ∩ ker dΦ = 0.
+    Kernels and ranks are cut at 1e-8.
     """
+    tol = 1e-8
     ker_omega = nullspace_basis(p.omega, tol, scale=1.0)
     eig = nullspace_basis(p.model.Ad(p.phi) + np.eye(p.model.dim), tol, scale=1.0)
     flipped = column_space_basis(p.action @ eig, tol) if eig.size else np.zeros((p.frame_dim, 0))
@@ -137,7 +137,7 @@ def minimal_degeneracy(p: QHamPoint, tol: float = 1e-8) -> dict:
     else:
         stacked = np.hstack([ker_omega, -ker_dphi])
         inter_dim = ker_omega.shape[1] + ker_dphi.shape[1] - np.linalg.matrix_rank(
-            stacked, tol=1e-8)
+            stacked, tol=tol)
     elegant = inter_dim == 0
     return {
         "original": original,
@@ -147,12 +147,13 @@ def minimal_degeneracy(p: QHamPoint, tol: float = 1e-8) -> dict:
     }
 
 
-def strong_dirac_equivalence(p: QHamPoint, tol: float = 1e-7) -> dict:
+def strong_dirac_equivalence(p: QHamPoint) -> dict:
     """Compare the axiom pair (moment + kernel) with the Dirac-map formulation.
 
     The tangent map dΦ must carry the graph of ω onto the invariant
     Lagrangian fiber at Φ(x), strongly; pointwise this is equivalent to the
-    two axioms holding.
+    two axioms holding.  The image must match the fiber to a projector
+    distance of 1e-7.
     """
     m, d = p.frame_dim, p.model.dim
     doubled_m = DoubledSpace(m) if m else None
@@ -163,21 +164,21 @@ def strong_dirac_equivalence(p: QHamPoint, tol: float = 1e-7) -> dict:
         return {"axioms": True, "dirac": True, "agree": True}
     graph = graph_of_two_form(doubled_m, p.omega)
     image, strong = dirac_image(a, graph, doubled_g)
-    dirac_ok = bool(image.dim == target.dim and image.distance(target) <= tol and strong)
+    dirac_ok = bool(image.dim == target.dim and image.distance(target) <= 1e-7 and strong)
     axioms_ok = bool(
         moment_condition_residual(p) <= 1e-8 and minimal_degeneracy(p)["original"]
     )
     return {"axioms": axioms_ok, "dirac": dirac_ok, "agree": axioms_ok == dirac_ok}
 
 
-def infinitesimal_invariance_residual(point_builder, p: QHamPoint, xi,
-                                      h: float = FD_STEP) -> float:
+def infinitesimal_invariance_residual(point_builder, p: QHamPoint, xi) -> float:
     """‖L(ξ^♯) ω‖ estimated by differencing the 2-form along the flow.
 
     ``point_builder`` maps a group element h to the QHamPoint at the
     transported carrier point h·x; invariance of ω is checked through the
     frame-coherent builder, not through any particular chart.
     """
+    h = FD_STEP
     exp_plus = p.model.exp(np.asarray(xi, dtype=float) * h)
     exp_minus = p.model.exp(-np.asarray(xi, dtype=float) * h)
     om_plus = point_builder(exp_plus).omega
@@ -282,14 +283,6 @@ class DoubleFactory:
         return fuse(fusion)
 
 
-def double_point(base: GroupModel, a, b) -> QHamPoint:
-    return DoubleFactory(base).double_point(a, b)
-
-
-def fused_double_point(base: GroupModel, a, b) -> QHamPoint:
-    return DoubleFactory(base).fused_double_point(a, b)
-
-
 # --------------------------------------------------------------------------- #
 # the fusion 2-form and the product 3-form identity
 
@@ -313,8 +306,7 @@ def fusion_tau(model: GroupModel, g1, g2, u, v) -> float:
     return float(np.asarray(u, dtype=float) @ t @ np.asarray(v, dtype=float))
 
 
-def mult_eta_identity_residual(base: GroupModel, prod: GroupModel, a, b,
-                               h: float = FD_STEP) -> float:
+def mult_eta_identity_residual(base: GroupModel, prod: GroupModel, a, b) -> float:
     """‖Mult*η - pr1*η - pr2*η - dτ‖ at (a, b)."""
     d = base.dim
     eta = eta_multivector(base)
@@ -324,7 +316,7 @@ def mult_eta_identity_residual(base: GroupModel, prod: GroupModel, a, b,
         g2 = np.asarray(point)[r:, r:]
         return Multivector.from_antisymmetric_matrix(tau_matrix(base, g2))
 
-    d_tau = fd_exterior_derivative(prod, tau_field, _prod_pair(base, a, b), h)
+    d_tau = fd_exterior_derivative(prod, tau_field, _prod_pair(base, a, b))
     ad_b_inv = base.Ad(base.inv(b))
     d_mult = np.hstack([ad_b_inv, np.eye(d)])
     pr1 = np.hstack([np.eye(d), np.zeros((d, d))])
@@ -342,7 +334,7 @@ def _prod_pair(base: GroupModel, a, b) -> np.ndarray:
     return out
 
 
-def fused_three_form_residual(factory: DoubleFactory, a, b, h: float = FD_STEP) -> float:
+def fused_three_form_residual(factory: DoubleFactory, a, b) -> float:
     """‖dω^fus - Φ*η‖ at (a, b) on the fused double (first structure axiom)."""
     base, prod = factory.base, factory.product
     r = base.rep_dim
@@ -353,7 +345,7 @@ def fused_three_form_residual(factory: DoubleFactory, a, b, h: float = FD_STEP) 
         return Multivector.from_antisymmetric_matrix(p.omega)
 
     center = factory.fused_double_point(a, b)
-    d_omega = fd_exterior_derivative(prod, omega_field, _prod_pair(base, a, b), h)
+    d_omega = fd_exterior_derivative(prod, omega_field, _prod_pair(base, a, b))
     rhs = eta_multivector(base).pullback(center.dphi.T)
     return (d_omega - rhs).norm()
 
@@ -369,10 +361,7 @@ def qham_volume_top(p: QHamPoint, pin: PinLift) -> float:
     Σ_K ψ_K (-1)^{r(r-1)/2} Pf([[ω, A_K], [-A_K^T, 0]])
     (see ``geometry.frame_volume_density``).
     """
-    psi = (pin.forms_at(p.phi) if p.model.liftable
-           else pin.forms_at_unsigned(p.phi))[0]
-    density = frame_volume_density(p.omega, psi, p.dphi.T)
-    return density if p.model.liftable else abs(density)
+    return _lift_density(pin, p.phi, p.omega, p.dphi.T)
 
 
 # --------------------------------------------------------------------------- #
@@ -391,12 +380,12 @@ def kirillov_poisson_matrix(model: GroupModel, x) -> np.ndarray:
     return out
 
 
-def homotopy_two_form(model: GroupModel, x, nodes: int = 32) -> np.ndarray:
+def homotopy_two_form(model: GroupModel, x) -> np.ndarray:
     """Radial homotopy of the pulled-back 3-form: ϖ_x(u,v) = ∫₀¹ t² (exp*η)_{tx}(x,u,v) dt.
 
     With T the antisymmetric coefficient tensor of η and F = dexp_frame(t x),
     (exp*η)_{tx}(x, ·, ·) is the matrix Fᵀ (T·Fx) F, where (T·y)_{bc} =
-    Σ_a T_{abc} y_a; the integral is a Gauss-Legendre sum over t.
+    Σ_a T_{abc} y_a; the integral is a 32-node Gauss-Legendre sum over t.
     """
     x = np.asarray(x, dtype=float)
     d = model.dim
@@ -404,7 +393,7 @@ def homotopy_two_form(model: GroupModel, x, nodes: int = 32) -> np.ndarray:
     for (i, j, k), c in eta_multivector(model).terms.items():
         for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
             tensor[a, b, e], tensor[b, a, e] = c, -c
-    ts, ws = np.polynomial.legendre.leggauss(nodes)
+    ts, ws = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (ts + 1.0)
     ws = 0.5 * ws
     out = np.zeros((d, d))
@@ -437,7 +426,7 @@ def exp_orbit_qham_point(model: GroupModel, x) -> QHamPoint:
     return QHamPoint(model, omega, model.exp(x), dphi, action)
 
 
-def regular_value_report(p: QHamPoint, tol: float = 1e-8) -> dict:
+def regular_value_report(p: QHamPoint) -> dict:
     """Pointwise data for reduction at the identity value of the moment map.
 
     No quotient is built; this only reports whether the moment value is the
@@ -445,17 +434,16 @@ def regular_value_report(p: QHamPoint, tol: float = 1e-8) -> dict:
     entering the local regular-value criterion.
     """
     at_identity = bool(np.linalg.norm(np.asarray(p.phi) - p.model.identity()) < 1e-9)
-    rank = int(np.linalg.matrix_rank(p.dphi, tol=tol)) if p.dphi.size else 0
+    rank = int(np.linalg.matrix_rank(p.dphi, tol=1e-8)) if p.dphi.size else 0
     return {
         "moment_is_identity": at_identity,
         "dphi_rank": rank,
         "dphi_kernel_dim": p.frame_dim - rank,
-        "omega_kernel_dim": minimal_degeneracy(p, tol)["kernel_dim"],
+        "omega_kernel_dim": minimal_degeneracy(p)["kernel_dim"],
     }
 
 
-def exp_dirac_report(model: GroupModel, x, h: float = FD_STEP,
-                     tol: float = 1e-9) -> dict:
+def exp_dirac_report(model: GroupModel, x) -> dict:
     """The two halves of the exponential theorem at x.
 
     (i) d(homotopy form) = exp*η by flat differencing; (ii) the trivialized
@@ -466,14 +454,14 @@ def exp_dirac_report(model: GroupModel, x, h: float = FD_STEP,
     d = model.dim
     t_frame = model.dexp_frame(x)
     jac = abs(float(np.linalg.det(t_frame)))
-    if jac < 1e3 * tol:
+    if jac < 1e3 * DEFAULT_TOL:
         raise ValueError("point is outside the domain where exp is a local diffeomorphism")
     eta = eta_multivector(model)
 
     def w_field(y):
         return Multivector.from_antisymmetric_matrix(homotopy_two_form(model, y))
 
-    d_w = fd_exterior_derivative_flat(w_field, x, h)
+    d_w = fd_exterior_derivative_flat(w_field, x)
     pulled = eta.pullback(t_frame)
     exterior_residual = (d_w - pulled).norm()
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import exact
 from .bilinear import (
+    DEFAULT_TOL,
     BilinearSpace,
     LagrangianSubspace,
     Subspace,
@@ -57,8 +58,6 @@ __all__ = [
     "graph_two_form_of",
     "chevalley_pairing",
     "transversality_by_pairing",
-    "pushforward",
-    "pullback",
     "star_to_covariant",
     "fixed_line_dimension",
     "decompose_pure_spinor",
@@ -68,13 +67,13 @@ __all__ = [
 class DoubledSpace:
     """V ⊕ V* with the canonical split pairing."""
 
-    def __init__(self, n: int, tol: float = 1e-9):
+    def __init__(self, n: int):
         self.n = n
         gram = [[0] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
             gram[i][n + i] = 1
             gram[n + i][i] = 1
-        self.space = BilinearSpace(gram, tol)
+        self.space = BilinearSpace(gram)
         # blade masks by grade, then lexicographically: the row order of the action matrices
         self._grade_masks = np.array(
             [sum(1 << i for i in b) for k in range(n + 1) for b in combinations(range(n), k)])
@@ -224,8 +223,7 @@ def _spinor_action_matrix(doubled: DoubledSpace, phi: Multivector, covariant: bo
     return cols.T + 0.0, False
 
 
-def _null_space(doubled: DoubledSpace, phi: Multivector, covariant: bool,
-                tol: float, gap: float, diagnostics: bool):
+def _null_space(doubled: DoubledSpace, phi: Multivector, covariant: bool, diagnostics: bool):
     if not phi:
         raise ValueError("null space of the zero spinor is undefined")
     m, exact_path = _spinor_action_matrix(doubled, phi, covariant)
@@ -238,13 +236,13 @@ def _null_space(doubled: DoubledSpace, phi: Multivector, covariant: bool,
         )
     else:
         u, s, vh = np.linalg.svd(m) if m.size else (None, np.zeros(0), None)
-        cut = tol * (s[0] if s.size else 1.0)
+        cut = DEFAULT_TOL * (s[0] if s.size else 1.0)
         r = int(np.sum(s > cut))
         # the dimension decision is trusted when retained and discarded
-        # singular values are separated by a large spectral gap
+        # singular values are separated by a spectral gap of more than 1e6
         if 0 < r < len(s):
             diag["gap_ratio"] = float(s[r - 1] / max(s[r], 1e-300))
-            diag["gap_ok"] = diag["gap_ratio"] > gap
+            diag["gap_ok"] = diag["gap_ratio"] > 1e6
         basis = vh[r:].T
     sub = Subspace(doubled.space, basis, check_rank=False)
     is_pure = sub.dim == doubled.n
@@ -255,26 +253,22 @@ def _null_space(doubled: DoubledSpace, phi: Multivector, covariant: bool,
     return sub, is_pure
 
 
-def null_space(doubled: DoubledSpace, phi: Multivector, tol: float = 1e-9,
-               gap: float = 1e6, diagnostics: bool = False):
+def null_space(doubled: DoubledSpace, phi: Multivector, diagnostics: bool = False):
     """Null space {w : ρ(w)φ = 0} of a contravariant spinor and a purity flag.
 
     With ``diagnostics`` the spectral-gap report backing the float-path
     dimension decision is returned as a third value.
     """
-    return _null_space(doubled, phi, covariant=False, tol=tol, gap=gap,
-                       diagnostics=diagnostics)
+    return _null_space(doubled, phi, covariant=False, diagnostics=diagnostics)
 
 
-def null_space_covariant(doubled: DoubledSpace, chi: Multivector, tol: float = 1e-9,
-                         gap: float = 1e6, diagnostics: bool = False):
-    return _null_space(doubled, chi, covariant=True, tol=tol, gap=gap,
-                       diagnostics=diagnostics)
+def null_space_covariant(doubled: DoubledSpace, chi: Multivector):
+    return _null_space(doubled, chi, covariant=True, diagnostics=False)
 
 
 def pure_spinor(doubled: DoubledSpace, form: Multivector) -> PureSpinor:
-    """A constructed spinor with its null space at the space tolerance, asserted pure."""
-    null, pure = null_space(doubled, form, doubled.space.tol)
+    """A constructed spinor with its null space at the rank cut ``DEFAULT_TOL``, asserted pure."""
+    null, pure = null_space(doubled, form)
     if not pure:
         raise AssertionError("constructed spinor is not pure")
     return PureSpinor(doubled, form, LagrangianSubspace(doubled.space, null.basis, check=False))
@@ -290,7 +284,7 @@ def graph_two_form_of(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np
     n = E.ambient.dim // 2
     top = E.basis[:n]
     bottom = E.basis[n:]
-    s_basis = column_space_basis(top, E.ambient.tol)
+    s_basis = column_space_basis(top)
     r = s_basis.shape[1]
     omega = np.zeros((r, r))
     for i in range(r):
@@ -299,8 +293,8 @@ def graph_two_form_of(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np
         for j in range(r):
             omega[i, j] = alpha @ s_basis[:, j]
     omega = 0.5 * (omega - omega.T)  # kill numerical symmetric residue
-    ker_coeffs = nullspace_basis(bottom, E.ambient.tol)
-    kernel = column_space_basis(top @ ker_coeffs, E.ambient.tol) if ker_coeffs.size else np.zeros((n, 0))
+    ker_coeffs = nullspace_basis(bottom)
+    kernel = column_space_basis(top @ ker_coeffs) if ker_coeffs.size else np.zeros((n, 0))
     return s_basis, omega, kernel
 
 
@@ -322,7 +316,7 @@ def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace,
     else:
         omega_full = np.zeros((n, n))
     two_form = Multivector.from_antisymmetric_matrix(omega_full)
-    ann = nullspace_basis(s_basis.T, doubled.space.tol) if r else np.eye(n)
+    ann = nullspace_basis(s_basis.T) if r else np.eye(n)
     if orientation is None:
         mu = Multivector.scalar(n)
         for col in range(ann.shape[1]):
@@ -346,18 +340,8 @@ def chevalley_pairing(phi: Multivector, psi: Multivector):
     return phi.transpose_sign().wedge(psi).top_coefficient()
 
 
-def transversality_by_pairing(phi: PureSpinor, psi: PureSpinor, threshold: float = 1e-8) -> bool:
-    return abs(float(chevalley_pairing(phi.form, psi.form))) > threshold
-
-
-def pushforward(matrix, chi: Multivector) -> Multivector:
-    """A_* on Λ V for the linear map V -> V' with matrix (dim V', dim V)."""
-    return chi.pushforward(matrix)
-
-
-def pullback(matrix, phi: Multivector) -> Multivector:
-    """A* on Λ V'* for the linear map V -> V' with matrix (dim V', dim V)."""
-    return phi.pullback(matrix)
+def transversality_by_pairing(phi: PureSpinor, psi: PureSpinor) -> bool:
+    return abs(float(chevalley_pairing(phi.form, psi.form))) > 1e-8
 
 
 def star_to_covariant(phi: Multivector) -> Multivector:
@@ -384,8 +368,8 @@ def fixed_line_dimension(doubled: DoubledSpace, E: LagrangianSubspace,
 
     The matrices ρ(w) = Σ_k w_k P_k of a basis of E are read off the ρ table
     and stacked.  With ``exact_basis`` (columns over the rationals, each
-    scaled to integers) the rank is exact; otherwise SVD at the space
-    tolerance.
+    scaled to integers) the rank is exact; otherwise SVD at the rank cut
+    ``DEFAULT_TOL``.
     """
     size = 1 << doubled.n
     if exact_basis is not None:
@@ -398,19 +382,19 @@ def fixed_line_dimension(doubled: DoubledSpace, E: LagrangianSubspace,
     if exact_basis is not None:
         return size - exact.rank(stacked.tolist())
     s = np.linalg.svd(stacked, compute_uv=False)
-    cut = doubled.space.tol * (s[0] if s.size else 1.0)
+    cut = DEFAULT_TOL * (s[0] if s.size else 1.0)
     return int(size - np.sum(s > cut))
 
 
-def decompose_pure_spinor(doubled: DoubledSpace, phi: Multivector,
-                          tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, Multivector]:
+def decompose_pure_spinor(doubled: DoubledSpace,
+                          phi: Multivector) -> tuple[np.ndarray, np.ndarray, Multivector]:
     """Write a contravariant pure spinor as e^{-ω} ∧ μ.
 
     Returns (S, omega_S, mu): the range basis of N_φ, the induced 2-form on
     it, and the annihilator volume factor μ scaled so that the round trip
     e^{-ω} ∧ μ reproduces φ.
     """
-    null, pure = null_space(doubled, phi, tol)
+    null, pure = null_space(doubled, phi)
     if not pure:
         raise ValueError("spinor is not pure")
     E = LagrangianSubspace(doubled.space, null.basis, check=False)
@@ -420,7 +404,7 @@ def decompose_pure_spinor(doubled: DoubledSpace, phi: Multivector,
     blade = min(rebuilt.form.terms, key=lambda b: (len(b), b))
     scale = phi.terms.get(blade, 0) / rebuilt.form.terms[blade]
     k = s_basis.shape[1]
-    ann = nullspace_basis(s_basis.T, tol) if k else np.eye(doubled.n)
+    ann = nullspace_basis(s_basis.T) if k else np.eye(doubled.n)
     mu = Multivector.scalar(doubled.n, scale)
     for col in range(ann.shape[1]):
         mu = mu.wedge(Multivector.from_vector(ann[:, col]))

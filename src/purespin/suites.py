@@ -1,7 +1,7 @@
 """Acceptance-level verification suites.
 
-Each function runs one acceptance criterion at its stated tolerance and
-returns a report dict {"name", "passed", "details"}.  The same functions
+Each function runs one acceptance criterion at its pass thresholds, read
+from ``TOLERANCES``, and returns a report dict {"name", "passed", "details"}.  The same functions
 back the test suite (tests/test_acceptance.py) and the CLI ``verify-all``
 command; all randomness is drawn from a seeded generator so reports are
 reproducible bit for bit.
@@ -57,12 +57,33 @@ from .spinor import (
     spinor_of_lagrangian,
 )
 
-__all__ = ["ALL_CRITERIA", "run_criterion", "run_all"]
+__all__ = ["ALL_CRITERIA", "TOLERANCES", "run_criterion", "run_all"]
 
 
-def _random_sparse_exact(algebra: CliffordAlgebra, rng, terms: int = 5) -> Multivector:
+# Every pass threshold a criterion applies, recorded in reports for
+# provenance.  The criteria, and the CLI subcommands that apply a criterion's
+# own test, read their thresholds here.
+TOLERANCES = {
+    "clifford-exactness": "exact",
+    "fixed-line-dimension": "exact",
+    "purity-round-trip": 1e-9,
+    "chevalley-transversality": 1e-8,
+    "orthogonal-spinor-closed-vs-pin": {"error": 1e-8, "fallback_distance": 1e-12},
+    # the non-integrable control: ψ residual > control_ratio · max(worst φ, control_floor)
+    "cartan-dirac-integrability": {"phi_residual": 1e-4, "control_ratio": 10,
+                                   "control_floor": 1e-12},
+    "conjugacy-volume-nondegeneracy": {"density": 1e-6, "oracle": 1e-9},
+    "ghjw-equals-kks": 1e-10,
+    "qham-suite": {"moment_residual": 1e-8, "fused_density": 1e-10},
+    "fusion-three-form-identity": 1e-4,
+    "exponential-dirac": {"exterior_residual": 1e-5, "dirac_distance": 1e-8},
+    "courant-closure": 1e-4,
+}
+
+
+def _random_sparse_exact(algebra: CliffordAlgebra, rng) -> Multivector:
     out = {}
-    for _ in range(terms):
+    for _ in range(5):
         blade = tuple(sorted(rng.choice(algebra.dim, size=int(rng.integers(0, algebra.dim + 1)),
                                         replace=False)))
         out[blade] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
@@ -71,7 +92,7 @@ def _random_sparse_exact(algebra: CliffordAlgebra, rng, terms: int = 5) -> Multi
 
 # --------------------------------------------------------------------------- #
 
-def criterion_1(seed: int = 7) -> dict:
+def criterion_1(seed: int) -> dict:
     """Exact Clifford engine: associativity, spinor representation rank, idempotent."""
     rng = np.random.default_rng(seed)
     assoc_failures = 0
@@ -126,7 +147,7 @@ def criterion_1(seed: int = 7) -> dict:
                         "projector_ok": proj_ok}}
 
 
-def criterion_2(seed: int = 7) -> dict:
+def criterion_2(seed: int) -> dict:
     """dim of the fixed line of a Lagrangian is exactly 1 (rational arithmetic)."""
     rng = np.random.default_rng(seed)
     bad = 0
@@ -159,7 +180,7 @@ def criterion_2(seed: int = 7) -> dict:
             "details": {"violations": bad, "trials": trials}}
 
 
-def criterion_3(seed: int = 7) -> dict:
+def criterion_3(seed: int) -> dict:
     """Purity round trip: null_space(spinor_of_lagrangian(E)) returns E."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -172,11 +193,11 @@ def criterion_3(seed: int = 7) -> dict:
         lag = LagrangianSubspace(doubled.space, cols, check=False)
         ps = spinor_of_lagrangian(doubled, lag)
         worst = max(worst, ps.null.distance(lag))
-    return {"name": "purity-round-trip", "passed": worst < 1e-9,
+    return {"name": "purity-round-trip", "passed": worst < TOLERANCES["purity-round-trip"],
             "details": {"max_distance": worst, "trials": 500}}
 
 
-def criterion_4(seed: int = 7) -> dict:
+def criterion_4(seed: int) -> dict:
     """Pairing-vs-subspace transversality: zero disagreements on 500 pairs."""
     rng = np.random.default_rng(seed)
     disagreements = 0
@@ -193,7 +214,7 @@ def criterion_4(seed: int = 7) -> dict:
             lags.append(lag)
             spinors.append(spinor_of_lagrangian(doubled, lag))
         pairing = abs(float(chevalley_pairing(spinors[0].form, spinors[1].form)))
-        by_pairing = pairing > 1e-8
+        by_pairing = pairing > TOLERANCES["chevalley-transversality"]
         by_subspace = transverse(lags[0], lags[1])
         if by_pairing != by_subspace:
             disagreements += 1
@@ -201,8 +222,9 @@ def criterion_4(seed: int = 7) -> dict:
             "details": {"disagreements": disagreements, "trials": 500}}
 
 
-def criterion_5(seed: int = 7) -> dict:
+def criterion_5(seed: int) -> dict:
     """Closed-form spinor of an orthogonal map against the Pin reflection route."""
+    tol = TOLERANCES["orthogonal-spinor-closed-vs-pin"]
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0
@@ -223,38 +245,34 @@ def criterion_5(seed: int = 7) -> dict:
     lift = spinor_of_orthogonal(-np.eye(n), BilinearSpace(np.eye(n)))
     vol_ok = (lift.method == "reflections"
               and set(lift.psi.form.terms) == {tuple(range(n))}
-              and lift.psi.null.distance(doubled.v_star_subspace()) < 1e-12)
-    return {"name": "orthogonal-spinor-closed-vs-pin", "passed": worst < 1e-8 and vol_ok,
+              and lift.psi.null.distance(doubled.v_star_subspace()) < tol["fallback_distance"])
+    return {"name": "orthogonal-spinor-closed-vs-pin", "passed": worst < tol["error"] and vol_ok,
             "details": {"max_sign_matched_error": worst, "volume_fallback_ok": vol_ok}}
 
 
-def criterion_6(seed: int = 7) -> dict:
+def criterion_6(seed: int) -> dict:
     """Invariant-spinor integrability on su(2) with the non-integrable control."""
+    tol = TOLERANCES["cartan-dirac-integrability"]
     model = su2_model()
     pin = PinLift(model)
     rng = np.random.default_rng(seed)
     worst_phi = 0.0
-    min_ratio = math.inf
     for _ in range(20):
         g = model.random_element(rng)
-        rep = cartan_dirac_integrability(model, g, pin, h=1e-4)
-        worst_phi = max(worst_phi, rep["phi_residual"])
-        if rep["phi_residual"] > 0:
-            min_ratio = min(min_ratio, rep["psi_residual"] / max(rep["phi_residual"], 1e-30))
-        else:
-            min_ratio = min(min_ratio, math.inf)
+        worst_phi = max(worst_phi, cartan_dirac_integrability(model, g, pin)["phi_residual"])
     control_ok = all(
-        cartan_dirac_integrability(model, model.random_element(rng), pin, h=1e-4)["psi_residual"]
-        > 10 * max(worst_phi, 1e-12)
+        cartan_dirac_integrability(model, model.random_element(rng), pin)["psi_residual"]
+        > tol["control_ratio"] * max(worst_phi, tol["control_floor"])
         for _ in range(10)
     )
-    passed = worst_phi < 1e-4 and control_ok
+    passed = worst_phi < tol["phi_residual"] and control_ok
     return {"name": "cartan-dirac-integrability", "passed": passed,
             "details": {"max_phi_residual": worst_phi, "control_ok": control_ok}}
 
 
-def criterion_7(seed: int = 7) -> dict:
+def criterion_7(seed: int) -> dict:
     """Nonvanishing class volume densities, against the independent expansion."""
+    tol = TOLERANCES["conjugacy-volume-nondegeneracy"]
     model = su2_model()
     pin = PinLift(model)
     rng = np.random.default_rng(seed)
@@ -272,13 +290,13 @@ def criterion_7(seed: int = 7) -> dict:
             oracle = volume_density_oracle(ghjw_matrix(pt), psi, pt.frame)
             engine = conjugacy_volume_top(pt, pin)
             worst_oracle = max(worst_oracle, abs(engine - oracle))
-    passed = min_density > 1e-6 and worst_oracle < 1e-9
+    passed = min_density > tol["density"] and worst_oracle < tol["oracle"]
     return {"name": "conjugacy-volume-nondegeneracy", "passed": passed,
             "details": {"min_abs_density": min_density, "max_oracle_error": worst_oracle,
                         "classes": len(traces), "points_per_class": 100}}
 
 
-def criterion_8(seed: int = 7) -> dict:
+def criterion_8(seed: int) -> dict:
     """Class 2-form equals the orbit symplectic form on the semidirect model."""
     model = coadjoint_semidirect_model()
     rng = np.random.default_rng(seed)
@@ -296,12 +314,13 @@ def criterion_8(seed: int = 7) -> dict:
             gh = ghjw_value(model, pt.g, z1, z2)
             kks = float(mu_pt @ np.cross(xi1, xi2))
             worst = max(worst, abs(gh - kks))
-    return {"name": "ghjw-equals-kks", "passed": worst < 1e-10,
+    return {"name": "ghjw-equals-kks", "passed": worst < TOLERANCES["ghjw-equals-kks"],
             "details": {"max_difference": worst, "points": 100}}
 
 
-def criterion_9(seed: int = 7) -> dict:
+def criterion_9(seed: int) -> dict:
     """Moment axioms, definition equivalence, and fused-double volume."""
+    tol = TOLERANCES["qham-suite"]
     model = su2_model()
     pin = PinLift(model)
     factory = DoubleFactory(model)
@@ -343,8 +362,9 @@ def criterion_9(seed: int = 7) -> dict:
         if not rep["agree"]:
             disagreements += 1
 
-    passed = (worst_class < 1e-8 and worst_fused < 1e-8 and class_deg_ok and fused_deg_ok
-              and disagreements == 0 and min_fused_density > 1e-10)
+    passed = (worst_class < tol["moment_residual"] and worst_fused < tol["moment_residual"]
+              and class_deg_ok and fused_deg_ok and disagreements == 0
+              and min_fused_density > tol["fused_density"])
     return {"name": "qham-suite", "passed": passed,
             "details": {"max_class_residual": worst_class,
                         "max_fused_residual": worst_fused,
@@ -360,7 +380,7 @@ def _noise(rng, m: int, eps: float) -> np.ndarray:
     return a - a.T
 
 
-def criterion_10(seed: int = 7) -> dict:
+def criterion_10(seed: int) -> dict:
     """Product 3-form identity by finite differences on the direct product."""
     model = su2_model()
     factory = DoubleFactory(model)
@@ -369,12 +389,14 @@ def criterion_10(seed: int = 7) -> dict:
     for _ in range(10):
         a, b = model.random_element(rng), model.random_element(rng)
         worst = max(worst, mult_eta_identity_residual(model, factory.product, a, b))
-    return {"name": "fusion-three-form-identity", "passed": worst < 1e-4,
+    return {"name": "fusion-three-form-identity",
+            "passed": worst < TOLERANCES["fusion-three-form-identity"],
             "details": {"max_residual": worst, "points": 10}}
 
 
-def criterion_11(seed: int = 7) -> dict:
+def criterion_11(seed: int) -> dict:
     """Exponential theorem: homotopy primitive and strong Dirac property."""
+    tol = TOLERANCES["exponential-dirac"]
     model = su2_model()
     rng = np.random.default_rng(seed)
     worst_ext = 0.0
@@ -386,13 +408,14 @@ def criterion_11(seed: int = 7) -> dict:
         worst_ext = max(worst_ext, rep["exterior_residual"])
         worst_dist = max(worst_dist, rep["dirac_distance"])
         all_strong = all_strong and rep["strong"]
-    passed = worst_ext < 1e-5 and worst_dist < 1e-8 and all_strong
+    passed = (worst_ext < tol["exterior_residual"] and worst_dist < tol["dirac_distance"]
+              and all_strong)
     return {"name": "exponential-dirac", "passed": passed,
             "details": {"max_exterior_residual": worst_ext,
                         "max_dirac_distance": worst_dist, "all_strong": all_strong}}
 
 
-def criterion_12(seed: int = 7) -> dict:
+def criterion_12(seed: int) -> dict:
     """Closure of the invariant Lagrangian fibers under the derived bracket."""
     model = su2_model()
     eta = eta_multivector(model)
@@ -406,7 +429,7 @@ def criterion_12(seed: int = 7) -> dict:
         doubled = DoubledSpace(model.dim)
         val = abs(doubled.space.pairing(cartan_section_field(model, chi)(g), br))
         worst = max(worst, val)
-    return {"name": "courant-closure", "passed": worst < 1e-4,
+    return {"name": "courant-closure", "passed": worst < TOLERANCES["courant-closure"],
             "details": {"max_pairing": worst, "points": 10}}
 
 
@@ -424,23 +447,6 @@ ALL_CRITERIA = {
     11: criterion_11,
     12: criterion_12,
 }
-
-# pinned pass thresholds, recorded in reports for provenance
-TOLERANCES = {
-    "clifford-exactness": "exact",
-    "fixed-line-dimension": "exact",
-    "purity-round-trip": 1e-9,
-    "chevalley-transversality": 1e-8,
-    "orthogonal-spinor-closed-vs-pin": 1e-8,
-    "cartan-dirac-integrability": 1e-4,
-    "conjugacy-volume-nondegeneracy": {"density": 1e-6, "oracle": 1e-9},
-    "ghjw-equals-kks": 1e-10,
-    "qham-suite": 1e-8,
-    "fusion-three-form-identity": 1e-4,
-    "exponential-dirac": 1e-5,
-    "courant-closure": 1e-4,
-}
-
 
 def run_criterion(number: int, seed: int = 7) -> dict:
     report = ALL_CRITERIA[number](seed)

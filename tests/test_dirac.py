@@ -31,7 +31,6 @@ from purespin.spinor import (
     covariant_spinor_of_lagrangian,
     null_space,
     null_space_covariant,
-    pushforward,
     spinor_of_lagrangian,
 )
 
@@ -134,7 +133,7 @@ class TestDiracImages:
             image, strong = dirac_image(a, lag, d_out)
             assert image.is_lagrangian(1e-7)
             chi = covariant_spinor_of_lagrangian(d, lag)
-            pushed = pushforward(a, chi)
+            pushed = chi.pushforward(a)
             if pushed.norm() > 1e-9:
                 assert strong
                 sub, pure = null_space_covariant(d_out, pushed)
@@ -143,7 +142,6 @@ class TestDiracImages:
                 assert not strong
 
     def test_preimage_formula_matches_spinor_pullback(self, rng):
-        from purespin.spinor import pullback
         n, n_out = 3, 2
         d, d_out = DoubledSpace(n), DoubledSpace(n_out)
         for _ in range(25):
@@ -152,7 +150,7 @@ class TestDiracImages:
             pre, nonzero = dirac_preimage(a, lag, d)
             assert pre.is_lagrangian(1e-7)
             phi = spinor_of_lagrangian(d_out, lag).form
-            pulled = pullback(a, phi)
+            pulled = phi.pullback(a)
             if pulled.norm() > 1e-9:
                 assert nonzero
                 sub, pure = null_space(d, pulled)

@@ -1,13 +1,20 @@
-"""Module hygiene: every export resolves and every import is used.
+"""Module hygiene: every export resolves, every import is used, every option is set.
 
 Each ``purespin`` module is parsed with ``ast``.  A name listed in
 ``__all__`` must exist on the imported module, and a name bound by an import
 statement must occur somewhere else in the module, as an identifier or as a
 word inside a string (string annotations, ``__all__`` re-exports).
+
+A parameter with a default must be passed, by keyword or by position, at one
+or more call sites in ``src/``, ``tests/`` or ``bench/``; otherwise it is a
+constant written as an option.  Calls are resolved by the called name alone
+(``f(...)`` and ``obj.f(...)`` both count for every function named ``f``), and
+a constructor call counts for the class's ``__init__``.
 """
 
 import ast
 import importlib
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -18,6 +25,7 @@ import purespin
 
 MODULES = sorted(
     ["purespin"] + [f"purespin.{m.name}" for m in pkgutil.iter_modules(purespin.__path__)])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _tree(name: str) -> ast.Module:
@@ -73,3 +81,85 @@ def test_checks_catch_defects():
     used = _used_words(tree)
     assert [n for n in _imported_names(tree) if n not in used] == ["os"]
     assert _exports(tree) == ["gone"]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defaulted(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) for each parameter with a default.
+
+    ``position`` is the parameter's index among the arguments a call passes
+    positionally (self or cls not counted), None for a keyword-only one.
+    The parameters of ``__init__`` are listed under the class name, which is
+    what a constructor call names.
+    """
+    owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(fn))
+        bound = int(cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list))
+        name = cls.name if cls is not None and fn.name == "__init__" else fn.name
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        out += [(name, a.arg, i - bound) for i, a in enumerate(args) if i >= first]
+        out += [(name, a.arg, None)
+                for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _passed(trees) -> dict[str, tuple[set, float]]:
+    """Per called name: the keywords some call passes and the most positional arguments.
+
+    A ``**mapping`` argument is recorded as the keyword None and a ``*args``
+    argument as unboundedly many positional arguments.
+    """
+    calls: dict[str, tuple[set, float]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None:
+                continue
+            keywords, count = calls.get(name, (set(), 0))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls[name] = (keywords | {k.arg for k in node.keywords},
+                           max(count, math.inf if starred else len(node.args)))
+    return calls
+
+
+def _unset(defaulted, calls) -> list[str]:
+    out = []
+    for fn, param, position in defaulted:
+        keywords, count = calls.get(fn, (set(), 0))
+        if not (param in keywords or None in keywords
+                or (position is not None and count > position)):
+            out.append(f"{fn}({param})")
+    return out
+
+
+def test_every_default_is_set_by_a_caller():
+    defaulted = [d for path in sorted((ROOT / "src" / "purespin").glob("*.py"))
+                 for d in _defaulted(_parse(path))]
+    calls = _passed(_parse(path) for part in ("src", "tests", "bench")
+                    for path in sorted((ROOT / part).rglob("*.py")))
+    unset = _unset(defaulted, calls)
+    assert not unset, f"parameters whose default no call overrides: {unset}"
+
+
+def test_default_check_catches_defects():
+    source = ast.parse(
+        "def f(a, b=1, *, c=2): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0): pass\n"
+        "    def m(self, y=1, z=2): pass\n"
+        "    @staticmethod\n"
+        "    def s(u, v=0): pass\n")
+    calls = _passed([ast.parse("f(1, 2)\nK(x=3)\nk.m(4)\nK.s(5)\n")])
+    assert _unset(_defaulted(source), calls) == ["f(c)", "m(z)", "s(v)"]

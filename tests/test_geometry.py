@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from purespin.bilinear import BilinearSpace, subspace_distance, transverse
-from purespin.dirac import kappa_embed
+from purespin.dirac import kappa_embed, spinor_of_orthogonal
 from purespin.forms import fd_exterior_derivative, fd_exterior_derivative_flat
 from purespin.geometry import (
     PinLift,
@@ -228,7 +228,8 @@ class TestPinLiftForms:
             if abs(np.linalg.det(section_matrix(su2, g) + np.eye(3))) < 1e-3:
                 continue
             psi, _ = su2_pin.forms_at(g)
-            closed = su2_pin.psi_closed_form(g)
+            a = section_matrix(su2, g)
+            closed = spinor_of_orthogonal(a, BilinearSpace(su2.B), method="closed").psi.form
             assert min((psi - closed).norm(), (psi + closed).norm()) < 1e-9
 
     def test_singular_locus_top_degree_dominant(self, su2, su2_pin):
@@ -625,10 +626,6 @@ class TestFormWrappers:
         e, f = cartan_sections(su2, g, xi)
         assert np.allclose(e, cartan_section_field(su2, xi, "e")(g))
         assert np.allclose(f, cartan_section_field(su2, xi, "f")(g))
-
-    def test_center_membership(self, su2):
-        assert su2.center_test(-np.eye(2)) and su2.center_test(np.eye(2))
-        assert not su2.center_test(su2_class_from_trace(0.0))
 
 
 class TestLeafIdentity:

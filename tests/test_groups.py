@@ -123,9 +123,12 @@ class TestExtensions:
         wr = swap_double_model(su2)
         g1, g2 = su2.random_element(rng), su2.random_element(rng)
         for swap in (False, True):
-            b1, b2, s = wr.blocks(wr.pair(g1, g2, swap=swap))
-            assert s == swap
-            assert np.linalg.norm(b1 - g1) < 1e-12 and np.linalg.norm(b2 - g2) < 1e-12
+            g = wr.pair(g1, g2, swap=swap)
+            blocks = {(i, j): g[2 * i:2 * i + 2, 2 * j:2 * j + 2] for i in (0, 1) for j in (0, 1)}
+            first, second = ((0, 1), (1, 0)) if swap else ((0, 0), (1, 1))
+            assert np.linalg.norm(blocks.pop(first) - g1) < 1e-12
+            assert np.linalg.norm(blocks.pop(second) - g2) < 1e-12
+            assert not any(b.any() for b in blocks.values())
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):

@@ -25,8 +25,6 @@ from purespin.spinor import (
     null_space,
     mask_vector,
     null_space_covariant,
-    pullback,
-    pushforward,
     rho_contravariant,
     rho_covariant,
     rho_generators,
@@ -349,8 +347,8 @@ class TestChevalley:
 class TestFunctoriality:
     def test_pushforward_identity_and_zero(self):
         chi = Multivector(3, {(0, 1): 1.0, (): 2.0})
-        assert (pushforward(np.eye(3), chi) - chi).norm() == 0
-        assert pushforward(np.zeros((2, 3)), chi).terms == {(): 2.0}
+        assert (chi.pushforward(np.eye(3)) - chi).norm() == 0
+        assert chi.pushforward(np.zeros((2, 3))).terms == {(): 2.0}
 
     def test_pullback_intertwines(self, rng):
         # ρ(w)(A*φ') = A*(ρ(w')φ') for w ~_A w'
@@ -363,8 +361,8 @@ class TestFunctoriality:
             alpha_p = rng.standard_normal(np_)
             w = np.concatenate([v, a.T @ alpha_p])
             w_p = np.concatenate([a @ v, alpha_p])
-            lhs = rho_contravariant(d, w, pullback(a, phi_p))
-            rhs = pullback(a, rho_contravariant(d_, w_p, phi_p))
+            lhs = rho_contravariant(d, w, phi_p.pullback(a))
+            rhs = rho_contravariant(d_, w_p, phi_p).pullback(a)
             assert (lhs - rhs).norm() < 1e-12
 
     def test_pushforward_intertwines(self, rng):
@@ -377,8 +375,8 @@ class TestFunctoriality:
             alpha_p = rng.standard_normal(np_)
             w = np.concatenate([v, a.T @ alpha_p])
             w_p = np.concatenate([a @ v, alpha_p])
-            lhs = rho_covariant(d_, w_p, pushforward(a, chi))
-            rhs = pushforward(a, rho_covariant(d, w, chi))
+            lhs = rho_covariant(d_, w_p, chi.pushforward(a))
+            rhs = rho_covariant(d, w, chi).pushforward(a)
             assert (lhs - rhs).norm() < 1e-12
 
     def test_duality_adjunction(self, rng):
@@ -391,7 +389,7 @@ class TestFunctoriality:
         def pair(form, multi):
             return sum(float(c) * float(multi.terms.get(b, 0.0)) for b, c in form.terms.items())
 
-        assert abs(pair(pullback(a, psi_p), chi) - pair(psi_p, pushforward(a, chi))) < 1e-12
+        assert abs(pair(psi_p.pullback(a), chi) - pair(psi_p, chi.pushforward(a))) < 1e-12
 
 
 class TestCovariantAndStar:
