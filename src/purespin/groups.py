@@ -93,11 +93,19 @@ class GroupModel:
         return np.array(cols).T
 
     def _structure_constants(self) -> np.ndarray:
+        """c[i, j, k] = c_ij^k, the coordinates of [e_i, e_j].
+
+        The least-squares coordinates leave roundoff of about 1e-16 where a
+        constant vanishes (14 of su(3)'s 68 entries); entries at or below
+        1e-12 of the largest are set to zero, so that ``ad``, ``bracket``,
+        the spin generators and d_CE carry only the true constants.
+        """
         d = self.dim
         c = np.zeros((d, d, d))
         for i in range(d):
             for j in range(d):
                 c[i, j] = self.coeffs(self.basis[i] @ self.basis[j] - self.basis[j] @ self.basis[i])
+        c[np.abs(c) <= 1e-12 * np.abs(c).max()] = 0.0
         return c
 
     def bracket(self, x, y) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Acceptance-level verification suites.
 
 Each function runs one acceptance criterion at its pass thresholds, read
-from ``TOLERANCES``, and returns a report dict {"name", "passed", "details"}.  The same functions
-back the test suite (tests/test_acceptance.py) and the CLI ``verify-all``
-command; all randomness is drawn from a seeded generator so reports are
-reproducible bit for bit.
+from ``TOLERANCES``, and returns a report dict {"name", "passed",
+"details"}.  The same functions back the test suite
+(tests/test_acceptance.py) and the CLI ``verify-all`` command; all
+randomness is drawn from a seeded generator so reports are reproducible bit
+for bit.
 """
 
 from __future__ import annotations

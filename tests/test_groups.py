@@ -46,6 +46,19 @@ class TestModelAxioms:
                               - model.algebra_matrix(y) @ model.algebra_matrix(x))
         assert np.linalg.norm(model.bracket(x, y) - direct) < 1e-10
 
+    def test_jacobi_identity(self, model, rng):
+        for _ in range(5):
+            x, y, z = (model.random_algebra(rng) for _ in range(3))
+            cyclic = (model.bracket(x, model.bracket(y, z)) + model.bracket(y, model.bracket(z, x))
+                      + model.bracket(z, model.bracket(x, y)))
+            assert np.linalg.norm(cyclic) < 1e-12
+
+    def test_structure_constants_hold_no_roundoff(self, model):
+        # the least-squares coordinates leave ~1e-16 where c_ij^k vanishes
+        for m in (model, product_model(model, model), swap_double_model(model)):
+            c = np.abs(m.structure)
+            assert not np.any((c > 0) & (c <= 1e-12 * c.max())), m.name
+
     def test_log_inverts_exp(self, model, rng):
         x = model.random_algebra(rng, 0.5)
         assert np.linalg.norm(model.log(model.exp(x)) - x) < 1e-8
@@ -92,6 +105,10 @@ class TestSpecificModels:
 
     def test_su3_dimension(self, su3):
         assert su3.dim == 8 and np.allclose(su3.B, np.eye(8))
+
+    def test_su3_structure_constant_count(self, su3):
+        # nine totally antisymmetric f_abc with a < b < c, six orderings each
+        assert np.count_nonzero(su3.structure) == 54
 
 
 class TestExtensions:
