@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .bilinear import BilinearSpace, LagrangianSubspace, random_orthogonal, transverse
+from .bilinear import BilinearSpace, LagrangianSubspace, nullspace_basis, random_orthogonal, transverse
 from .clifford import CliffordAlgebra, factor_into_reflections, pin_lift_from_reflections
 from .dirac import dirac_image, dirac_preimage, is_strong_dirac, kappa_embed
 from .geometry import (
@@ -45,7 +45,7 @@ from .moment import (
     strong_dirac_equivalence,
 )
 from .multivector import Multivector, _scalar_str
-from .spinor import DoubledSpace, chevalley_pairing, spinor_of_lagrangian
+from .spinor import DoubledSpace, spinor_of_lagrangian, transversality_by_pairing
 from .suites import TOLERANCES, run_all
 
 SCHEMA = "purespin-report/1"
@@ -155,9 +155,7 @@ def cmd_spinor(args) -> int:
         ps1 = spinor_of_lagrangian(doubled, lag1)
         ps2 = spinor_of_lagrangian(doubled, lag2)
         worst = max(worst, ps1.null.distance(lag1), ps2.null.distance(lag2))
-        pairing = abs(float(chevalley_pairing(ps1.form, ps2.form)))
-        agree = agree and ((pairing > TOLERANCES["chevalley-transversality"])
-                           == transverse(lag1, lag2))
+        agree = agree and transversality_by_pairing(ps1, ps2) == transverse(lag1, lag2)
     checks = [
         {"name": "purity-round-trip", "passed": worst < TOLERANCES["purity-round-trip"],
          "max_distance": worst},
@@ -209,7 +207,7 @@ def cmd_conjugacy_volume(args) -> int:
         checks.append({
             "index": idx,
             "point": np.asarray(pt.g).tolist(),
-            "ghjw_rank": int(np.linalg.matrix_rank(omega, tol=1e-8)) if omega.size else 0,
+            "ghjw_rank": omega.shape[1] - nullspace_basis(omega, scale=1.0).shape[1],
             "density": dens,
             "passed": abs(dens) > TOLERANCES["conjugacy-volume-nondegeneracy"]["density"],
         })

@@ -45,7 +45,7 @@ from .forms import (
     fd_exterior_derivative_flat,
     left_invariant_derivative,
 )
-from .groups import GroupModel, _rotation_log
+from .groups import GroupModel
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_generators, rho_of_columns
 
@@ -193,24 +193,6 @@ def _kappa_derivative(x: np.ndarray, b: np.ndarray, b_inv: np.ndarray) -> np.nda
     return np.block([[x / 2, x @ b_inv], [b @ x / 4, b @ x @ b_inv / 2]])
 
 
-def _traceless_log(g) -> np.ndarray:
-    """Skew-Hermitian logarithm of a unitary matrix whose eigen-angles sum to zero.
-
-    The principal eigen-angles of the complex Schur form, with round(Σθ/2π)
-    of the largest (or, for a negative sum, the smallest) moved by a whole
-    turn.  This lands in su(n) also where the principal logarithm is not
-    traceless: wrapped angle sums and central elements.
-    """
-    t, q = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
-    theta = np.angle(np.diag(t))
-    turns = int(round(float(theta.sum()) / (2 * math.pi)))
-    if turns:
-        order = np.argsort(theta)
-        shift = order[::-1][:turns] if turns > 0 else order[:-turns]
-        theta[shift] -= math.copysign(2 * math.pi, turns)
-    return (q * (1j * theta)) @ q.conj().T
-
-
 @dataclass
 class _SpinBlock:
     """The spin generators on one parity block of Λ V*, stored sparsely.
@@ -272,17 +254,13 @@ class PinLift:
     g the same homomorphism gives L(g·exp(±h e_a)) = exp(±h S_a)·L(g), which
     ``forms_near`` uses for finite-difference stencils.
 
-    ξ comes from the Schur form of g for unitary models (eigen-angles moved
-    by whole turns to sum to zero, or real rotation blocks for real models)
-    and from ``model.log`` otherwise, and is verified to lie in the Lie
-    algebra.
+    ξ = ``model.log(g)``, the model's one logarithm, which refuses an element
+    with no logarithm in the Lie algebra.
     """
 
     def __init__(self, model: GroupModel):
         self.model = model
         self._mu_scale = math.sqrt(abs(float(np.linalg.det(model.B))))
-        self._unitary = all(np.allclose(np.conj(x).T, -x) for x in model.basis)
-        self._real = not any(np.iscomplexobj(x) for x in model.basis)
 
     @cached_property
     def _spin_blocks(self) -> list["_SpinBlock"]:
@@ -325,22 +303,9 @@ class PinLift:
             blocks.append(_SpinBlock(size, entries, weights, blades, seeds))
         return blocks
 
-    def _algebra_log(self, g) -> np.ndarray:
-        """ξ in the Lie algebra with exp ξ = g (a one-line ValueError if none is found)."""
-        model = self.model
-        if self._unitary:
-            x = _rotation_log(g) if self._real else _traceless_log(g)
-            xi = model.coeffs(x)
-            if np.linalg.norm(model.algebra_matrix(xi) - x) <= 1e-9 * (1.0 + np.linalg.norm(x)):
-                return xi
-        xi = model.log(g)
-        if np.linalg.norm(model.exp(xi) - g) <= 1e-8 * (1.0 + np.linalg.norm(g)):
-            return xi
-        raise ValueError(f"no logarithm of the element in the Lie algebra of {model.name!r}")
-
     def _lift_columns(self, g) -> list[np.ndarray]:
         """exp(Σ ξ_a S_a) on the seeds of each block for ξ = log g, as (size, seeds) arrays."""
-        xi = self._algebra_log(g)
+        xi = self.model.log(g)
         out = []
         for block in self._spin_blocks:
             exponent = np.zeros(block.size * block.size)

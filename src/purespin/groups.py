@@ -4,6 +4,9 @@ A :class:`GroupModel` packages a faithful matrix representation, an ordered
 basis of the Lie algebra, and an ad-invariant inner product B.  Group
 elements are plain numpy matrices in the representation; the adjoint action,
 structure constants and exponential are derived from the representation.
+``GroupModel.log`` is each model's one logarithm (a Schur form, or the closed
+form on the semidirect product); it refuses an element whose logarithm is
+not in the Lie algebra.
 
 Provided models: su(2) (B = Id from the normalized trace form), so(3)
 (same Lie algebra, adjoint action not liftable through the double cover),
@@ -82,7 +85,20 @@ class GroupModel:
         return scipy.linalg.expm(self.algebra_matrix(coeffs))
 
     def log(self, g) -> np.ndarray:
-        return self.coeffs(scipy.linalg.logm(np.asarray(g, dtype=complex)))
+        """ξ in the Lie algebra with exp ξ = g; a one-line ValueError if there is none.
+
+        ``_log_matrix`` is the one route per model: Schur eigen-angles moved by
+        whole turns to sum to zero (complex models), real Schur rotation blocks
+        (so3), a closed form (coadjoint-semidirect), factor by factor (products).
+        """
+        x = self._log_matrix(g)
+        xi = self.coeffs(x)
+        if np.linalg.norm(self.algebra_matrix(xi) - x) > 1e-9 * (1.0 + np.linalg.norm(x)):
+            raise ValueError(f"no logarithm of the element in the Lie algebra of {self.name!r}")
+        return xi
+
+    def _log_matrix(self, g) -> np.ndarray:
+        return _traceless_log(g) if self._complex else _rotation_log(g)
 
     # -- adjoint data ------------------------------------------------------ #
 
@@ -182,7 +198,7 @@ def _rotation_log(g) -> np.ndarray:
     eigenvalues -1 are paired into half turns, which complex eigen-angles
     cannot express as a real matrix.
     """
-    t, q = scipy.linalg.schur(np.asarray(g, dtype=float), output="real")
+    t, q = scipy.linalg.schur(np.asarray(g).real, output="real")
     n = t.shape[0]
     x = np.zeros((n, n))
     half_turns = []
@@ -199,6 +215,24 @@ def _rotation_log(g) -> np.ndarray:
     for a, b in zip(half_turns[::2], half_turns[1::2]):
         x[b, a], x[a, b] = math.pi, -math.pi
     return q @ x @ q.T
+
+
+def _traceless_log(g) -> np.ndarray:
+    """Skew-Hermitian logarithm of a unitary matrix whose eigen-angles sum to zero.
+
+    The principal eigen-angles of the complex Schur form, with round(Σθ/2π)
+    of the largest (or, for a negative sum, the smallest) moved by a whole
+    turn.  This lands in su(n) also where the principal logarithm is not
+    traceless: wrapped angle sums and central elements.
+    """
+    t, q = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
+    theta = np.angle(np.diag(t))
+    turns = int(round(float(theta.sum()) / (2 * math.pi)))
+    if turns:
+        order = np.argsort(theta)
+        shift = order[::-1][:turns] if turns > 0 else order[:-turns]
+        theta[shift] -= math.copysign(2 * math.pi, turns)
+    return (q * (1j * theta)) @ q.conj().T
 
 
 _PAULI = [
@@ -243,8 +277,8 @@ def su3_model() -> GroupModel:
 class _CoadjointSemidirectModel(GroupModel):
     """SO(3) ⋉ so(3)* with the closed-form logarithm of its elements."""
 
-    def log(self, g) -> np.ndarray:
-        """ξ with exp ξ = [[R, w], [0, 1]], for rotation angles in [0, π].
+    def _log_matrix(self, g) -> np.ndarray:
+        """[[ω̂, p], [0, 0]] with exponential [[R, w], [0, 1]], for rotation angles in [0, π].
 
         The rotation part ω̂ is the real Schur logarithm of R (half turns
         paired); exp [[ω̂, p], [0, 0]] = [[R, V p], [0, 1]] with V the
@@ -259,7 +293,7 @@ class _CoadjointSemidirectModel(GroupModel):
         x = np.zeros((4, 4))
         x[:3, :3] = omega
         x[:3, 3] = np.linalg.solve(scipy.linalg.expm(block)[:3, 3:], g[:3, 3])
-        return self.coeffs(x)
+        return x
 
 
 def coadjoint_semidirect_model() -> GroupModel:
@@ -268,7 +302,7 @@ def coadjoint_semidirect_model() -> GroupModel:
     Basis order (P_1..P_3, J_1..J_3); B is the duality pairing, a split form
     [[0, I], [I, 0]].  The double cover of the rotation factor is invisible
     to everything adjoint-level, which is all this model is used for.  The
-    logarithm has a closed form (see ``_CoadjointSemidirectModel.log``).
+    logarithm has a closed form (see ``_CoadjointSemidirectModel._log_matrix``).
     """
     so3 = so3_model()
     basis = []
@@ -286,49 +320,51 @@ def coadjoint_semidirect_model() -> GroupModel:
     return _CoadjointSemidirectModel("coadjoint-semidirect", basis, B, liftable=True)
 
 
-def product_model(m1: GroupModel, m2: GroupModel) -> GroupModel:
+class _ProductModel(GroupModel):
     """Direct product with block-diagonal representation and B = B1 ⊕ B2."""
-    r1, r2 = m1.rep_dim, m2.rep_dim
-    basis = []
-    for x in m1.basis:
-        b = np.zeros((r1 + r2, r1 + r2), dtype=complex)
-        b[:r1, :r1] = x
-        basis.append(b)
-    for x in m2.basis:
-        b = np.zeros((r1 + r2, r1 + r2), dtype=complex)
-        b[r1:, r1:] = x
-        basis.append(b)
-    B = np.zeros((m1.dim + m2.dim, m1.dim + m2.dim))
-    B[:m1.dim, :m1.dim] = m1.B
-    B[m1.dim:, m1.dim:] = m2.B
-    model = GroupModel(f"{m1.name}x{m2.name}", basis, B,
-                       liftable=m1.liftable and m2.liftable)
-    model.factors = (m1, m2)  # type: ignore[attr-defined]
-    return model
+
+    def __init__(self, m1: GroupModel, m2: GroupModel):
+        r1, r2 = m1.rep_dim, m2.rep_dim
+        basis = []
+        for x in m1.basis:
+            b = np.zeros((r1 + r2, r1 + r2), dtype=complex)
+            b[:r1, :r1] = x
+            basis.append(b)
+        for x in m2.basis:
+            b = np.zeros((r1 + r2, r1 + r2), dtype=complex)
+            b[r1:, r1:] = x
+            basis.append(b)
+        B = np.zeros((m1.dim + m2.dim, m1.dim + m2.dim))
+        B[:m1.dim, :m1.dim] = m1.B
+        B[m1.dim:, m1.dim:] = m2.B
+        super().__init__(f"{m1.name}x{m2.name}", basis, B, liftable=m1.liftable and m2.liftable)
+        self.factors = (m1, m2)
+
+    def _log_matrix(self, g) -> np.ndarray:
+        """Each diagonal block by its factor's route; the off-diagonal blocks are
+        kept, so an element that is not block diagonal fails the membership test."""
+        (m1, m2), r = self.factors, self.factors[0].rep_dim
+        x = np.array(g, dtype=complex)
+        x[:r, :r] = m1._log_matrix(x[:r, :r])
+        x[r:, r:] = m2._log_matrix(x[r:, r:])
+        return x
 
 
-class SwapDoubleModel(GroupModel):
+def product_model(m1: GroupModel, m2: GroupModel) -> GroupModel:
+    return _ProductModel(m1, m2)
+
+
+class SwapDoubleModel(_ProductModel):
     """Z2 ⋉ (G × G): pairs with an optional swap, as block matrices.
 
     (1, (g1, g2)) -> [[g1, 0], [0, g2]]; (σ, (g1, g2)) -> [[0, g1], [g2, 0]].
-    The group law of the semidirect product is plain matrix multiplication.
+    The group law of the semidirect product is plain matrix multiplication;
+    the Lie algebra, B and logarithm are those of G × G.
     """
 
     def __init__(self, base: GroupModel):
-        r = base.rep_dim
-        basis = []
-        for x in base.basis:
-            b = np.zeros((2 * r, 2 * r), dtype=complex)
-            b[:r, :r] = x
-            basis.append(b)
-        for x in base.basis:
-            b = np.zeros((2 * r, 2 * r), dtype=complex)
-            b[r:, r:] = x
-            basis.append(b)
-        B = np.zeros((2 * base.dim, 2 * base.dim))
-        B[:base.dim, :base.dim] = base.B
-        B[base.dim:, base.dim:] = base.B
-        super().__init__(f"z2wr-{base.name}", basis, B, liftable=base.liftable)
+        super().__init__(base, base)
+        self.name = f"z2wr-{base.name}"
         self.base = base
 
     def pair(self, g1, g2, swap: bool = False) -> np.ndarray:

@@ -123,7 +123,7 @@ def minimal_degeneracy(p: QHamPoint) -> dict:
     """Both forms of the kernel condition, and whether they agree.
 
     Original: ker ω = {ξ^♯ : Ad_Φ ξ = -ξ}.  Elegant: ker ω ∩ ker dΦ = 0.
-    Kernels and ranks are cut at 1e-8.
+    Null spaces, ker ω ∩ ker dΦ among them (of [ker ω, -ker dΦ]), are cut at 1e-8·max(s_max, 1).
     """
     tol = 1e-8
     ker_omega = nullspace_basis(p.omega, tol, scale=1.0)
@@ -132,13 +132,7 @@ def minimal_degeneracy(p: QHamPoint) -> dict:
     original = (ker_omega.shape[1] == flipped.shape[1]
                 and subspace_distance(ker_omega, flipped) <= 1e-6)
     ker_dphi = nullspace_basis(p.dphi.T, tol, scale=1.0)
-    if ker_omega.shape[1] == 0 or ker_dphi.shape[1] == 0:
-        inter_dim = 0
-    else:
-        stacked = np.hstack([ker_omega, -ker_dphi])
-        inter_dim = ker_omega.shape[1] + ker_dphi.shape[1] - np.linalg.matrix_rank(
-            stacked, tol=tol)
-    elegant = inter_dim == 0
+    elegant = nullspace_basis(np.hstack([ker_omega, -ker_dphi]), tol, scale=1.0).shape[1] == 0
     return {
         "original": original,
         "elegant": elegant,
@@ -434,7 +428,7 @@ def regular_value_report(p: QHamPoint) -> dict:
     entering the local regular-value criterion.
     """
     at_identity = bool(np.linalg.norm(np.asarray(p.phi) - p.model.identity()) < 1e-9)
-    rank = int(np.linalg.matrix_rank(p.dphi, tol=1e-8)) if p.dphi.size else 0
+    rank = p.dphi.shape[1] - nullspace_basis(p.dphi, scale=1.0).shape[1]
     return {
         "moment_is_identity": at_identity,
         "dphi_rank": rank,

@@ -43,6 +43,7 @@ from .bilinear import (
 from .multivector import Multivector
 
 __all__ = [
+    "PAIRING_CUT",
     "DoubledSpace",
     "PureSpinor",
     "pure_spinor",
@@ -340,8 +341,12 @@ def chevalley_pairing(phi: Multivector, psi: Multivector):
     return phi.transpose_sign().wedge(psi).top_coefficient()
 
 
+# Two pure spinors are transverse when |(φ, ψ)| exceeds this cut.
+PAIRING_CUT = 1e-8
+
+
 def transversality_by_pairing(phi: PureSpinor, psi: PureSpinor) -> bool:
-    return abs(float(chevalley_pairing(phi.form, psi.form))) > 1e-8
+    return abs(float(chevalley_pairing(phi.form, psi.form))) > PAIRING_CUT
 
 
 def star_to_covariant(phi: Multivector) -> Multivector:

@@ -52,10 +52,11 @@ from .moment import (
 )
 from .multivector import Multivector
 from .spinor import (
+    PAIRING_CUT,
     DoubledSpace,
-    chevalley_pairing,
     fixed_line_dimension,
     spinor_of_lagrangian,
+    transversality_by_pairing,
 )
 
 __all__ = ["ALL_CRITERIA", "TOLERANCES", "run_criterion", "run_all"]
@@ -68,7 +69,7 @@ TOLERANCES = {
     "clifford-exactness": "exact",
     "fixed-line-dimension": "exact",
     "purity-round-trip": 1e-9,
-    "chevalley-transversality": 1e-8,
+    "chevalley-transversality": PAIRING_CUT,
     "orthogonal-spinor-closed-vs-pin": {"error": 1e-8, "fallback_distance": 1e-12},
     # the non-integrable control: ψ residual > control_ratio · max(worst φ, control_floor)
     "cartan-dirac-integrability": {"phi_residual": 1e-4, "control_ratio": 10,
@@ -214,8 +215,7 @@ def criterion_4(seed: int) -> dict:
             lag = LagrangianSubspace(doubled.space, cols, check=False)
             lags.append(lag)
             spinors.append(spinor_of_lagrangian(doubled, lag))
-        pairing = abs(float(chevalley_pairing(spinors[0].form, spinors[1].form)))
-        by_pairing = pairing > TOLERANCES["chevalley-transversality"]
+        by_pairing = transversality_by_pairing(spinors[0], spinors[1])
         by_subspace = transverse(lags[0], lags[1])
         if by_pairing != by_subspace:
             disagreements += 1

@@ -180,16 +180,20 @@ class TestDeterminism:
 class TestMemory:
     def test_integrability_does_not_import_scipy_sparse(self):
         # importing scipy.sparse grows resident memory by about 11 MB; the
-        # integrability check and criterion 6 must not need it
+        # integrability check, criterion 6 and the logarithm of every model
+        # must not need it
         script = (
             "import sys, numpy as np\n"
             "import purespin.cli\n"
             "from purespin.geometry import PinLift, cartan_dirac_integrability\n"
-            "from purespin.groups import su3_model\n"
+            "from purespin.groups import MODEL_BUILDERS, su3_model\n"
             "from purespin.suites import run_criterion\n"
             "m = su3_model()\n"
             "cartan_dirac_integrability(m, m.random_element(np.random.default_rng(1)), PinLift(m))\n"
             "run_criterion(6)\n"
+            "for build in MODEL_BUILDERS.values():\n"
+            "    model = build()\n"
+            "    model.log(model.random_element(np.random.default_rng(2)))\n"
             "print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")

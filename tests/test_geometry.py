@@ -274,11 +274,13 @@ class TestPinLiftForms:
 
     def test_wrapped_logarithm_region(self, su3, rng):
         # elements whose principal matrix logarithm is not traceless still
-        # get a coherent sign through the path machinery
+        # get a coherent sign: the traceless logarithm moves one eigen-angle
+        # by a whole turn
         angles = np.array([2.5, 2.5, 2 * np.pi - 5.0])
         h = su3.random_element(rng)
         g = h @ np.diag(np.exp(1j * angles)) @ np.linalg.inv(h)
-        assert np.linalg.norm(su3.exp(su3.log(g)) - g) > 1e-6  # indeed wrapped
+        assert abs(np.angle(np.linalg.eigvals(g)).sum()) > 1  # indeed wrapped
+        assert np.linalg.norm(su3.exp(su3.log(g)) - g) < 1e-12
         pin = PinLift(su3)
         psi, _ = pin.forms_at(g)
         d = DoubledSpace(8)

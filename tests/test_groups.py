@@ -17,6 +17,22 @@ def model(request):
     return get_model(request.param)
 
 
+def _half_turn(rng) -> np.ndarray:
+    axis = rng.standard_normal(3)
+    return np.pi * axis / np.linalg.norm(axis)
+
+
+# elements where the principal matrix logarithm leaves the Lie algebra:
+# the centre of SU(2) and SU(3), and half turns
+WRAPPED_ELEMENTS = {
+    "su2": lambda m, rng: [-np.eye(2, dtype=complex)],
+    "su3": lambda m, rng: [np.exp(2j * np.pi * k / 3) * np.eye(3) for k in (1, 2)],
+    "so3": lambda m, rng: [m.exp(_half_turn(rng)) for _ in range(3)],
+    "coadjoint-semidirect": lambda m, rng: [
+        m.exp(np.concatenate([rng.standard_normal(3), _half_turn(rng)]))],
+}
+
+
 class TestModelAxioms:
     def test_B_is_ad_invariant(self, model, rng):
         for _ in range(10):
@@ -63,6 +79,25 @@ class TestModelAxioms:
         x = model.random_algebra(rng, 0.5)
         assert np.linalg.norm(model.log(model.exp(x)) - x) < 1e-8
 
+    def test_exp_inverts_log(self, model, rng):
+        elements = [model.random_element(rng, 2.0) for _ in range(10)]
+        for g in elements + WRAPPED_ELEMENTS[model.name](model, rng):
+            assert np.linalg.norm(model.exp(model.log(g)) - g) < 1e-12
+
+    def test_products_take_the_logarithm_factor_by_factor(self, model, rng):
+        wrapped = WRAPPED_ELEMENTS[model.name](model, rng)[0]
+        for m in (product_model(model, model), swap_double_model(model)):
+            r = model.rep_dim
+            block = np.zeros((2 * r, 2 * r), dtype=complex)
+            block[:r, :r], block[r:, r:] = model.random_element(rng), wrapped
+            for g in (m.random_element(rng), block):
+                assert np.linalg.norm(m.exp(m.log(g)) - g) < 1e-12, m.name
+
+    def test_swap_has_no_logarithm(self, model):
+        wr = swap_double_model(model)
+        with pytest.raises(ValueError, match="no logarithm"):
+            wr.log(wr.pair(model.identity(), model.identity(), swap=True))
+
     def test_dexp_frame_matches_difference_quotient(self, model, rng):
         x = model.random_algebra(rng, 0.6)
         t = model.dexp_frame(x)
@@ -88,6 +123,10 @@ class TestSpecificModels:
         ad = su2.Ad(su2.random_element(rng))
         assert np.linalg.norm(ad.T @ ad - np.eye(3)) < 1e-12
         assert abs(np.linalg.det(ad) - 1) < 1e-12
+
+    def test_su2_log_refuses_element_outside_the_group(self, su2):
+        with pytest.raises(ValueError, match="no logarithm"):
+            su2.log(np.diag([1j, 1j]))  # unitary but not special
 
     def test_so3_not_liftable_flag(self):
         assert not so3_model().liftable
