@@ -86,8 +86,8 @@ __all__ = [
 # linear data at a point
 
 def section_matrix(model: GroupModel, g) -> np.ndarray:
-    """Left-trivialized matrix of the section exchanging invariant frames."""
-    return model.Ad(model.inv(g))
+    """Left-trivialized matrix of the section exchanging invariant frames, A_g = Ad(g⁻¹)."""
+    return model.Ad(model.inv(g), g)
 
 
 def cartan_section_bases(model: GroupModel, g) -> tuple[np.ndarray, np.ndarray]:
@@ -120,10 +120,17 @@ def sharp_vector(model: GroupModel, g, xi) -> np.ndarray:
 
 def ghjw_value(model: GroupModel, g, xi1, xi2) -> float:
     """Invariant class 2-form on generators: B(((Ad_g - Ad_{g^{-1}})/2) ξ1, ξ2)."""
-    ad_g = model.Ad(g)
-    ad_inv = model.Ad(model.inv(g))
-    op = 0.5 * (ad_g - ad_inv)
-    return float((op @ np.asarray(xi1, dtype=float)) @ model.B @ np.asarray(xi2, dtype=float))
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    return float(xi1 @ _class_form_operator(model, section_matrix(model, g)) @ xi2)
+
+
+def _class_form_operator(model: GroupModel, a: np.ndarray) -> np.ndarray:
+    """The matrix ((Ad_g - Ad_{g^{-1}})/2)ᵀ B of the class 2-form, from A = Ad(g^{-1}) alone.
+
+    B is Ad-invariant, so Ad_g = A⁻¹ = B⁻¹AᵀB and the matrix is (BA - (BA)ᵀ)/2.
+    """
+    ba = model.B @ a
+    return 0.5 * (ba - ba.T)
 
 
 def eta_multivector(model: GroupModel) -> Multivector:
@@ -321,8 +328,10 @@ class PinLift:
         for block, cols in zip(self._spin_blocks, columns):
             for name, values in zip(block.seeds, cols.T):
                 cut = _ROUNDOFF_CUT * np.abs(values).max()
-                out[name] = Multivector(d, {b: float(c) for b, c in zip(block.blades, values)
-                                            if abs(c) > cut})
+                # the block's blades are valid by construction: no re-validation
+                out[name] = Multivector.zero(d)
+                out[name].terms = {b: float(c) for b, c in zip(block.blades, values)
+                                   if abs(c) > cut}
         return out["psi"], out["phi"].scale(self._mu_scale)
 
     def _require_lift(self) -> None:
@@ -384,20 +393,24 @@ def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy frame of ran(gen), pivoting on the largest remaining generator image.
 
     Returns (frame, params): the chosen columns of the square matrix ``gen``
-    and the unit vectors selecting them, so that frame = gen @ params.
+    and the unit vectors selecting them, so that frame = gen @ params.  The
+    remaining images are the contiguous rows of one (d, d) array, deflated
+    together after each pivot.  Their norms and projections are row-wise dot
+    products (``np.vecdot``) with the bits of a column-by-column loop's, so
+    images of equal norm up to roundoff are picked in the loop's order.
     """
     d = gen.shape[1]
-    residual = [gen[:, i].copy() for i in range(d)]
+    residual = np.array(gen.T, dtype=float, order="C")
     cut = _FRAME_CUT * max(np.linalg.norm(gen, 2), 1.0)
     chosen: list[int] = []
     while True:
-        norms = [np.linalg.norm(r) for r in residual]
+        norms = np.sqrt(np.vecdot(residual, residual))
         best = int(np.argmax(norms))
         if norms[best] <= cut:
             break
         chosen.append(best)
         q = residual[best] / norms[best]
-        residual = [r - (q @ r) * q for r in residual]
+        residual -= np.vecdot(residual, q)[:, None] * q
     return gen.T[chosen].T, np.eye(d)[chosen].T
 
 
@@ -422,51 +435,54 @@ def su2_class_from_trace(trace: float) -> np.ndarray:
 
 def ghjw_matrix(point: ConjugacyClassPoint) -> np.ndarray:
     """Class 2-form on the frame, through the stored generator parameters."""
-    model, g = point.model, point.g
-    op = 0.5 * (model.Ad(g) - model.Ad(model.inv(g)))
-    return _ghjw_matrix_direct(model, op, point.params)
+    return _ghjw_on_params(point.model, section_matrix(point.model, point.g), point.params)
 
 
-def _ghjw_matrix_direct(model: GroupModel, op: np.ndarray, params: np.ndarray) -> np.ndarray:
-    m = params.shape[1]
-    out = np.zeros((m, m))
-    for i in range(m):
-        w = op @ params[:, i]
-        for j in range(m):
-            out[i, j] = w @ model.B @ params[:, j]
+def _ghjw_on_params(model: GroupModel, a: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """ω[i, j] = B(((Ad_g - Ad_{g^{-1}})/2) p_i, p_j) over the columns p_i of ``params``,
+    with A = Ad(g^{-1}), as the one product Pᵀ·op·P, antisymmetrized."""
+    out = params.T @ _class_form_operator(model, a) @ params
     return 0.5 * (out - out.T)
 
 
 # --------------------------------------------------------------------------- #
 # volume densities
 
-def _pfaffian_ltl(a: np.ndarray) -> float:
-    """Pfaffian by skew Parlett-Reid (LTL^T) elimination with partial pivoting.
+def _pfaffians(a: np.ndarray) -> np.ndarray:
+    """Pfaffians of a stack (N, n, n) of skew matrices by one skew Parlett-Reid sweep.
 
-    O(n³); the pivot of each elimination step is the largest entry below the
-    diagonal of the current column (Wimmer, arXiv:1102.3440, algorithm 1).
+    O(N n³) in n/2 vectorized steps; the pivot of each step is, per matrix,
+    the largest entry below the diagonal of the current column (Wimmer,
+    arXiv:1102.3440, algorithm 1), brought up by a row and column swap.  A
+    matrix whose pivot column is zero has Pfaffian 0; its pivot row is then
+    zero too, so dividing by 1 in its place leaves its update at zero and
+    the other matrices of the stack untouched.
     """
     a = np.array(a, dtype=float)
-    n = a.shape[0]
+    count, n = a.shape[0], a.shape[1]
     if n % 2:
-        return 0.0
-    pf = 1.0
+        return np.zeros(count)
+    pf = np.ones(count)
+    rows = np.arange(count)
     for k in range(0, n - 1, 2):
-        kp = k + 1 + int(np.abs(a[k + 1:, k]).argmax())
-        if kp != k + 1:
-            a[[k + 1, kp], k:] = a[[kp, k + 1], k:]
-            a[k:, [k + 1, kp]] = a[k:, [kp, k + 1]]
-            pf = -pf
-        if a[k + 1, k] == 0.0:
-            return 0.0
-        pf *= a[k, k + 1]
-        tau = a[k, k + 2:] / a[k, k + 1]
-        a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1]) - np.outer(a[k + 2:, k + 1], tau)
+        kp = k + 1 + np.abs(a[:, k + 1:, k]).argmax(axis=1)
+        a[rows, k + 1], a[rows, kp] = a[rows, kp], a[rows, k + 1]
+        a[rows, :, k + 1], a[rows, :, kp] = a[rows, :, kp], a[rows, :, k + 1]
+        pf[kp != k + 1] *= -1.0
+        pivot = a[:, k, k + 1]
+        singular = a[:, k + 1, k] == 0.0
+        pf *= np.where(singular, 0.0, pivot)
+        if k + 2 == n:
+            break
+        tau = a[:, k, k + 2:] / np.where(singular, 1.0, pivot)[:, None]
+        # the update τcᵀ - cτᵀ, its second term the transpose of the first
+        outer = tau[:, :, None] * a[:, None, k + 2:, k + 1]
+        a[:, k + 2:, k + 2:] += outer - outer.transpose(0, 2, 1)
     return pf
 
 
 def frame_volume_density(omega: np.ndarray, psi: Multivector, frame: np.ndarray) -> float:
-    """Top coefficient of e^ω ∧ frame*ψ on an m-dimensional frame, one Pfaffian per blade.
+    """Top coefficient of e^ω ∧ frame*ψ on an m-dimensional frame, one batched Pfaffian sweep.
 
     ``omega`` is the (m, m) 2-form on the frame and ``frame`` the (d, m)
     matrix of the frame vectors in the coordinates of ψ.  For a blade
@@ -474,20 +490,31 @@ def frame_volume_density(omega: np.ndarray, psi: Multivector, frame: np.ndarray)
 
         top(e^ω ∧ frame*e^K) = (-1)^{r(r-1)/2} Pf([[ω, A_K], [-A_K^T, 0]]),
 
-    which vanishes unless m + r is even and r <= m.  Nothing is expanded.
+    which vanishes unless m + r is even and r <= m.  The bordered matrices of
+    all admissible blades are gathered into one stack, those of shorter
+    blades padded to the longest by blocks J = [[0, 1], [-1, 0]] on the
+    diagonal (Pf(diag(X, J)) = Pf(X)), and eliminated together
+    (``_pfaffians``).  Nothing is expanded.
     """
     d, m = frame.shape
-    border = np.block([[np.asarray(omega, dtype=float), frame.T], [-frame, np.zeros((d, d))]])
-    head = list(range(m))
-    total = 0.0
-    for blade, coeff in psi.terms.items():
-        r = len(blade)
-        if r > m or (m + r) % 2:
-            continue
-        idx = head + [m + k for k in blade]
-        pf = _pfaffian_ltl(border[np.ix_(idx, idx)])
-        total += (-pf if r * (r - 1) // 2 % 2 else pf) * float(coeff)
-    return total
+    blades = [(b, c) for b, c in psi.terms.items() if len(b) <= m and (m + len(b)) % 2 == 0]
+    if not blades:
+        return 0.0
+    longest = max(len(b) for b, _ in blades)
+    pads = (longest - min(len(b) for b, _ in blades)) // 2
+    # [[ω, Fᵀ], [-F, 0]] followed by ``pads`` blocks J on the diagonal
+    border = np.zeros((m + d + 2 * pads,) * 2)
+    border[:m, :m] = omega
+    border[:m, m:m + d] = frame.T
+    border[m:m + d, :m] = -frame
+    j = np.arange(m + d, m + d + 2 * pads, 2)
+    border[j, j + 1], border[j + 1, j] = 1.0, -1.0
+    head, tail = list(range(m)), list(range(m + d, m + d + 2 * pads))
+    index = np.array([head + [m + k for k in b] + tail[:longest - len(b)] for b, _ in blades],
+                     dtype=np.intp)
+    pf = _pfaffians(border[index[:, :, None], index[:, None, :]])
+    signs = np.array([-1.0 if len(b) * (len(b) - 1) // 2 % 2 else 1.0 for b, _ in blades])
+    return float((signs * pf) @ np.array([float(c) for _, c in blades]))
 
 
 def conjugacy_volume_top(point: ConjugacyClassPoint, pin: PinLift) -> float:
@@ -686,8 +713,7 @@ def leaf_two_form_residual(point: ConjugacyClassPoint) -> float:
         ph, frame, a_h = chart_data(x)
         gen = a_h - eye
         params, *_ = np.linalg.lstsq(gen, frame, rcond=None)
-        op = 0.5 * (model.Ad(ph) - a_h)
-        w = _ghjw_matrix_direct(model, op, params)
+        w = _ghjw_on_params(model, a_h, params)
         return Multivector.from_antisymmetric_matrix(w)
 
     d_omega = fd_exterior_derivative_flat(omega_components, np.zeros(m))

@@ -26,6 +26,10 @@ import scipy.linalg
 
 from .spinor import rho_generators
 
+# Both parts of the membership test of ``GroupModel.log``: x in the Lie
+# algebra relative to 1 + ‖x‖, and exp x = g relative to ‖g‖.
+_MEMBERSHIP_TOL = 1e-9
+
 __all__ = [
     "GroupModel",
     "su2_model",
@@ -58,6 +62,7 @@ class GroupModel:
             flat = np.asarray(x, dtype=complex).ravel()
             cols.append(np.concatenate([flat.real, flat.imag]))
         self._coeff_pinv = np.linalg.pinv(np.array(cols).T)
+        self._basis_stack = np.array(self.basis)
         self.structure = self._structure_constants()
 
     # -- representation-level operations ---------------------------------- #
@@ -90,23 +95,32 @@ class GroupModel:
         ``_log_matrix`` is the one route per model: Schur eigen-angles moved by
         whole turns to sum to zero (complex models), real Schur rotation blocks
         (so3), a closed form (coadjoint-semidirect), factor by factor (products).
+        It also returns exp x rebuilt from the factors it holds, so the one
+        membership test checks both x ∈ g and exp x = g, the latter relative
+        to ‖g‖, without a second exponential.
         """
-        x = self._log_matrix(g)
+        x, exp_x = self._log_matrix(g)
         xi = self.coeffs(x)
-        if np.linalg.norm(self.algebra_matrix(xi) - x) > 1e-9 * (1.0 + np.linalg.norm(x)):
+        if (np.linalg.norm(self.algebra_matrix(xi) - x) > _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x))
+                or np.linalg.norm(exp_x - g) > _MEMBERSHIP_TOL * np.linalg.norm(g)):
             raise ValueError(f"no logarithm of the element in the Lie algebra of {self.name!r}")
         return xi
 
-    def _log_matrix(self, g) -> np.ndarray:
+    def _log_matrix(self, g) -> tuple[np.ndarray, np.ndarray]:
         return _traceless_log(g) if self._complex else _rotation_log(g)
 
     # -- adjoint data ------------------------------------------------------ #
 
-    def Ad(self, g) -> np.ndarray:
-        """Matrix of the adjoint action on the basis coordinates."""
-        g_inv = self.inv(g)
-        cols = [self.coeffs(g @ x @ g_inv) for x in self.basis]
-        return np.array(cols).T
+    def Ad(self, g, g_inv=None) -> np.ndarray:
+        """Matrix of the adjoint action on the basis coordinates.
+
+        One stacked product g·e_a·g⁻¹ over the basis and one projection onto
+        it; ``g_inv``, when the caller holds g⁻¹ already, saves the inversion.
+        """
+        if g_inv is None:
+            g_inv = self.inv(g)
+        conj = (g @ self._basis_stack @ g_inv).reshape(self.dim, -1)
+        return self._coeff_pinv @ np.concatenate([conj.real, conj.imag], axis=1).T
 
     def _structure_constants(self) -> np.ndarray:
         """c[i, j, k] = c_ij^k, the coordinates of [e_i, e_j].
@@ -191,22 +205,26 @@ class GroupModel:
 # --------------------------------------------------------------------------- #
 # concrete models
 
-def _rotation_log(g) -> np.ndarray:
-    """Real skew logarithm of a rotation, from its real Schur form.
+def _rotation_log(g) -> tuple[np.ndarray, np.ndarray]:
+    """Real skew logarithm of a rotation, from its real Schur form, and its exponential.
 
     Each 2×2 block contributes the generator of its rotation angle, and
     eigenvalues -1 are paired into half turns, which complex eigen-angles
-    cannot express as a real matrix.
+    cannot express as a real matrix.  The exponential is q·(rotation
+    blocks)·qᵀ: it equals g only if g is a rotation.
     """
     t, q = scipy.linalg.schur(np.asarray(g).real, output="real")
     n = t.shape[0]
     x = np.zeros((n, n))
+    rot = np.eye(n)
     half_turns = []
     i = 0
     while i < n:
         if i + 1 < n and t[i + 1, i] != 0.0:
             angle = math.atan2(t[i + 1, i], t[i, i])
             x[i + 1, i], x[i, i + 1] = angle, -angle
+            c, s = math.cos(angle), math.sin(angle)
+            rot[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
             i += 2
         else:
             if t[i, i] < 0:
@@ -214,25 +232,28 @@ def _rotation_log(g) -> np.ndarray:
             i += 1
     for a, b in zip(half_turns[::2], half_turns[1::2]):
         x[b, a], x[a, b] = math.pi, -math.pi
-    return q @ x @ q.T
+        rot[a, a] = rot[b, b] = -1.0
+    return q @ x @ q.T, q @ rot @ q.T
 
 
-def _traceless_log(g) -> np.ndarray:
-    """Skew-Hermitian logarithm of a unitary matrix whose eigen-angles sum to zero.
+def _traceless_log(g) -> tuple[np.ndarray, np.ndarray]:
+    """Skew-Hermitian logarithm of a unitary matrix whose eigen-angles sum to zero, and its exponential.
 
     The principal eigen-angles of the complex Schur form, with round(Σθ/2π)
     of the largest (or, for a negative sum, the smallest) moved by a whole
     turn.  This lands in su(n) also where the principal logarithm is not
-    traceless: wrapped angle sums and central elements.
+    traceless: wrapped angle sums and central elements.  The exponential is
+    q·e^{iθ}·qᴴ: it equals g only if g is unitary.
     """
     t, q = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
     theta = np.angle(np.diag(t))
+    exp_x = (q * np.exp(1j * theta)) @ q.conj().T
     turns = int(round(float(theta.sum()) / (2 * math.pi)))
     if turns:
         order = np.argsort(theta)
         shift = order[::-1][:turns] if turns > 0 else order[:-turns]
         theta[shift] -= math.copysign(2 * math.pi, turns)
-    return (q * (1j * theta)) @ q.conj().T
+    return (q * (1j * theta)) @ q.conj().T, exp_x
 
 
 _PAULI = [
@@ -277,23 +298,27 @@ def su3_model() -> GroupModel:
 class _CoadjointSemidirectModel(GroupModel):
     """SO(3) ⋉ so(3)* with the closed-form logarithm of its elements."""
 
-    def _log_matrix(self, g) -> np.ndarray:
+    def _log_matrix(self, g) -> tuple[np.ndarray, np.ndarray]:
         """[[ω̂, p], [0, 0]] with exponential [[R, w], [0, 1]], for rotation angles in [0, π].
 
         The rotation part ω̂ is the real Schur logarithm of R (half turns
         paired); exp [[ω̂, p], [0, 0]] = [[R, V p], [0, 1]] with V the
         top-right block of exp [[ω̂, I], [0, 0]], invertible at these angles,
-        so p = V⁻¹ w.
+        so p = V⁻¹ w.  Every w is reached, so the exponential returned is
+        [[exp ω̂, w], [0, 1]].
         """
-        g = np.asarray(g).real
-        omega = _rotation_log(g[:3, :3])
+        g = np.asarray(g)
+        omega, rot = _rotation_log(g[:3, :3])
         block = np.zeros((6, 6))
         block[:3, :3] = omega
         block[:3, 3:] = np.eye(3)
         x = np.zeros((4, 4))
         x[:3, :3] = omega
-        x[:3, 3] = np.linalg.solve(scipy.linalg.expm(block)[:3, 3:], g[:3, 3])
-        return x
+        x[:3, 3] = np.linalg.solve(scipy.linalg.expm(block)[:3, 3:], g[:3, 3].real)
+        exp_x = np.eye(4)
+        exp_x[:3, :3] = rot
+        exp_x[:3, 3] = g[:3, 3].real
+        return x, exp_x
 
 
 def coadjoint_semidirect_model() -> GroupModel:
@@ -340,14 +365,16 @@ class _ProductModel(GroupModel):
         super().__init__(f"{m1.name}x{m2.name}", basis, B, liftable=m1.liftable and m2.liftable)
         self.factors = (m1, m2)
 
-    def _log_matrix(self, g) -> np.ndarray:
+    def _log_matrix(self, g) -> tuple[np.ndarray, np.ndarray]:
         """Each diagonal block by its factor's route; the off-diagonal blocks are
-        kept, so an element that is not block diagonal fails the membership test."""
+        kept in x and zero in exp x, so an element that is not block diagonal
+        fails the membership test."""
         (m1, m2), r = self.factors, self.factors[0].rep_dim
         x = np.array(g, dtype=complex)
-        x[:r, :r] = m1._log_matrix(x[:r, :r])
-        x[r:, r:] = m2._log_matrix(x[r:, r:])
-        return x
+        exp_x = np.zeros_like(x)
+        x[:r, :r], exp_x[:r, :r] = m1._log_matrix(x[:r, :r])
+        x[r:, r:], exp_x[r:, r:] = m2._log_matrix(x[r:, r:])
+        return x, exp_x
 
 
 def product_model(m1: GroupModel, m2: GroupModel) -> GroupModel:

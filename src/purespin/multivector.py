@@ -192,7 +192,9 @@ class Multivector:
     __rmul__ = scale
 
     def map_coeff(self, f: Callable[[Scalar], Scalar]) -> "Multivector":
-        return Multivector(self.dim, {b: f(c) for b, c in self.terms.items()})
+        res = Multivector.zero(self.dim)
+        res.terms = {b: v for b, c in self.terms.items() if not _is_zero(v := f(c))}
+        return res
 
     def wedge(self, other: "Multivector") -> "Multivector":
         if self.dim != other.dim:

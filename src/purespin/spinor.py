@@ -75,9 +75,6 @@ class DoubledSpace:
             gram[i][n + i] = 1
             gram[n + i][i] = 1
         self.space = BilinearSpace(gram)
-        # blade masks by grade, then lexicographically: the row order of the action matrices
-        self._grade_masks = np.array(
-            [sum(1 << i for i in b) for k in range(n + 1) for b in combinations(range(n), k)])
 
     def v_subspace(self) -> LagrangianSubspace:
         basis = np.vstack([np.eye(self.n), np.zeros((self.n, self.n))])
@@ -110,6 +107,15 @@ class DoubledSpace:
         cols = np.flatnonzero(pos >= 0)
         m[pos[cols], cols] = sgn[cols]
         return m
+
+
+@lru_cache(maxsize=None)
+def _grade_masks(n: int) -> np.ndarray:
+    """Blade masks of Λ V* by grade, then lexicographically (read-only): the row
+    order of the action matrices."""
+    masks = np.array([sum(1 << i for i in b) for k in range(n + 1) for b in combinations(range(n), k)])
+    masks.flags.writeable = False
+    return masks
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +221,7 @@ def _spinor_action_matrix(doubled: DoubledSpace, phi: Multivector, covariant: bo
     table with V and V* exchanged.
     """
     exact_ok = all(isinstance(c, (int, Fraction)) for c in phi.terms.values())
-    cols = _rho_each(mask_vector(phi, exact_ok))[:, doubled._grade_masks]
+    cols = _rho_each(mask_vector(phi, exact_ok))[:, _grade_masks(doubled.n)]
     if covariant:
         cols = np.roll(cols, doubled.n, axis=0)
     if exact_ok:

@@ -286,10 +286,9 @@ def criterion_7(seed: int) -> dict:
         pts = [random_class_point(model, g0, rng) for _ in range(100)]
         densities = [conjugacy_volume_top(pt, pin) for pt in pts]
         min_density = min(min_density, min(abs(d) for d in densities))
-        for pt in pts[:3]:
+        for pt, engine in zip(pts[:3], densities):
             psi = pin.forms_at(pt.g)[0]
             oracle = volume_density_oracle(ghjw_matrix(pt), psi, pt.frame)
-            engine = conjugacy_volume_top(pt, pin)
             worst_oracle = max(worst_oracle, abs(engine - oracle))
     passed = min_density > tol["density"] and worst_oracle < tol["oracle"]
     return {"name": "conjugacy-volume-nondegeneracy", "passed": passed,

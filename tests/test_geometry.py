@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from purespin.bilinear import BilinearSpace, subspace_distance, transverse
 from purespin.dirac import kappa_embed, spinor_of_orthogonal
 from purespin.forms import fd_exterior_derivative, fd_exterior_derivative_flat
 from purespin.geometry import (
     PinLift,
-    _pfaffian_ltl,
+    _pfaffians,
     _structure_action,
     cartan_dirac_fiber,
     cartan_dirac_integrability,
@@ -375,6 +376,11 @@ class TestSpinLiftExponential:
         with pytest.raises(ValueError, match="no logarithm"):
             su2_pin.forms_at(np.diag([1j, 1j]))  # unitary but not special
 
+    def test_element_outside_the_group_with_a_logarithm_in_the_algebra_is_refused(self, su2_pin):
+        # the Schur route gives x = 0 ∈ su(2), but exp 0 = I ≠ 2I
+        with pytest.raises(ValueError, match="no logarithm"):
+            su2_pin.forms_at(2.0 * np.eye(2))
+
 
 class TestStencilLift:
     """forms_near's stencil, exp(±h S_a)·L(g), against the direct lift at g·exp(±h e_a)."""
@@ -526,31 +532,53 @@ class TestFrameVolumeDensity:
 
 
 class TestPfaffianLTL:
+    """The batched Parlett-Reid sweep against the recursive expansion."""
+
     def test_matches_recursive_expansion(self, rng):
         for n in range(0, 11, 2):
-            for _ in range(3):
-                a = _skew(rng, n)
-                expect = pfaffian(a)
-                assert _pfaffian_ltl(a) == pytest.approx(expect, rel=1e-10, abs=1e-12)
+            stack = np.array([_skew(rng, n) for _ in range(3)])
+            for a, pf in zip(stack, _pfaffians(stack)):
+                assert pf == pytest.approx(pfaffian(a), rel=1e-10, abs=1e-12)
 
     def test_zero_leading_pivot(self, rng):
         for n in (4, 6, 8):
             a = _skew(rng, n)
             a[0, 1] = a[1, 0] = 0.0  # no pivoting would divide by zero here
-            assert _pfaffian_ltl(a) == pytest.approx(pfaffian(a), rel=1e-10, abs=1e-12)
+            assert _pfaffians(a[None])[0] == pytest.approx(pfaffian(a), rel=1e-10, abs=1e-12)
             a[0, :] = a[:, 0] = 0.0  # no pivot at all: singular
-            assert _pfaffian_ltl(a) == 0.0
+            assert _pfaffians(a[None])[0] == 0.0
 
     def test_odd_and_empty_sizes(self, rng):
         for n in (1, 3, 5, 7):
-            assert _pfaffian_ltl(_skew(rng, n)) == 0.0
-        assert _pfaffian_ltl(np.zeros((0, 0))) == 1.0
+            assert np.array_equal(_pfaffians(np.array([_skew(rng, n), _skew(rng, n)])), [0.0, 0.0])
+        assert np.array_equal(_pfaffians(np.zeros((2, 0, 0))), [1.0, 1.0])
 
     def test_leaves_its_argument_alone(self, rng):
-        a = _skew(rng, 6)
+        a = np.array([_skew(rng, 6) for _ in range(3)])
         copy = a.copy()
-        _pfaffian_ltl(a)
+        _pfaffians(a)
         assert np.array_equal(a, copy)
+
+    def test_singular_matrices_leave_the_rest_of_the_stack_alone(self, rng):
+        regular = [_skew(rng, 8) for _ in range(3)]
+        alone = [_pfaffians(a[None])[0] for a in regular]
+        zero_column = _skew(rng, 8)
+        zero_column[:, 3] = zero_column[3, :] = 0.0  # singular at a later step
+        stack = np.array([regular[0], np.zeros((8, 8)), regular[1], zero_column, regular[2]])
+        with np.errstate(all="raise"):
+            pf = _pfaffians(stack)
+        assert np.all(np.isfinite(pf))
+        assert pf[1] == 0.0 and pf[3] == 0.0
+        assert np.array_equal(pf[[0, 2, 4]], alone)
+
+    def test_symplectic_padding_changes_no_pfaffian(self, rng):
+        for n in (0, 2, 4, 6):
+            a = _skew(rng, n)
+            for blocks in (1, 2, 3):
+                padded = scipy.linalg.block_diag(a, *([[[0.0, 1.0], [-1.0, 0.0]]] * blocks))
+                assert _pfaffians(padded[None])[0] == pytest.approx(
+                    _pfaffians(a[None])[0], rel=1e-12, abs=1e-14)
+                assert pfaffian(padded) == pytest.approx(pfaffian(a), rel=1e-12, abs=1e-14)
 
 
 class TestIntegrability:

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from purespin.groups import (
+    SwapDoubleModel,
     get_model,
     product_model,
     so3_model,
@@ -33,6 +34,16 @@ WRAPPED_ELEMENTS = {
 }
 
 
+# matrices outside the group whose Schur-route logarithm x = 0 lies in the
+# Lie algebra, with exp x = I ≠ g: scaled identities and a shear
+OUTSIDE_ELEMENTS = [
+    ("su2", 2.0 * np.eye(2)),
+    ("su2", np.array([[1.0, 1.0], [0.0, 1.0]])),
+    ("so3", 3.0 * np.eye(3)),
+    ("coadjoint-semidirect", 2.0 * np.eye(4)),
+]
+
+
 class TestModelAxioms:
     def test_B_is_ad_invariant(self, model, rng):
         for _ in range(10):
@@ -51,6 +62,19 @@ class TestModelAxioms:
     def test_Ad_exp_is_exp_ad(self, model, rng):
         x = model.random_algebra(rng, 0.7)
         assert np.linalg.norm(model.Ad(model.exp(x)) - scipy.linalg.expm(model.ad(x))) < 1e-9
+
+    def test_Ad_is_the_conjugation_of_each_basis_element(self, model, rng):
+        for m in (model, product_model(model, model), swap_double_model(model)):
+            elements = [m.random_element(rng)]
+            if isinstance(m, SwapDoubleModel):
+                elements.append(m.pair(model.random_element(rng), model.random_element(rng),
+                                       swap=True))
+            for g in elements:
+                g_inv = np.linalg.inv(g)
+                per_basis = np.array([m.coeffs(g @ x @ g_inv) for x in m.basis]).T
+                ad = m.Ad(g)
+                assert np.linalg.norm(ad - per_basis) < 1e-12, m.name
+                assert np.linalg.norm(m.Ad(g_inv) - m.B_inv @ ad.T @ m.B) < 1e-12, m.name
 
     def test_Ad_preserves_B(self, model, rng):
         ad = model.Ad(model.random_element(rng))
@@ -127,6 +151,12 @@ class TestSpecificModels:
     def test_su2_log_refuses_element_outside_the_group(self, su2):
         with pytest.raises(ValueError, match="no logarithm"):
             su2.log(np.diag([1j, 1j]))  # unitary but not special
+
+    @pytest.mark.parametrize("name, g", OUTSIDE_ELEMENTS,
+                             ids=[f"{n}-{i}" for i, (n, _) in enumerate(OUTSIDE_ELEMENTS)])
+    def test_log_refuses_element_whose_exponential_misses_it(self, name, g):
+        with pytest.raises(ValueError, match="no logarithm"):
+            get_model(name).log(g)
 
     def test_so3_not_liftable_flag(self):
         assert not so3_model().liftable

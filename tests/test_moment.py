@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from purespin.geometry import (
+    _FRAME_CUT,
     PinLift,
+    _pivoted_frame,
     class_point,
     conjugacy_volume_top,
     section_matrix,
@@ -378,6 +380,38 @@ class TestRankDeficientFrames:
         assert np.array_equal(pt.frame, gen @ pt.params)
         assert np.linalg.matrix_rank(pt.frame) == 4
         self._assert_q_hamiltonian(conjugacy_qham_point(su3, g))
+
+    @staticmethod
+    def _loop_pivots(gen):
+        """The column-by-column greedy loop the vectorized frame replaces."""
+        residual = [gen[:, i].copy() for i in range(gen.shape[1])]
+        cut = _FRAME_CUT * max(np.linalg.norm(gen, 2), 1.0)
+        chosen = []
+        while True:
+            norms = [np.linalg.norm(r) for r in residual]
+            best = int(np.argmax(norms))
+            if norms[best] <= cut:
+                return chosen
+            chosen.append(best)
+            q = residual[best] / norms[best]
+            residual = [r - (q @ r) * q for r in residual]
+
+    def test_vectorized_frame_picks_the_loop_pivots(self, su3, rng):
+        # the four generator images of exp(t X_8) have equal norms up to roundoff,
+        # so the order of the pivots is decided by the last bits of those norms;
+        # A_g comes from Ad and, with other last bits, basis element by basis
+        # element as g⁻¹·x·inv(g⁻¹)
+        gens = []
+        for t in (0.5, 0.7, 1.3, 2.0, 2.5):
+            g_inv = np.linalg.inv(su3.exp(t * np.eye(8)[7]))
+            per_basis = [su3.coeffs(g_inv @ x @ np.linalg.inv(g_inv)) for x in su3.basis]
+            gens += [su3.Ad(g_inv) - np.eye(8), np.array(per_basis).T - np.eye(8)]
+        gens += [-su3.ad(x) for x in (0.9 * np.eye(8)[7], su3.random_algebra(rng, 0.8), np.zeros(8))]
+        for gen in gens:
+            frame, params = _pivoted_frame(gen)
+            pivots = self._loop_pivots(gen)
+            assert np.array_equal(params, np.eye(8)[:, pivots])
+            assert np.array_equal(frame, gen[:, pivots]) and frame.flags.f_contiguous
 
     def test_exp_orbit_frames(self, su3, rng):
         cases = [(0.9 * np.eye(8)[7], 4), (su3.random_algebra(rng, 0.8), 6), (np.zeros(8), 0)]

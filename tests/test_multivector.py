@@ -126,6 +126,20 @@ class TestLinearMaps:
         assert squashed.terms == {(): 2.0}
 
 
+class TestConstruction:
+    def test_public_construction_checks_blades(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Multivector(3, {(1, 0): 1.0})
+        with pytest.raises(ValueError, match="out of range"):
+            Multivector(3, {(0, 3): 1.0})
+
+    def test_map_coeff_drops_zeros(self):
+        x = Multivector(3, {(): 2, (0, 2): Fraction(1, 2), (1,): -1.0})
+        assert x.map_coeff(lambda c: c if c == 2 else 0).terms == {(): 2}
+        assert (-x).terms == {(): -2, (0, 2): Fraction(-1, 2), (1,): 1.0}
+        assert x.scale(0).terms == {} and x.scale(2).terms == {(): 4, (0, 2): 1, (1,): -2.0}
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         x = Multivector(3, {(): Fraction(1, 3), (0, 2): -2, (1,): 0.5})
