@@ -23,8 +23,20 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .bilinear import BilinearSpace, LagrangianSubspace, nullspace_basis, random_orthogonal, transverse
-from .clifford import CliffordAlgebra, factor_into_reflections, pin_lift_from_reflections
+from .bilinear import (
+    BilinearSpace,
+    LagrangianSubspace,
+    make_split_space,
+    nullspace_basis,
+    random_orthogonal,
+    transverse,
+)
+from .clifford import (
+    CliffordAlgebra,
+    factor_into_reflections,
+    pin_lift_from_reflections,
+    reflection_matrix,
+)
 from .dirac import dirac_image, dirac_preimage, is_strong_dirac, kappa_embed
 from .geometry import (
     PinLift,
@@ -101,7 +113,6 @@ def _require_samples(count: int, flag: str) -> None:
 def cmd_clifford(args) -> int:
     _require_samples(args.samples, "--samples")
     rng = np.random.default_rng(args.seed)
-    from .bilinear import make_split_space
     space = make_split_space(args.n)
     algebra = CliffordAlgebra(space)
     checks = []
@@ -127,7 +138,6 @@ def cmd_clifford(args) -> int:
 def _split_orthogonal(space, rng):
     """Random element of O(n,n) from reflections in random non-isotropic vectors."""
     m = np.eye(space.dim)
-    from .clifford import reflection_matrix
     count = 0
     while count < space.dim:
         w = rng.standard_normal(space.dim)

@@ -14,8 +14,8 @@ orthogonal map A to
 
 acting on (vector, covector-coefficient) columns.  A^κ(V) is the graph of
 the 2-form  x, y -> -B((I-A)(I+A)^{-1} x, y)/2, which yields the closed-form
-pure spinor of an orthogonal map; reflection factorization covers the locus
-det(A + I) = 0 and provides the Pin-lift route, an independent check of both
+pure spinor of an orthogonal map.  On the locus det(A + I) = 0 it is ρ(Ã^κ) 1
+along a reflection factorization of A, also the independent check of both
 the closed form and the spin lift of geometry.PinLift.
 """
 
@@ -34,7 +34,7 @@ from .bilinear import (
     column_space_basis,
     nullspace_basis,
 )
-from .clifford import PinElement, factor_into_reflections
+from .clifford import factor_into_reflections
 from .multivector import Multivector
 from .spinor import (
     DoubledSpace,
@@ -235,18 +235,10 @@ def kappa_embed(A, B: BilinearSpace) -> np.ndarray:
 
 @dataclass
 class OrthogonalLift:
-    """Pure spinor data for an orthogonal map: ψ with N_ψ = A^κ(V).
+    """Pure spinor data for an orthogonal map: ψ with N_ψ = A^κ(V), and the route taken."""
 
-    ``pin`` holds the Clifford-group lift over Cl(V) when the reflection
-    route was taken (the closed form never materializes it); the two
-    possible lifts differ exactly by ``sign_choice``.
-    """
-
-    A: np.ndarray
     psi: PureSpinor
-    sign_choice: int
     method: str  # "closed" or "reflections"
-    pin: PinElement | None = None
 
 
 def _cayley_two_form(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -288,7 +280,6 @@ def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
     if method == "auto":
         method = "closed" if det_gate > 1e3 * DEFAULT_TOL else "reflections"
     doubled = DoubledSpace(n)
-    pin = None
     if method == "closed":
         if det_gate <= 1e3 * DEFAULT_TOL:
             raise ValueError("det(A+I) too small for the closed form")
@@ -296,10 +287,7 @@ def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
         scale = math.sqrt(abs(float(np.linalg.det((a + np.eye(n)) / 2))))
         form = Multivector.from_antisymmetric_matrix(m).exp_wedge().scale(sign * scale)
     elif method == "reflections":
-        from .clifford import CliffordAlgebra, pin_lift_from_reflections
-        vectors = factor_into_reflections(a, B)
-        form = _reflection_chain(vectors, B, Multivector.scalar(n, float(sign)))
-        pin = pin_lift_from_reflections(CliffordAlgebra(B), vectors)
+        form = _reflection_chain(factor_into_reflections(a, B), B, Multivector.scalar(n, float(sign)))
     else:
         raise ValueError(f"unknown method {method!r}")
     if not form.has_pure_parity():
@@ -308,7 +296,7 @@ def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
     expected = Subspace(doubled.space, kappa_embed(a, B)[:, :n], check_rank=False)
     if psi.null.distance(expected) > 1e-6:
         raise AssertionError("null space of ψ does not match A^κ(V)")
-    return OrthogonalLift(a, psi, sign, method, pin)
+    return OrthogonalLift(psi, method)
 
 
 def phi_of_orthogonal(A, B: BilinearSpace) -> PureSpinor:

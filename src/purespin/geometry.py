@@ -378,15 +378,18 @@ class ConjugacyClassPoint:
     g: np.ndarray
     frame: np.ndarray   # (d, m) tangent frame, left-trivialized
     params: np.ndarray  # (d, m) generators: frame = (A_g - I) params
+    section: np.ndarray  # (d, d) A_g = Ad(g⁻¹)
 
     @property
     def class_dim(self) -> int:
         return self.frame.shape[1]
 
 
-# A remaining generator image at or below this multiple of max(‖gen‖₂, 1)
-# counts as dependent: 1e3 times the rank cut of the package.
+# A remaining generator image at or below _FRAME_CUT·max(‖gen‖₂, 1) counts as
+# dependent (1e3 times the rank cut of the package); norms within
+# _PIVOT_TIE·max(‖gen‖₂, 1) of the largest tie with it.
 _FRAME_CUT = 1e3 * DEFAULT_TOL
+_PIVOT_TIE = 64 * np.finfo(float).eps
 
 
 def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,19 +397,20 @@ def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (frame, params): the chosen columns of the square matrix ``gen``
     and the unit vectors selecting them, so that frame = gen @ params.  The
-    remaining images are the contiguous rows of one (d, d) array, deflated
-    together after each pivot.  Their norms and projections are row-wise dot
-    products (``np.vecdot``) with the bits of a column-by-column loop's, so
-    images of equal norm up to roundoff are picked in the loop's order.
+    remaining images are the rows of one (d, d) array, deflated together
+    after each pivot.  Images whose norms tie with the largest up to
+    roundoff (``_PIVOT_TIE``) are taken lowest index first, so the frame,
+    and the sign of a density read on it, do not depend on the last bits of
+    how ``gen`` was computed.
     """
     d = gen.shape[1]
     residual = np.array(gen.T, dtype=float, order="C")
-    cut = _FRAME_CUT * max(np.linalg.norm(gen, 2), 1.0)
+    scale = max(np.linalg.norm(gen, 2), 1.0)
     chosen: list[int] = []
     while True:
         norms = np.sqrt(np.vecdot(residual, residual))
-        best = int(np.argmax(norms))
-        if norms[best] <= cut:
+        best = int(np.argmax(norms >= norms.max() - _PIVOT_TIE * scale))
+        if norms[best] <= _FRAME_CUT * scale:
             break
         chosen.append(best)
         q = residual[best] / norms[best]
@@ -416,8 +420,9 @@ def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def class_point(model: GroupModel, g) -> ConjugacyClassPoint:
     """Greedy frame for T_g C, pivoting on the largest remaining generator image."""
-    frame, params = _pivoted_frame(section_matrix(model, g) - np.eye(model.dim))
-    return ConjugacyClassPoint(model, np.asarray(g), frame, params)
+    a = section_matrix(model, g)
+    frame, params = _pivoted_frame(a - np.eye(model.dim))
+    return ConjugacyClassPoint(model, np.asarray(g), frame, params, a)
 
 
 def random_class_point(model: GroupModel, g0, rng: np.random.Generator) -> ConjugacyClassPoint:
@@ -435,7 +440,7 @@ def su2_class_from_trace(trace: float) -> np.ndarray:
 
 def ghjw_matrix(point: ConjugacyClassPoint) -> np.ndarray:
     """Class 2-form on the frame, through the stored generator parameters."""
-    return _ghjw_on_params(point.model, section_matrix(point.model, point.g), point.params)
+    return _ghjw_on_params(point.model, point.section, point.params)
 
 
 def _ghjw_on_params(model: GroupModel, a: np.ndarray, params: np.ndarray) -> np.ndarray:

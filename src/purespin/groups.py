@@ -122,6 +122,10 @@ class GroupModel:
         conj = (g @ self._basis_stack @ g_inv).reshape(self.dim, -1)
         return self._coeff_pinv @ np.concatenate([conj.real, conj.imag], axis=1).T
 
+    def Ad_inverse(self, ad: np.ndarray) -> np.ndarray:
+        """Ad(g⁻¹) from ad = Ad(g): B⁻¹·adᵀ·B, since Ad(g) preserves B."""
+        return self.B_inv @ ad.T @ self.B
+
     def _structure_constants(self) -> np.ndarray:
         """c[i, j, k] = c_ij^k, the coordinates of [e_i, e_j].
 

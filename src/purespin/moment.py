@@ -188,7 +188,7 @@ def conjugacy_qham_point(model: GroupModel, g) -> QHamPoint:
     pt = class_point(model, g)
     u = pt.frame
     omega = ghjw_matrix(pt)
-    gen = model.Ad(model.inv(g)) - np.eye(model.dim)
+    gen = pt.section - np.eye(model.dim)
     action, *_ = np.linalg.lstsq(u, gen, rcond=None) if u.size else (np.zeros((0, model.dim)),)
     return QHamPoint(model, omega, np.asarray(g), u.T, action)
 
@@ -202,10 +202,11 @@ def symmetric_space_record(wreath: SwapDoubleModel, c) -> QHamPoint:
     """
     base = wreath.base
     db = base.dim
-    ad_c = base.Ad(c)
-    phi = wreath.pair(c, base.inv(c), swap=True)
+    c_inv = base.inv(c)
+    ad_c = base.Ad(c, c_inv)
+    phi = wreath.pair(c, c_inv, swap=True)
     dphi = np.hstack([(-ad_c).T, np.eye(db)])  # row i = (-Ad_c e_i, e_i)
-    action = np.hstack([base.Ad(base.inv(c)), -np.eye(db)])
+    action = np.hstack([base.Ad_inverse(ad_c), -np.eye(db)])
     return QHamPoint(wreath, np.zeros((db, db)), phi, dphi, action)
 
 
@@ -216,7 +217,7 @@ def fuse(data: FusionData) -> QHamPoint:
     cross = 0.5 * data.dphi1 @ model.B @ ad2 @ data.dphi2.T
     omega = data.omega + (cross - cross.T)
     phi = model.mul(data.phi1, data.phi2)
-    dphi = data.dphi1 @ model.Ad(model.inv(data.phi2)).T + data.dphi2
+    dphi = data.dphi1 @ model.Ad_inverse(ad2).T + data.dphi2
     action = data.action1 + data.action2
     return QHamPoint(model, omega, phi, dphi, action)
 
@@ -311,8 +312,7 @@ def mult_eta_identity_residual(base: GroupModel, prod: GroupModel, a, b) -> floa
         return Multivector.from_antisymmetric_matrix(tau_matrix(base, g2))
 
     d_tau = fd_exterior_derivative(prod, tau_field, _prod_pair(base, a, b))
-    ad_b_inv = base.Ad(base.inv(b))
-    d_mult = np.hstack([ad_b_inv, np.eye(d)])
+    d_mult = np.hstack([base.Ad_inverse(base.Ad(b)), np.eye(d)])
     pr1 = np.hstack([np.eye(d), np.zeros((d, d))])
     pr2 = np.hstack([np.zeros((d, d)), np.eye(d)])
     lhs = eta.pullback(d_mult)

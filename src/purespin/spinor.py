@@ -37,7 +37,6 @@ from .bilinear import (
     BilinearSpace,
     LagrangianSubspace,
     Subspace,
-    column_space_basis,
     nullspace_basis,
 )
 from .multivector import Multivector
@@ -281,28 +280,40 @@ def pure_spinor(doubled: DoubledSpace, form: Multivector) -> PureSpinor:
     return PureSpinor(doubled, form, LagrangianSubspace(doubled.space, null.basis, check=False))
 
 
+def _range_data(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, ann, ω_S) of a Lagrangian E ⊂ V ⊕ V* from one SVD top = U Σ Vᵀ of its V-block.
+
+    At the rank cut ``DEFAULT_TOL``·s_max, S = U_r spans ran E and ann = U_{r:}
+    is its annihilator (the orthogonal complement: V* pairs with V by the dot
+    product).  E's basis times V_r Σ_r⁻¹ lifts each s_i to s_i ⊕ α_i ∈ E, so
+    ω_S(s_i, s_j) = α_i(s_j) is (bottom V_r Σ_r⁻¹)ᵀ U_r, antisymmetrized.
+    """
+    n = E.ambient.dim // 2
+    u, s, vh = np.linalg.svd(E.basis[:n])
+    r = int(np.sum(s > DEFAULT_TOL * s[0]))
+    alpha = E.basis[n:] @ (vh[:r].T / s[:r])
+    omega = alpha.T @ u[:, :r]
+    return u[:, :r], u[:, r:], 0.5 * (omega - omega.T)  # kill numerical symmetric residue
+
+
+def _annihilator_volume(ann: np.ndarray) -> Multivector:
+    """μ = a_1 ∧ ... ∧ a_k over the columns of ``ann`` (the scalar 1 when k = 0)."""
+    mu = Multivector.scalar(ann.shape[0])
+    for col in ann.T:
+        mu = mu.wedge(Multivector.from_vector(col))
+    return mu
+
+
 def graph_two_form_of(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Range, induced 2-form, and kernel of a Lagrangian E ⊂ V ⊕ V*.
 
-    Returns (S, omega_S, kernel): S an n×r basis of the range in V, omega_S
-    the r×r matrix ω_S(s_i, s_j) = α_i(s_j) for lifts s_i ⊕ α_i ∈ E, and
-    kernel a basis of {v : (v, 0) ∈ E}.
+    Returns (S, omega_S, kernel): S an orthonormal n×r basis of the range in
+    V, omega_S the r×r matrix ω_S(s_i, s_j) = α_i(s_j) for lifts s_i ⊕ α_i ∈ E,
+    and kernel an orthonormal basis of {v : (v, 0) ∈ E}.  Lifts differ by
+    0 ⊕ ann(S) ⊂ E, so the kernel is S·ker ω_S, cut at ``DEFAULT_TOL``·max(s_max, 1).
     """
-    n = E.ambient.dim // 2
-    top = E.basis[:n]
-    bottom = E.basis[n:]
-    s_basis = column_space_basis(top)
-    r = s_basis.shape[1]
-    omega = np.zeros((r, r))
-    for i in range(r):
-        coeffs, *_ = np.linalg.lstsq(top, s_basis[:, i], rcond=None)
-        alpha = bottom @ coeffs
-        for j in range(r):
-            omega[i, j] = alpha @ s_basis[:, j]
-    omega = 0.5 * (omega - omega.T)  # kill numerical symmetric residue
-    ker_coeffs = nullspace_basis(bottom)
-    kernel = column_space_basis(top @ ker_coeffs) if ker_coeffs.size else np.zeros((n, 0))
-    return s_basis, omega, kernel
+    s_basis, _, omega_s = _range_data(E)
+    return s_basis, omega_s, s_basis @ nullspace_basis(omega_s, scale=1.0)
 
 
 def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace,
@@ -313,23 +324,10 @@ def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace,
     supply it (a form of top degree on ann(ran E)), otherwise an orthonormal
     choice is made.  The result depends on that choice only by scale.
     """
-    n = doubled.n
-    s_basis, omega_s, _ = graph_two_form_of(E)
-    r = s_basis.shape[1]
-    # extend ω_S to V through the pseudo-inverse of the range basis
-    if r:
-        pinv = np.linalg.pinv(s_basis)
-        omega_full = pinv.T @ omega_s @ pinv
-    else:
-        omega_full = np.zeros((n, n))
-    two_form = Multivector.from_antisymmetric_matrix(omega_full)
-    ann = nullspace_basis(s_basis.T) if r else np.eye(n)
-    if orientation is None:
-        mu = Multivector.scalar(n)
-        for col in range(ann.shape[1]):
-            mu = mu.wedge(Multivector.from_vector(ann[:, col]))
-    else:
-        mu = orientation
+    s_basis, ann, omega_s = _range_data(E)
+    mu = _annihilator_volume(ann) if orientation is None else orientation
+    # S is orthonormal, so ω_S extends to V as S ω_S Sᵀ
+    two_form = Multivector.from_antisymmetric_matrix(s_basis @ omega_s @ s_basis.T)
     form = (-two_form).exp_wedge().wedge(mu)
     if not form.has_pure_parity():
         raise AssertionError("constructed spinor has mixed parity")
@@ -408,15 +406,8 @@ def decompose_pure_spinor(doubled: DoubledSpace,
     null, pure = null_space(doubled, phi)
     if not pure:
         raise ValueError("spinor is not pure")
-    E = LagrangianSubspace(doubled.space, null.basis, check=False)
-    s_basis, omega_s, _ = graph_two_form_of(E)
-    rebuilt = spinor_of_lagrangian(doubled, E)
-    # match scale on the lowest-degree blade present
-    blade = min(rebuilt.form.terms, key=lambda b: (len(b), b))
-    scale = phi.terms.get(blade, 0) / rebuilt.form.terms[blade]
-    k = s_basis.shape[1]
-    ann = nullspace_basis(s_basis.T) if k else np.eye(doubled.n)
-    mu = Multivector.scalar(doubled.n, scale)
-    for col in range(ann.shape[1]):
-        mu = mu.wedge(Multivector.from_vector(ann[:, col]))
-    return s_basis, omega_s, mu
+    s_basis, ann, omega_s = _range_data(LagrangianSubspace(doubled.space, null.basis, check=False))
+    mu = _annihilator_volume(ann)
+    # the lowest-degree part of e^{-ω} ∧ μ is μ itself: match scale on its largest coefficient
+    blade = max(mu.terms, key=lambda k: abs(mu.terms[k]))
+    return s_basis, omega_s, mu.scale(phi.terms.get(blade, 0) / mu.terms[blade])

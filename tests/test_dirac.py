@@ -268,12 +268,18 @@ class TestOrthogonalSpinor:
         assert (plus.psi.form + minus.psi.form).norm() < 1e-12
 
     def test_reflection_route_carries_pin_lift(self, rng):
-        from purespin.clifford import CliffordAlgebra
+        # the reflection route's factorization lifts to the Clifford group over Cl(V)
+        from purespin.clifford import (
+            CliffordAlgebra,
+            factor_into_reflections,
+            pin_lift_from_reflections,
+        )
         b = BilinearSpace(np.eye(3))
         a = random_orthogonal(3, rng)
-        lift = spinor_of_orthogonal(a, b, method="reflections")
-        assert lift.pin is not None
-        member, induced = CliffordAlgebra(b).group_action(lift.pin.g.mv)
+        assert spinor_of_orthogonal(a, b, method="reflections").method == "reflections"
+        pin = pin_lift_from_reflections(CliffordAlgebra(b), factor_into_reflections(a, b))
+        assert pin is not None
+        member, induced = CliffordAlgebra(b).group_action(pin.g.mv)
         assert member and np.linalg.norm(induced - a) < 1e-8
 
     def test_phi_null_space(self, rng):

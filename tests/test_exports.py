@@ -1,9 +1,11 @@
-"""Module hygiene: every export resolves, every import is used, every option is set.
+"""Module hygiene: every export resolves, every import is used and at module level,
+every option is set.
 
 Each ``purespin`` module is parsed with ``ast``.  A name listed in
 ``__all__`` must exist on the imported module, and a name bound by an import
 statement must occur somewhere else in the module, as an identifier or as a
-word inside a string (string annotations, ``__all__`` re-exports).
+word inside a string (string annotations, ``__all__`` re-exports).  No
+import statement may sit inside a function.
 
 A parameter with a default must be passed, by keyword or by position, at one
 or more call sites in ``src/``, ``tests/`` or ``bench/``; otherwise it is a
@@ -74,6 +76,25 @@ def test_imports_are_used(name):
     used = _used_words(tree)
     unused = [n for n in _imported_names(tree) if n not in used]
     assert not unused, f"{name} imports unused names {unused}"
+
+
+def _nested_imports(tree: ast.Module) -> list[str]:
+    """``function:line`` of each import statement inside a function body."""
+    return sorted({f"{fn.name}:{node.lineno}" for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_are_at_module_level(name):
+    nested = _nested_imports(_tree(name))
+    assert not nested, f"{name} imports inside functions at {nested}"
+
+
+def test_nested_import_check_catches_defects():
+    tree = ast.parse("import os\ndef f():\n    from x import y\n    return y\n"
+                     "class K:\n    def m(self):\n        import z\n")
+    assert _nested_imports(tree) == ["f:3", "m:7"]
 
 
 def test_checks_catch_defects():

@@ -462,7 +462,7 @@ class TestVolume:
         s = rng.standard_normal((2, 2))
         while abs(np.linalg.det(s)) < 0.1:
             s = rng.standard_normal((2, 2))
-        changed = ConjugacyClassPoint(su2, pt.g, pt.frame @ s, pt.params @ s)
+        changed = ConjugacyClassPoint(su2, pt.g, pt.frame @ s, pt.params @ s, pt.section)
         d1 = conjugacy_volume_top(pt, su2_pin)
         d2 = conjugacy_volume_top(changed, su2_pin)
         assert abs(d2 - d1 * np.linalg.det(s)) < 1e-9 * max(1.0, abs(d1))

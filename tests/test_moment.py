@@ -5,6 +5,8 @@ import pytest
 
 from purespin.geometry import (
     _FRAME_CUT,
+    _PIVOT_TIE,
+    ConjugacyClassPoint,
     PinLift,
     _pivoted_frame,
     class_point,
@@ -280,9 +282,9 @@ class TestInfinitesimalInvariance:
             from purespin.geometry import ConjugacyClassPoint
             from purespin.geometry import ghjw_matrix as gm
             frame = su2.Ad(h) @ base.dphi.T
-            params = np.linalg.lstsq(
-                su2.Ad(np.linalg.inv(moved)) - np.eye(3), frame, rcond=None)[0]
-            pt = ConjugacyClassPoint(su2, moved, frame, params)
+            section = su2.Ad(np.linalg.inv(moved))
+            params = np.linalg.lstsq(section - np.eye(3), frame, rcond=None)[0]
+            pt = ConjugacyClassPoint(su2, moved, frame, params, section)
             return QHamPoint(su2, gm(pt), moved, frame.T, np.zeros((2, 3)))
 
         assert infinitesimal_invariance_residual(builder, base, xi) < 1e-6
@@ -383,14 +385,15 @@ class TestRankDeficientFrames:
 
     @staticmethod
     def _loop_pivots(gen):
-        """The column-by-column greedy loop the vectorized frame replaces."""
+        """The column-by-column greedy loop the vectorized frame replaces, with its
+        tie rule: the lowest index among norms within roundoff of the largest."""
         residual = [gen[:, i].copy() for i in range(gen.shape[1])]
-        cut = _FRAME_CUT * max(np.linalg.norm(gen, 2), 1.0)
+        scale = max(np.linalg.norm(gen, 2), 1.0)
         chosen = []
         while True:
             norms = [np.linalg.norm(r) for r in residual]
-            best = int(np.argmax(norms))
-            if norms[best] <= cut:
+            best = next(i for i, x in enumerate(norms) if x >= max(norms) - _PIVOT_TIE * scale)
+            if norms[best] <= _FRAME_CUT * scale:
                 return chosen
             chosen.append(best)
             q = residual[best] / norms[best]
@@ -398,9 +401,9 @@ class TestRankDeficientFrames:
 
     def test_vectorized_frame_picks_the_loop_pivots(self, su3, rng):
         # the four generator images of exp(t X_8) have equal norms up to roundoff,
-        # so the order of the pivots is decided by the last bits of those norms;
-        # A_g comes from Ad and, with other last bits, basis element by basis
-        # element as g⁻¹·x·inv(g⁻¹)
+        # so the order of the pivots is decided by the tie rule, not by the last
+        # bits of those norms; A_g comes from Ad and, with other last bits, basis
+        # element by basis element as g⁻¹·x·inv(g⁻¹)
         gens = []
         for t in (0.5, 0.7, 1.3, 2.0, 2.5):
             g_inv = np.linalg.inv(su3.exp(t * np.eye(8)[7]))
@@ -412,6 +415,21 @@ class TestRankDeficientFrames:
             pivots = self._loop_pivots(gen)
             assert np.array_equal(params, np.eye(8)[:, pivots])
             assert np.array_equal(frame, gen[:, pivots]) and frame.flags.f_contiguous
+
+    def test_both_section_routes_give_one_frame_and_density(self, su3):
+        # at exp(0.7 X_8) the two routes to A_g differ in their last bits; the pivots,
+        # so the frame's orientation and the sign of the density, must not
+        pin = PinLift(su3)
+        g = su3.exp(0.7 * np.eye(8)[7])
+        g_inv = np.linalg.inv(g)
+        per_basis = np.array([su3.coeffs(g_inv @ x @ np.linalg.inv(g_inv)) for x in su3.basis]).T
+        routes = [su3.Ad(g_inv), per_basis]
+        assert not np.array_equal(*routes)
+        points = [ConjugacyClassPoint(su3, g, *_pivoted_frame(a - np.eye(8)), a) for a in routes]
+        assert np.array_equal(points[0].params, points[1].params)
+        assert np.array_equal(points[0].params, class_point(su3, g).params)
+        d0, d1 = (conjugacy_volume_top(p, pin) for p in points)
+        assert abs(d0) > 0.1 and abs(d0 - d1) < 1e-12 * abs(d0)
 
     def test_exp_orbit_frames(self, su3, rng):
         cases = [(0.9 * np.eye(8)[7], 4), (su3.random_algebra(rng, 0.8), 6), (np.zeros(8), 0)]

@@ -289,6 +289,31 @@ class TestGraphTwoForm:
             rebuilt = LagrangianSubspace(d.space, np.array(cols).T, check=False)
             assert rebuilt.distance(lag) < 1e-8
 
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_every_range_rank(self, r, rng):
+        # E = {(v, Ωᵀv + a) : v ∈ S0, a ∈ ann S0} with Ω = S0 ω0 S0ᵀ, in a mixed basis
+        d = DoubledSpace(3)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        s0, ann0 = q[:, :r], q[:, r:]
+        w = rng.standard_normal((r, r))
+        big_omega = s0 @ (w - w.T) @ s0.T
+        basis = np.block([[s0, np.zeros((3, 3 - r))], [big_omega.T @ s0, ann0]])
+        lag = LagrangianSubspace(d.space, basis @ rng.standard_normal((3, 3)))
+        with np.errstate(all="raise"):
+            s, omega_s, kernel = graph_two_form_of(lag)
+            ps = spinor_of_lagrangian(d, lag)
+            scale = 1.0 + abs(float(rng.standard_normal()))
+            s2, omega2, mu = decompose_pure_spinor(d, ps.form.scale(scale))
+        assert s.shape[1] == r and np.linalg.norm(s.T @ s - np.eye(r)) < 1e-12
+        # ω_S(s_i, s_j) = α_i(s_j) for the lifts s_i ⊕ Ωᵀ s_i ∈ E
+        assert np.linalg.norm(omega_s - s.T @ big_omega @ s) < 1e-12
+        assert kernel.shape[1] == r - np.linalg.matrix_rank(w - w.T)
+        assert all(lag.contains(np.concatenate([k, np.zeros(3)])) for k in kernel.T)
+        assert ps.null.distance(lag) < 1e-9
+        full = s2 @ omega2 @ s2.T
+        rebuilt = (-Multivector.from_antisymmetric_matrix(full)).exp_wedge().wedge(mu)
+        assert (rebuilt - ps.form.scale(scale)).norm() < 1e-9 * scale
+
 
 class TestChevalley:
     def test_n1_transverse_pair(self):
@@ -422,3 +447,19 @@ class TestCovariantAndStar:
                 full = np.zeros((3, 3))
             rebuilt = (-Multivector.from_antisymmetric_matrix(full)).exp_wedge().wedge(mu)
             assert (rebuilt - phi).norm() < 1e-9 * max(1.0, abs(scale))
+
+    def test_decomposition_with_coordinate_annihilator(self, rng):
+        # ann(ran E) = span(e_1): every other blade of μ is zero or roundoff, so the
+        # scale must be matched on μ's largest coefficient, not on its first blade
+        d = DoubledSpace(3)
+        s0, a0 = np.eye(3)[:, [0, 2]], np.eye(3)[:, [1]]
+        for _ in range(20):
+            w = rng.standard_normal((2, 2))
+            big_omega = s0 @ (w - w.T) @ s0.T
+            basis = np.block([[s0, np.zeros((3, 1))], [big_omega.T @ s0, a0]])
+            lag = LagrangianSubspace(d.space, basis @ rng.standard_normal((3, 3)))
+            phi = spinor_of_lagrangian(d, lag).form
+            s, omega_s, mu = decompose_pure_spinor(d, phi)
+            full = s @ omega_s @ s.T
+            rebuilt = (-Multivector.from_antisymmetric_matrix(full)).exp_wedge().wedge(mu)
+            assert (rebuilt - phi).norm() < 1e-9 * phi.norm()
