@@ -1,4 +1,4 @@
-"""Finite-difference exterior calculus on matrix groups.
+"""The left-invariant exterior derivative on matrix groups, and its finite-difference routes.
 
 Differential forms are carried in left trivialization: at a base point g the
 value of a form field is a :class:`Multivector` over the Lie algebra whose
@@ -7,11 +7,14 @@ vectors).  The exterior derivative is the left-invariant formula
 
     dα(g) = Σ_j e^j ∧ X_j α(g) + d_CE α(g),
 
-with X_j α(g) the central quotient (α(g e^{h e_j}) - α(g e^{-h e_j})) / 2h
-along the left-invariant field of e_j, and d_CE the Chevalley–Eilenberg
-differential of the Lie algebra (``GroupModel.chevalley_eilenberg_triples``),
-which is exact.  Only the quotient is approximate (O(h²)); no chart frame is
-differentiated.
+with X_j α(g) the derivative along the left-invariant field of e_j and d_CE
+the Chevalley–Eilenberg differential of the Lie algebra
+(``GroupModel.chevalley_eilenberg_triples``), which is exact.
+``left_invariant_derivative`` assembles it from derivatives the caller
+supplies (the invariant spinors have exact ones, see
+``geometry.PinLift.forms_near``); ``fd_exterior_derivative`` feeds it the
+central quotients (α(g e^{h e_j}) - α(g e^{-h e_j})) / 2h, which are O(h²).
+No chart frame is differentiated.
 """
 
 from __future__ import annotations
@@ -38,18 +41,22 @@ __all__ = [
 FD_STEP = 1e-4
 
 
-def _central_quotient(stencil: Iterable[tuple[Multivector, Multivector]], dim: int,
-                      h: float) -> Multivector:
-    """Σ_j e^j ∧ (f₊_j - f₋_j) / 2h over the stencil pairs (f₊_j, f₋_j), j = 0, 1, ...
+def _central_quotients(stencil: Iterable[tuple[Multivector, Multivector]],
+                       h: float) -> Iterable[Multivector]:
+    """The quotients (f₊_j - f₋_j) / 2h over the stencil pairs (f₊_j, f₋_j), lazily.
 
     The step is checked before the stencil is consumed, so a lazy stencil
     evaluates nothing for a refused step.
     """
     if h < 1e-300:
         raise ValueError("step underflow")
+    return ((plus - minus).scale(1.0 / (2.0 * h)) for plus, minus in stencil)
+
+
+def _wedge_partials(partials: Iterable[Multivector], dim: int) -> Multivector:
+    """Σ_j e^j ∧ partials[j], j = 0, 1, ..."""
     out = Multivector.zero(dim)
-    for j, (plus, minus) in enumerate(stencil):
-        partial = (plus - minus).scale(1.0 / (2.0 * h))
+    for j, partial in enumerate(partials):
         out = out + Multivector.basis_vector(dim, j).wedge(partial)
     return out
 
@@ -64,10 +71,9 @@ def chevalley_eilenberg(model: GroupModel, alpha: Multivector) -> Multivector:
 
 
 def left_invariant_derivative(model: GroupModel, value: Multivector,
-                              stencil: Iterable[tuple[Multivector, Multivector]],
-                              h: float = FD_STEP) -> Multivector:
-    """dα(g) from α(g) and the pairs (α(g e^{h e_j}), α(g e^{-h e_j})) for j = 0..d-1."""
-    return _central_quotient(stencil, model.dim, h) + chevalley_eilenberg(model, value)
+                              partials: Iterable[Multivector]) -> Multivector:
+    """dα(g) = Σ_j e^j ∧ X_j α(g) + d_CE α(g) from α(g) and the derivatives X_j α(g), j = 0..d-1."""
+    return _wedge_partials(partials, model.dim) + chevalley_eilenberg(model, value)
 
 
 def fd_exterior_derivative(model: GroupModel, field: FormField, g,
@@ -83,7 +89,7 @@ def fd_exterior_derivative(model: GroupModel, field: FormField, g,
         return field(model.mul(g, model.exp(step)))
 
     stencil = ((along(j, 1.0), along(j, -1.0)) for j in range(model.dim))
-    return left_invariant_derivative(model, field(g), stencil, h)
+    return left_invariant_derivative(model, field(g), _central_quotients(stencil, h))
 
 
 def fd_exterior_derivative_flat(field: Callable[[np.ndarray], Multivector], x0,
@@ -93,9 +99,8 @@ def fd_exterior_derivative_flat(field: Callable[[np.ndarray], Multivector], x0,
     Uses d(Σ f_I dx^I) = Σ_j dx^j ∧ ∂_j(Σ f_I dx^I) with central differences.
     """
     x0 = np.asarray(x0, dtype=float)
-    d = x0.size
-    steps = h * np.eye(d)
-    return _central_quotient(((field(x0 + s), field(x0 - s)) for s in steps), d, h)
+    stencil = ((field(x0 + s), field(x0 - s)) for s in h * np.eye(x0.size))
+    return _wedge_partials(_central_quotients(stencil, h), x0.size)
 
 
 def lie_derivative_residual(model: GroupModel, field: FormField, g, vector_field) -> float:

@@ -26,7 +26,9 @@ Convention package (locked by conformance tests, see tests/test_geometry.py):
   ρ(Ã_g^κ) applied to 1 and to the B-volume form, Ã_g^κ ∈ Spin(V ⊕ V*)
   lifting A_g^κ.  g -> Ã_g^κ is a homomorphism, so at g = exp ξ it is the
   exponential of the spin generators weighted by ξ (see PinLift): ψ_e = 1
-  fixes the branch, and -1 in SU(2) lifts to -1.
+  fixes the branch, and -1 in SU(2) lifts to -1.  The same homomorphism
+  gives their left-invariant derivatives exactly, X_a Ã_g^κ = S_a·Ã_g^κ,
+  so the integrability residuals carry no step.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .bilinear import DEFAULT_TOL, LagrangianSubspace
-from .forms import (
-    FD_STEP,
-    fd_exterior_derivative,
-    fd_exterior_derivative_flat,
-    left_invariant_derivative,
-)
+from .forms import fd_exterior_derivative, fd_exterior_derivative_flat, left_invariant_derivative
 from .groups import GroupModel
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_generators, rho_of_columns
@@ -216,36 +213,19 @@ class _SpinBlock:
     seeds: dict
 
 
-def _flank_flows(block: _SpinBlock, cols: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(h S_a) and exp(-h S_a) applied to the block vectors ``cols``, for every a.
+def _generator_images(block: _SpinBlock, cols: np.ndarray) -> np.ndarray:
+    """S_a applied to the block vectors ``cols`` for every a, shape (d, size, columns).
 
-    A truncated Taylor series on the sparse S_a: the terms (h S_a)^k cols / k!
-    are added until, for every a and column, the last one is below the unit
-    roundoff of the sum; for -h the odd terms change sign.  Returns two arrays
-    of shape (d, size, columns).
+    One gather of ``cols`` over the stored entries of all the S_a and one
+    scatter into the (d·size) stack.
     """
     size, seeds = cols.shape
     d = block.weights.shape[1]
     gen, entry = np.nonzero(block.weights.T)
     rows, src = np.divmod(block.entries[entry], size)
-    weight = block.weights[entry, gen]
-    rows, src = gen * size + rows, gen * size + src  # positions in the (d·size) stack
-    term = np.tile(cols, (d, 1))
-    even, odd = term.copy(), np.zeros_like(term)
-    unit_roundoff = np.finfo(float).eps / 2
-    k = 0
-    while True:
-        k += 1
-        gathered = weight[:, None] * term[src]
-        term = np.stack([np.bincount(rows, gathered[:, c], minlength=d * size)
-                         for c in range(seeds)], axis=1) * (h / k)
-        acc = odd if k % 2 else even
-        acc += term
-        last = np.abs(term).reshape(d, size, seeds).max(axis=1)
-        total = np.abs(even + odd).reshape(d, size, seeds).max(axis=1)
-        if not np.any(last > unit_roundoff * total):
-            break
-    return (even + odd).reshape(d, size, seeds), (even - odd).reshape(d, size, seeds)
+    gathered = block.weights[entry, gen][:, None] * cols[src]
+    return np.stack([np.bincount(gen * size + rows, gathered[:, c], minlength=d * size)
+                     for c in range(seeds)], axis=1).reshape(d, size, seeds)
 
 
 class PinLift:
@@ -258,8 +238,9 @@ class PinLift:
     and (f_k), (f^k) are dual bases of V ⊕ V*.  This branch has ψ_e = 1 and
     needs no sign tracking.  The S_a are even, so only the parity blocks of
     Λ V* holding 1 and μ are built (on first use) and exponentiated.  Near
-    g the same homomorphism gives L(g·exp(±h e_a)) = exp(±h S_a)·L(g), which
-    ``forms_near`` uses for finite-difference stencils.
+    g the same homomorphism gives L(g·exp(t e_a)) = exp(t S_a)·L(g), so the
+    left-invariant derivatives are exactly X_a L(g) = S_a·L(g), which
+    ``forms_near`` returns with no step and no second exponential.
 
     ξ = ``model.log(g)``, the model's one logarithm, which refuses an element
     with no logarithm in the Lie algebra.
@@ -344,23 +325,21 @@ class PinLift:
         self._require_lift()
         return self._pair(self._lift_columns(g))
 
-    def forms_near(self, g, h: float) -> tuple[tuple[Multivector, Multivector], list]:
-        """(ψ, φ) at g and at the 2d stencil points g·exp(±h e_a), from one lift.
+    def forms_near(self, g) -> tuple[tuple[Multivector, Multivector], list]:
+        """(ψ, φ) at g and their left-invariant derivatives, from one lift.
 
-        Returns ((ψ_g, φ_g), stencil) with stencil[a] the pair of
-        ((ψ, φ) at g·exp(h e_a), (ψ, φ) at g·exp(-h e_a)).  A_{gk} = A_k A_g,
-        so the lift satisfies L(g·exp(±h e_a)) = exp(±h S_a)·L(g): the
-        stencil values are exp(±h S_a) applied to the block vectors of ψ_g
-        and φ_g (``_flank_flows``), and a point costs one logarithm and one
+        Returns ((ψ_g, φ_g), derivatives) with derivatives[a] = (X_a ψ, X_a φ)
+        at g.  A_{gk} = A_k A_g, so the lift satisfies
+        L(g·exp(t e_a)) = exp(t S_a)·L(g), and the derivatives are the
+        sparse products S_a·L(g) on the block vectors of ψ_g and φ_g
+        (``_generator_images``): a point costs one logarithm and one
         exponential of each block.
         """
         self._require_lift()
         columns = self._lift_columns(g)
-        flanks = [_flank_flows(block, cols, h) for block, cols in zip(self._spin_blocks, columns)]
-        stencil = [(self._pair([plus[a] for plus, _ in flanks]),
-                    self._pair([minus[a] for _, minus in flanks]))
-                   for a in range(self.model.dim)]
-        return self._pair(columns), stencil
+        images = [_generator_images(block, cols) for block, cols in zip(self._spin_blocks, columns)]
+        derivatives = [self._pair([image[a] for image in images]) for a in range(self.model.dim)]
+        return self._pair(columns), derivatives
 
     def forms_at_unsigned(self, g) -> tuple[Multivector, Multivector]:
         """Sign-agnostic evaluation for models without a global lift."""
@@ -658,19 +637,20 @@ def _structure_action(model: GroupModel, g, psi: Multivector) -> np.ndarray:
     return np.einsum("iin->n", rho_of_columns(e_mat, inner))
 
 
-def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift,
-                               h: float = FD_STEP) -> dict:
+def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift) -> dict:
     """Residuals of (d+η) on the invariant spinors at g.
 
     φ (null space E) must be killed by d+η; ψ (null space F) must not be,
     and its failure is proportional to the cubic section action of the
-    structure trivector, whose best-fit scalar is reported.
+    structure trivector, whose best-fit scalar is reported.  d is the
+    left-invariant formula on the exact derivatives of ``PinLift.forms_near``,
+    so the residuals carry roundoff only.
     """
     eta = eta_multivector(model)
-    (psi_c, phi_c), stencil = pin.forms_near(g, h)
-    res_phi = left_invariant_derivative(model, phi_c, ((p[1], m[1]) for p, m in stencil), h) \
+    (psi_c, phi_c), derivatives = pin.forms_near(g)
+    res_phi = left_invariant_derivative(model, phi_c, (x_phi for _, x_phi in derivatives)) \
         + eta.wedge(phi_c)
-    res_psi = left_invariant_derivative(model, psi_c, ((p[0], m[0]) for p, m in stencil), h) \
+    res_psi = left_invariant_derivative(model, psi_c, (x_psi for x_psi, _ in derivatives)) \
         + eta.wedge(psi_c)
 
     rhs = _structure_action(model, g, psi_c)
@@ -703,22 +683,15 @@ def leaf_two_form_residual(point: ConjugacyClassPoint) -> float:
     if m == 0:
         return 0.0
     eta = eta_multivector(model)
-    eye = np.eye(model.dim)
-
-    def chart_data(x: np.ndarray):
-        z = point.params @ x
-        c = model.exp(z)
-        ph = model.mul(model.mul(c, g), model.inv(c))
-        t_right = model.dexp_frame(-z)  # right-trivialized differential of exp at z
-        a_h = section_matrix(model, ph)
-        frame = (a_h - eye) @ t_right @ point.params
-        return ph, frame, a_h
 
     def omega_components(x: np.ndarray) -> Multivector:
-        ph, frame, a_h = chart_data(x)
-        gen = a_h - eye
-        params, *_ = np.linalg.lstsq(gen, frame, rcond=None)
-        w = _ghjw_on_params(model, a_h, params)
+        z = point.params @ x
+        c = model.exp(z)
+        a_h = section_matrix(model, model.mul(model.mul(c, g), model.inv(c)))
+        # the chart frame is (A_h - I)·dexp_frame(-z)·params (dexp_frame(-z) the
+        # right-trivialized differential of exp at z); the class form vanishes on
+        # ker(A_h - I), so it is read on these parameters directly
+        w = _ghjw_on_params(model, a_h, model.dexp_frame(-z) @ point.params)
         return Multivector.from_antisymmetric_matrix(w)
 
     d_omega = fd_exterior_derivative_flat(omega_components, np.zeros(m))

@@ -193,16 +193,18 @@ def conjugacy_qham_point(model: GroupModel, g) -> QHamPoint:
     return QHamPoint(model, omega, np.asarray(g), u.T, action)
 
 
-def symmetric_space_record(wreath: SwapDoubleModel, c) -> QHamPoint:
+def symmetric_space_record(wreath: SwapDoubleModel, c, c_inv=None) -> QHamPoint:
     """The base group as a zero-2-form moment space over the swap extension.
 
     Points are group elements c; the moment is c -> (swap, (c, c^{-1})),
     whose image is the conjugacy class of the swap element.  The frame is
     the left-trivialized chart on c, the 2-form vanishes identically.
+    ``c_inv``, when the caller holds c^{-1} already, saves the inversion.
     """
     base = wreath.base
     db = base.dim
-    c_inv = base.inv(c)
+    if c_inv is None:
+        c_inv = base.inv(c)
     ad_c = base.Ad(c, c_inv)
     phi = wreath.pair(c, c_inv, swap=True)
     dphi = np.hstack([(-ad_c).T, np.eye(db)])  # row i = (-Ad_c e_i, e_i)
@@ -239,9 +241,9 @@ class DoubleFactory:
     def double_point(self, a, b) -> QHamPoint:
         base, wreath = self.base, self.wreath
         db = base.dim
-        b_inner = base.inv(b)  # moment (a c^{-1}, a^{-1} c) at c = b^{-1} gives (ab, a^{-1}b^{-1})
+        b_inv = base.inv(b)  # moment (a c^{-1}, a^{-1} c) at c = b^{-1} gives (ab, a^{-1}b^{-1})
         rec1 = symmetric_space_record(wreath, a)
-        rec2 = symmetric_space_record(wreath, b_inner)
+        rec2 = symmetric_space_record(wreath, b_inv, b)
         fusion = FusionData(
             wreath,
             np.zeros((2 * db, 2 * db)),
@@ -256,7 +258,7 @@ class DoubleFactory:
         point = QHamPoint(self.product, fused.omega, fused.phi, fused.dphi, fused.action)
         transport = np.zeros((2 * db, 2 * db))
         transport[:db, :db] = np.eye(db)
-        transport[db:, db:] = -base.Ad(b)
+        transport[db:, db:] = -base.Ad(b, b_inv)
         return point.change_frame(transport)
 
     def fused_double_point(self, a, b) -> QHamPoint:

@@ -1,5 +1,5 @@
 """Module hygiene: every export resolves, every import is used and at module level,
-every option is set.
+every option is set, and every function the benchmark tracer wraps exists.
 
 Each ``purespin`` module is parsed with ``ast``.  A name listed in
 ``__all__`` must exist on the imported module, and a name bound by an import
@@ -16,6 +16,7 @@ a constructor call counts for the class's ``__init__``.
 
 import ast
 import importlib
+import importlib.util
 import math
 import pkgutil
 import re
@@ -184,3 +185,34 @@ def test_default_check_catches_defects():
         "    def s(u, v=0): pass\n")
     calls = _passed([ast.parse("f(1, 2)\nK(x=3)\nk.m(4)\nK.s(5)\n")])
     assert _unset(_defaulted(source), calls) == ["f(c)", "m(z)", "s(v)"]
+
+
+def _unresolved_traced(traced: dict[str, list[str]]) -> list[str]:
+    """Traced names with nothing to wrap, looked up as ``bench/layertrace.py`` installs them:
+    ``Class.method`` in the class's own ``__dict__``, a plain name on its module."""
+    out = []
+    for module, names in traced.items():
+        mod = importlib.import_module(f"purespin.{module}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            found = (attr in vars(getattr(mod, owner, object)) if owner
+                     else callable(getattr(mod, attr, None)))
+            if not found:
+                out.append(f"{module}.{name}")
+    return out
+
+
+def test_traced_functions_resolve():
+    # a rename of a traced function fails here rather than in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    unresolved = _unresolved_traced(layertrace.TRACED)
+    assert not unresolved, f"traced names missing from purespin: {unresolved}"
+
+
+def test_traced_check_catches_defects():
+    traced = {"geometry": ["PinLift.forms_at", "PinLift.gone", "NoClass.forms_at", "gone"],
+              "forms": ["fd_exterior_derivative", "FD_STEP"]}
+    assert _unresolved_traced(traced) == ["geometry.PinLift.gone", "geometry.NoClass.forms_at",
+                                          "geometry.gone", "forms.FD_STEP"]

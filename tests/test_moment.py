@@ -17,7 +17,7 @@ from purespin.geometry import (
     random_class_point,
     su2_class_from_trace,
 )
-from purespin.groups import get_model, swap_double_model
+from purespin.groups import GroupModel, get_model, swap_double_model
 from purespin.moment import (
     DoubleFactory,
     FusionData,
@@ -214,6 +214,23 @@ class TestDoubles:
             assert moment_condition_residual(p) < 1e-10
             md = minimal_degeneracy(p)
             assert md["kernel_dim"] == 0 and md["original"] and md["elegant"]
+
+
+    @pytest.mark.parametrize("name", ["su2", "su3"])
+    def test_b_is_inverted_once(self, name, request, rng, monkeypatch):
+        # a, b and the swap-extension moment of the inner fusion, plus the
+        # product moment of the outer fusion for a fused double
+        model = request.getfixturevalue(name)
+        factory = DoubleFactory(model)
+        a, b = model.random_element(rng), model.random_element(rng)
+        calls = []
+        inv = GroupModel.inv
+        monkeypatch.setattr(GroupModel, "inv", lambda self, g: calls.append(1) or inv(self, g))
+        factory.double_point(a, b)
+        assert len(calls) == 3
+        calls.clear()
+        factory.fused_double_point(a, b)
+        assert len(calls) == 4
 
 
 class TestFrameIndependence:
