@@ -175,7 +175,11 @@ def cmd_spinor(args) -> int:
 
 
 def cmd_dirac(args) -> int:
-    payload = json.loads(open(args.input).read() if args.input else sys.stdin.read())
+    if args.input:
+        with open(args.input) as handle:
+            payload = json.loads(handle.read())
+    else:
+        payload = json.loads(sys.stdin.read())
     if not isinstance(payload, dict) or not {"matrix", "dirac_basis"} <= payload.keys():
         raise ValueError('input JSON needs "matrix" and "dirac_basis"')
     a = np.array(payload["matrix"], dtype=float)
@@ -203,6 +207,8 @@ def cmd_dirac(args) -> int:
 def cmd_conjugacy_volume(args) -> int:
     _require_samples(args.samples, "--samples")
     model = get_model(args.group)
+    if model.name != "su2" and args.class_trace != 0.0:
+        raise ValueError("--class-trace applies to su2 only; other groups sample a random class")
     pin = PinLift(model)
     rng = np.random.default_rng(args.seed)
     if model.name == "su2":
@@ -228,7 +234,7 @@ def cmd_integrability(args) -> int:
     _require_samples(args.points, "--points")
     model = get_model(args.group)
     if not model.liftable:
-        raise SystemExit(f"group {model.name!r} has no global lift")
+        raise ValueError(f"group {model.name!r} has no global lift")
     pin = PinLift(model)
     rng = np.random.default_rng(args.seed)
     bound = TOLERANCES["cartan-dirac-integrability"]["phi_residual"]
@@ -247,8 +253,6 @@ def cmd_integrability(args) -> int:
 
 
 def cmd_qham(args) -> int:
-    if args.action != "verify":
-        raise SystemExit("usage: purespin qham verify ...")
     _require_samples(args.samples, "--samples")
     model = get_model(args.group)
     pin = PinLift(model) if model.liftable else None
@@ -265,10 +269,8 @@ def cmd_qham(args) -> int:
             p = factory.double_point(model.random_element(rng), model.random_element(rng))
         elif args.space == "fused-double":
             p = factory.fused_double_point(model.random_element(rng), model.random_element(rng))
-        elif args.space == "exp":
-            p = exp_orbit_qham_point(model, model.random_algebra(rng, 0.8))
         else:
-            raise SystemExit(f"unknown space {args.space!r}")
+            p = exp_orbit_qham_point(model, model.random_algebra(rng, 0.8))
         residual = moment_condition_residual(p)
         md = minimal_degeneracy(p)
         eq = strong_dirac_equivalence(p) if p.model is model else {"agree": True}
@@ -357,7 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         raise SystemExit(f"error: {err}")
 
 

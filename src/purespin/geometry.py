@@ -44,7 +44,7 @@ from .bilinear import DEFAULT_TOL, LagrangianSubspace
 from .forms import fd_exterior_derivative, fd_exterior_derivative_flat, left_invariant_derivative
 from .groups import GroupModel
 from .multivector import Multivector, merge_blades
-from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_generators, rho_of_columns
+from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_of_columns, rho_words
 
 # imported after the package modules: imported first, it made the benchmark's
 # process set-up (setup_s) about 0.05 s slower on a 2-vCPU machine
@@ -132,13 +132,7 @@ def _class_form_operator(model: GroupModel, a: np.ndarray) -> np.ndarray:
 
 def eta_multivector(model: GroupModel) -> Multivector:
     """Bi-invariant 3-form, constant in left trivialization: η(x,y,z) = -B(x,[y,z])/2."""
-    d = model.dim
-    terms = {}
-    for i, j, k in combinations(range(d), 3):
-        val = -0.5 * model.pairing(_unit(d, i), model.bracket(_unit(d, j), _unit(d, k)))
-        if abs(val) > 0:
-            terms[(i, j, k)] = val
-    return Multivector(d, terms)
+    return _trivector(-0.5 * model.invariant_tensor)
 
 
 def cartan_sections(model: GroupModel, g, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -146,12 +140,6 @@ def cartan_sections(model: GroupModel, g, xi) -> tuple[np.ndarray, np.ndarray]:
     e_mat, f_mat = cartan_section_bases(model, g)
     xi = np.asarray(xi, dtype=float)
     return e_mat @ xi, f_mat @ xi
-
-
-def _unit(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d)
-    v[i] = 1.0
-    return v
 
 
 def moment_covector(model: GroupModel, g, xi) -> np.ndarray:
@@ -172,14 +160,16 @@ def structure_trivector(model: GroupModel) -> Multivector:
     Only the ray matters: the scalar multiple relating (d+η)ψ to the cubic
     section action is fitted, not asserted.
     """
-    d = model.dim
-    raised = [model.B_inv @ _unit(d, i) for i in range(d)]
-    terms = {}
-    for i, j, k in combinations(range(d), 3):
-        val = model.pairing(raised[i], model.bracket(raised[j], raised[k]))
-        if abs(val) > 1e-14:
-            terms[(i, j, k)] = val
-    return Multivector(d, terms)
+    b_inv = model.B_inv
+    return _trivector(np.einsum("abc,ai,bj,ck->ijk", model.invariant_tensor, b_inv, b_inv, b_inv,
+                                optimize=True))
+
+
+def _trivector(tensor: np.ndarray) -> Multivector:
+    """The 3-vector with the nonzero entries tensor[i, j, k], i < j < k, as its coefficients."""
+    d = tensor.shape[0]
+    return Multivector(d, {(i, j, k): float(tensor[i, j, k])
+                           for i, j, k in combinations(range(d), 3) if tensor[i, j, k] != 0})
 
 
 # --------------------------------------------------------------------------- #
@@ -255,10 +245,9 @@ class PinLift:
         """The parity blocks of Λ V* holding 1 and μ, with the S_a restricted to them."""
         model = self.model
         d = model.dim
-        target, sign = rho_generators(d)
-        # S_a = Σ_{j,k} ½ K_a[j, k] ρ(f_j) ρ(f^k), where f^k = f_{(k+d) mod 2d}
+        # S_a = Σ_{j,k} ½ K_a[j, k] ρ(f_j) ρ(f^k), where f^k = f_{(k+d) mod 2d}; ad(e_a) = c[a]ᵀ
         coeff = 0.5 * np.array([
-            _kappa_derivative(-model.ad(_unit(d, a)), model.B, model.B_inv) for a in range(d)])
+            _kappa_derivative(-model.structure[a].T, model.B, model.B_inv) for a in range(d)])
         pairs = np.argwhere(np.any(coeff, axis=0))  # (j, k) with some K_a[j, k] != 0
         duals = (pairs[:, 1] + d) % (2 * d)
         masks = np.arange(1 << d)
@@ -269,15 +258,12 @@ class PinLift:
             size = members.size
             pos = np.zeros(1 << d, dtype=np.int32)
             pos[members] = np.arange(size)
-            # ρ(f_j) ρ(f^k) on the block: two signed partial permutations in turn
-            mid = target[duals][:, members]
-            alive = mid >= 0
-            mid = np.where(alive, mid, 0)
-            end = target[pairs[:, :1], mid]
-            alive &= end >= 0
+            # the word ρ(f_j) ρ(f^k) on the block
+            end, sign = rho_words(d, np.stack([pairs[:, 0], duals], axis=1), members)
+            alive = end >= 0
             pair, col = np.nonzero(alive)
             entries, where = np.unique(pos[end[alive]] * size + col, return_inverse=True)
-            signs = sign[duals[pair], members[col]] * sign[pairs[pair, 0], mid[alive]]
+            signs = sign[alive]
             weights = np.stack([
                 np.bincount(where, signs * coeff[a, pairs[pair, 0], pairs[pair, 1]],
                             minlength=entries.size)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .spinor import rho_generators
+from .spinor import rho_words
 
 # Both parts of the membership test of ``GroupModel.log``: x in the Lie
 # algebra relative to 1 + ‖x‖, and exp x = g relative to ‖g‖.
@@ -154,34 +154,35 @@ class GroupModel:
         return float(np.asarray(x, dtype=float) @ self.B @ np.asarray(y, dtype=float))
 
     @cached_property
+    def invariant_tensor(self) -> np.ndarray:
+        """T[i, j, k] = B(e_i, [e_j, e_k]), the invariant 3-tensor of the algebra.
+
+        η, the structure trivector, the linear Poisson structure on g* and
+        the orbit symplectic form are all read off T with slots filled or
+        raised by B⁻¹.  T is antisymmetric in (j, k) exactly and in the other
+        pairs of slots up to roundoff.
+        """
+        return np.einsum("il,jkl->ijk", self.B, self.structure)
+
+    @cached_property
     def chevalley_eilenberg_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """d_CE = -½ Σ c_ij^k ε^i ∧ ε^j ∧ ι(e_k) on Λ g* as sparse (row, col, value) triples.
 
-        Rows and columns are blade masks (``spinor.rho_generators``); each
-        nonzero c_ij^k with i < j contributes the signed partial permutation
-        ι(e_k), then ε^j ∧, then ε^i ∧, weighted by -c_ij^k.
+        Rows and columns are blade masks; each nonzero c_ij^k with i < j
+        contributes the ρ word ε^i ∧ ε^j ∧ ι(e_k) (``spinor.rho_words``),
+        weighted by -c_ij^k.
         """
         d = self.dim
-        target, sign = rho_generators(d)
+        i, j, k = np.argwhere(self.structure).T
+        upper = i < j  # an abelian algebra has no c_ij^k: no words and an empty d_CE
+        i, j, k = i[upper], j[upper], k[upper]
         masks = np.arange(1 << d)
-        # empty first parts: an abelian algebra has no c_ij^k and an empty d_CE
-        rows, cols, vals = [masks[:0]], [masks[:0]], [np.zeros(0)]
-        for i, j, k in np.argwhere(self.structure):
-            if i > j:
-                continue
-            row, col = masks, masks
-            val = np.full(masks.size, -self.structure[i, j, k])
-            for gen in (k, d + j, d + i):
-                nxt = target[gen, row]
-                alive = nxt >= 0
-                val = (val * sign[gen, row])[alive]
-                row, col = nxt[alive], col[alive]
-            rows.append(row)
-            cols.append(col)
-            vals.append(val)
-        keys, where = np.unique(np.concatenate(rows) << d | np.concatenate(cols),
-                                return_inverse=True)
-        values = np.bincount(where, np.concatenate(vals), minlength=keys.size)
+        target, sign = rho_words(d, np.stack([d + i, d + j, k], axis=1), masks)
+        alive = target >= 0
+        cols = np.broadcast_to(masks, target.shape)[alive]
+        vals = (-self.structure[i, j, k][:, None] * sign)[alive]
+        keys, where = np.unique(target[alive] << d | cols, return_inverse=True)
+        values = np.bincount(where, vals, minlength=keys.size)
         keep = values != 0
         return keys[keep] >> d, keys[keep] & ((1 << d) - 1), values[keep]
 

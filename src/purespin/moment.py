@@ -364,38 +364,32 @@ def qham_volume_top(p: QHamPoint, pin: PinLift) -> float:
 # exponentials
 
 def kirillov_poisson_matrix(model: GroupModel, x) -> np.ndarray:
-    """Linear Poisson structure at x, indices raised by B: P_ij = B(x, [ξ^i, ξ^j])."""
-    d = model.dim
-    raised = [model.B_inv[:, i] for i in range(d)]
-    out = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            val = model.pairing(x, model.bracket(raised[i], raised[j]))
-            out[i, j] = val
-            out[j, i] = -val
-    return out
+    """Linear Poisson structure at x, indices raised by B: P_ij = B(x, [ξ^i, ξ^j]).
+
+    With (x·T)_jk = B(x, [e_j, e_k]) read off the invariant tensor T,
+    P = B⁻ᵀ (x·T) B⁻¹.
+    """
+    x_dot_t = np.tensordot(np.asarray(x, dtype=float), model.invariant_tensor, 1)
+    return model.B_inv.T @ x_dot_t @ model.B_inv
 
 
 def homotopy_two_form(model: GroupModel, x) -> np.ndarray:
     """Radial homotopy of the pulled-back 3-form: ϖ_x(u,v) = ∫₀¹ t² (exp*η)_{tx}(x,u,v) dt.
 
-    With T the antisymmetric coefficient tensor of η and F = dexp_frame(t x),
-    (exp*η)_{tx}(x, ·, ·) is the matrix Fᵀ (T·Fx) F, where (T·y)_{bc} =
-    Σ_a T_{abc} y_a; the integral is a 32-node Gauss-Legendre sum over t.
+    With F = dexp_frame(t x), (exp*η)_{tx}(x, ·, ·) is the matrix
+    -½ Fᵀ (Fx·T) F, where T is the invariant tensor and (y·T)_{bc} =
+    Σ_a y_a T_{abc}; the integral is a 32-node Gauss-Legendre sum over t.
     """
     x = np.asarray(x, dtype=float)
     d = model.dim
-    tensor = np.zeros((d, d, d))
-    for (i, j, k), c in eta_multivector(model).terms.items():
-        for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
-            tensor[a, b, e], tensor[b, a, e] = c, -c
+    eta = -0.5 * model.invariant_tensor
     ts, ws = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (ts + 1.0)
     ws = 0.5 * ws
     out = np.zeros((d, d))
     for t, w in zip(ts, ws):
         frame = model.dexp_frame(t * x)
-        out += w * t * t * (frame.T @ np.tensordot(frame @ x, tensor, 1) @ frame)
+        out += w * t * t * (frame.T @ np.tensordot(frame @ x, eta, 1) @ frame)
     return 0.5 * (out - out.T)
 
 
@@ -409,11 +403,7 @@ def exp_orbit_qham_point(model: GroupModel, x) -> QHamPoint:
     d = model.dim
     neg_ad = -model.ad(x)
     u, z = _pivoted_frame(neg_ad)  # the orbit tangent {[ζ, x]}
-    m = u.shape[1]
-    kks = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            kks[i, j] = model.pairing(x, model.bracket(z[:, i], z[:, j]))
+    kks = z.T @ np.tensordot(x, model.invariant_tensor, 1) @ z
     w = homotopy_two_form(model, x)
     omega = kks + u.T @ w @ u
     t_frame = model.dexp_frame(x)

@@ -14,11 +14,13 @@ The ρ table.  A blade of Λ V* is the bit mask of its indices.  ρ(e_i) = ι(e_
 clears bit i and ρ(ε^i) = ε^i ∧ sets it, both with the sign (-1)^(set bits
 below i), so ρ of each of the 2n basis generators is a signed partial
 permutation P_k of the blades (``rho_generators``).  Every matrix of ρ in this
-package is read off that one table: ρ(w) = Σ_k w_k P_k (``rho_of_columns``),
-the word matrices of the spinor representation, the action matrices behind
-null spaces and fixed lines, and the spin generators of ``geometry.PinLift``.
-``rho_contravariant`` stays the sparse route for applying ρ(w) to a form,
-and the tests' oracle for the table.
+package is read off that one table: ρ(w) = Σ_k w_k P_k (``rho_of_columns``)
+and the action matrices behind null spaces and fixed lines; products of
+generators are composed only by ``rho_words``, which serves the word matrices
+of the spinor representation, d_CE (``GroupModel.chevalley_eilenberg_triples``)
+and the spin generators of ``geometry.PinLift``.  ``rho_contravariant`` stays
+the sparse route for applying ρ(w) to a form, and the tests' oracle for the
+table.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "PureSpinor",
     "pure_spinor",
     "rho_generators",
+    "rho_words",
     "rho_of_columns",
     "mask_vector",
     "rho_contravariant",
@@ -92,19 +95,13 @@ class DoubledSpace:
     def rho_word_matrix(self, indices) -> np.ndarray:
         """Integer matrix of ρ(w_{i1}) ρ(w_{i2}) ... on Λ V* for generator indices of V ⊕ V*.
 
-        Rows and columns are the blades by bit mask; the word is composed as
-        signed partial permutations of the ρ table.
+        Rows and columns are the blades by bit mask (``rho_words``).
         """
-        target, sign = rho_generators(self.n)
         size = 1 << self.n
-        pos, sgn = np.arange(size), np.ones(size, dtype=np.int64)
-        for k in reversed(indices):
-            alive = pos >= 0
-            sgn = np.where(alive, sgn * sign[k][pos], 0)
-            pos = np.where(alive, target[k][pos], -1)
+        target, sign = rho_words(self.n, [indices], np.arange(size))
         m = np.zeros((size, size), dtype=np.int64)
-        cols = np.flatnonzero(pos >= 0)
-        m[pos[cols], cols] = sgn[cols]
+        cols = np.flatnonzero(target[0] >= 0)
+        m[target[0, cols], cols] = sign[0, cols]
         return m
 
 
@@ -136,6 +133,27 @@ def rho_generators(n: int) -> tuple[np.ndarray, np.ndarray]:
         sign[i] = sign[n + i] = 1 - 2 * (np.bitwise_count(masks & (bit - 1)).astype(np.int64) % 2)
     target.flags.writeable = sign.flags.writeable = False
     return target, sign
+
+
+def rho_words(n: int, words, masks) -> tuple[np.ndarray, np.ndarray]:
+    """ρ(w_{i1}) ··· ρ(w_{ir}) on the blades ``masks`` for each word (i1, ..., ir) of ``words``.
+
+    Each word is composed right to left as signed partial permutations of the
+    ρ table.  Returns integer arrays (target, sign) of shape (len(words),
+    len(masks)): the word sends blade masks[c] to sign[w, c] times blade
+    target[w, c], or to zero where target[w, c] = -1 (and sign[w, c] = 0).
+    An empty word list gives empty arrays.
+    """
+    table, table_sign = rho_generators(n)
+    # (words, letters); an empty list has no letters to infer
+    words = np.asarray(words, dtype=np.int64).reshape(len(words), -1 if len(words) else 0)
+    target = np.tile(np.asarray(masks, dtype=np.int64), (len(words), 1))
+    sign = np.ones_like(target)
+    for gen in words.T[::-1, :, None]:
+        at = np.maximum(target, 0)
+        sign = sign * table_sign[gen, at]
+        target = np.where(target >= 0, table[gen, at], -1)
+    return target, np.where(target >= 0, sign, 0)
 
 
 def _rho_each(x: np.ndarray) -> np.ndarray:

@@ -91,8 +91,20 @@ class TestSubcommands:
             main(["integrability", "--group", "nope", "--points", "1"])
 
     def test_non_liftable_group_flagged(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["integrability", "--group", "so3", "--points", "1"])
+        assert exc.value.code == "error: group 'so3' has no global lift"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("group", ["su3", "so3", "coadjoint-semidirect"])
+    def test_class_trace_is_refused_off_su2(self, capsys, group):
+        # it was parsed and then ignored: the run drew a random class
+        with pytest.raises(SystemExit) as exc:
+            main(["conjugacy-volume", "--group", group, "--class-trace", "0.5",
+                  "--samples", "1"])
+        message = str(exc.value.code)
+        assert message.startswith("error: --class-trace") and "\n" not in message
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyAll:
@@ -134,6 +146,19 @@ class TestInputErrors:
         assert exc.value.code == 'error: input JSON needs "matrix" and "dirac_basis"'
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["dirac", "image", "--input", "{missing}/in.json"],
+        ["spinor", "--n", "1", "--samples", "1", "--out", "{missing}/x.json"],
+    ])
+    def test_missing_path_is_a_one_line_error(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert message.startswith("error: ") and "No such file" in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_spinor_dimension_must_be_positive(self, capsys, n):
         with pytest.raises(SystemExit) as exc:
@@ -155,8 +180,11 @@ class TestRemovedFlags:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical(self, capsys):
-        argv = ["qham", "verify", "--space", "class", "--samples", "3", "--seed", "4"]
+    @pytest.mark.parametrize("argv", [
+        ["qham", "verify", "--space", "class", "--samples", "3", "--seed", "4"],
+        ["qham", "verify", "--space", "exp", "--group", "su3", "--samples", "2"],
+    ], ids=["class-su2", "exp-su3"])
+    def test_reports_byte_identical(self, capsys, argv):
         main(argv)
         first = capsys.readouterr().out
         main(argv)

@@ -99,6 +99,19 @@ class TestModelAxioms:
             c = np.abs(m.structure)
             assert not np.any((c > 0) & (c <= 1e-12 * c.max())), m.name
 
+    def test_invariant_tensor_is_antisymmetric(self, model):
+        t = model.invariant_tensor
+        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+            assert np.abs(t + t.transpose(axes)).max() <= 1e-15
+
+    def test_invariant_tensor_is_the_pairing_of_brackets(self, model):
+        eye = np.eye(model.dim)
+        expect = np.array([[[model.pairing(eye[i], model.bracket(eye[j], eye[k]))
+                             for k in range(model.dim)]
+                            for j in range(model.dim)]
+                           for i in range(model.dim)])
+        assert np.abs(model.invariant_tensor - expect).max() <= 1e-15
+
     def test_log_inverts_exp(self, model, rng):
         x = model.random_algebra(rng, 0.5)
         assert np.linalg.norm(model.log(model.exp(x)) - x) < 1e-8

@@ -1,5 +1,7 @@
 """Moment-map verification: axioms, fusion, doubles, exponentials."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from purespin.geometry import (
     eta_multivector,
     ghjw_matrix,
     random_class_point,
+    structure_trivector,
     su2_class_from_trace,
 )
 from purespin.groups import GroupModel, get_model, swap_double_model
@@ -375,6 +378,41 @@ class TestExponential:
             md = minimal_degeneracy(p)
             assert md["original"] and md["elegant"]
             assert strong_dirac_equivalence(p)["agree"]
+
+
+class TestInvariantTensorReaders:
+    """Each reader of ``GroupModel.invariant_tensor`` against its per-entry
+    ``pairing(…, bracket(…))`` definition."""
+
+    @staticmethod
+    def _entrywise(model, x, vectors) -> np.ndarray:
+        return np.array([[model.pairing(x, model.bracket(u, v)) for v in vectors.T]
+                         for u in vectors.T])
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "coadjoint-semidirect"])
+    def test_trivectors(self, name):
+        model = get_model(name)
+        eye, raised = np.eye(model.dim), model.B_inv
+        eta = eta_multivector(model).terms
+        trivector = structure_trivector(model).terms
+        for i, j, k in combinations(range(model.dim), 3):
+            expect_eta = -0.5 * model.pairing(eye[i], model.bracket(eye[j], eye[k]))
+            expect_tri = model.pairing(raised[:, i], model.bracket(raised[:, j], raised[:, k]))
+            assert abs(eta.get((i, j, k), 0.0) - expect_eta) <= 1e-15
+            assert abs(trivector.get((i, j, k), 0.0) - expect_tri) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["su2", "su3", "coadjoint-semidirect"])
+    def test_poisson_and_orbit_forms(self, name, rng):
+        model = get_model(name)
+        for _ in range(3):
+            x = model.random_algebra(rng, 0.8)
+            poisson = self._entrywise(model, x, model.B_inv)
+            assert np.abs(kirillov_poisson_matrix(model, x) - poisson).max() <= 1e-15
+            # ω = KKS block on the orbit frame z + the homotopy form on its image u
+            u, z = _pivoted_frame(-model.ad(x))
+            kks = self._entrywise(model, x, z)
+            omega = kks + u.T @ homotopy_two_form(model, x) @ u
+            assert np.abs(exp_orbit_qham_point(model, x).omega - omega).max() <= 1e-15
 
 
 class TestRankDeficientFrames:

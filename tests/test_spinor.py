@@ -29,6 +29,7 @@ from purespin.spinor import (
     rho_covariant,
     rho_generators,
     rho_of_columns,
+    rho_words,
     spinor_of_lagrangian,
     star_to_covariant,
     transversality_by_pairing,
@@ -128,6 +129,32 @@ class TestRhoTable:
             m = d.rho_word_matrix(word)
             assert m.dtype.kind == "i"
             assert np.array_equal(m, expect)
+
+    def test_words_on_chosen_blades(self, rng):
+        n = 3
+        d = DoubledSpace(n)
+        eye = np.eye(2 * n)
+        words = rng.integers(0, 2 * n, size=(8, 3))
+        masks = np.array([5, 0, 7, 2])
+        target, sign = rho_words(n, words, masks)
+        assert target.shape == sign.shape == (8, 4)
+        for w, word in enumerate(words):
+            expect = np.eye(1 << n)
+            for k in word:
+                expect = expect @ _matrix_of(d, eye[k])
+            for c, m in enumerate(masks):
+                column = np.zeros(1 << n)
+                if target[w, c] >= 0:
+                    column[target[w, c]] = sign[w, c]
+                else:
+                    assert sign[w, c] == 0
+                assert np.array_equal(column, expect[:, m])
+
+    def test_words_accept_an_empty_list(self):
+        # an abelian algebra has no c_ij^k, so d_CE asks for no words at all
+        target, sign = rho_words(3, [], np.arange(8))
+        assert target.shape == sign.shape == (0, 8)
+        assert target.dtype.kind == sign.dtype.kind == "i"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_columns_against_the_sparse_route(self, n, rng):
