@@ -104,14 +104,19 @@ def emit_report(command: str, config: dict, checks: list[dict], out: str | None)
 # --------------------------------------------------------------------------- #
 # subcommands
 
-def _require_samples(count: int, flag: str) -> None:
-    """A run over no samples would pass vacuously; refuse it."""
-    if count < 1:
-        raise ValueError(f"{flag} must be at least 1, got {count}")
+def _require_at_least(value: int, flag: str, least: int = 1) -> None:
+    """Refuse a flag value below ``least``, naming the flag.
+
+    A run over no samples would pass vacuously; a split form needs n >= 1;
+    a seed must be non-negative (least 0).
+    """
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}")
 
 
 def cmd_clifford(args) -> int:
-    _require_samples(args.samples, "--samples")
+    _require_at_least(args.samples, "--samples")
+    _require_at_least(args.n, "--n")
     rng = np.random.default_rng(args.seed)
     space = make_split_space(args.n)
     algebra = CliffordAlgebra(space)
@@ -149,9 +154,8 @@ def _split_orthogonal(space, rng):
 
 
 def cmd_spinor(args) -> int:
-    _require_samples(args.samples, "--samples")
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
+    _require_at_least(args.samples, "--samples")
+    _require_at_least(args.n, "--n")
     rng = np.random.default_rng(args.seed)
     doubled = DoubledSpace(args.n)
     b_eye = BilinearSpace(np.eye(args.n))
@@ -205,7 +209,7 @@ def cmd_dirac(args) -> int:
 
 
 def cmd_conjugacy_volume(args) -> int:
-    _require_samples(args.samples, "--samples")
+    _require_at_least(args.samples, "--samples")
     model = get_model(args.group)
     if model.name != "su2" and args.class_trace != 0.0:
         raise ValueError("--class-trace applies to su2 only; other groups sample a random class")
@@ -231,7 +235,7 @@ def cmd_conjugacy_volume(args) -> int:
 
 
 def cmd_integrability(args) -> int:
-    _require_samples(args.points, "--points")
+    _require_at_least(args.points, "--points")
     model = get_model(args.group)
     if not model.liftable:
         raise ValueError(f"group {model.name!r} has no global lift")
@@ -253,7 +257,7 @@ def cmd_integrability(args) -> int:
 
 
 def cmd_qham(args) -> int:
-    _require_samples(args.samples, "--samples")
+    _require_at_least(args.samples, "--samples")
     model = get_model(args.group)
     pin = PinLift(model) if model.liftable else None
     rng = np.random.default_rng(args.seed)
@@ -358,6 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "seed" in args:
+            _require_at_least(args.seed, "--seed", 0)
         return args.func(args)
     except (ValueError, OSError) as err:
         raise SystemExit(f"error: {err}")

@@ -42,13 +42,9 @@ import numpy as np
 
 from .bilinear import DEFAULT_TOL, LagrangianSubspace
 from .forms import fd_exterior_derivative, fd_exterior_derivative_flat, left_invariant_derivative
-from .groups import GroupModel
+from .groups import GroupModel, expm
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_of_columns, rho_words
-
-# imported after the package modules: imported first, it made the benchmark's
-# process set-up (setup_s) about 0.05 s slower on a 2-vCPU machine
-import scipy.linalg  # noqa: E402
 
 __all__ = [
     "section_matrix",
@@ -280,13 +276,13 @@ class PinLift:
     def _lift_columns(self, g) -> list[np.ndarray]:
         """exp(Σ ξ_a S_a) on the seeds of each block for ξ = log g, as (size, seeds) arrays."""
         xi = self.model.log(g)
-        out = []
-        for block in self._spin_blocks:
-            exponent = np.zeros(block.size * block.size)
+        blocks = self._spin_blocks
+        size = blocks[0].size  # every parity block holds 2^(d-1) blades: one stacked exponential
+        exponents = np.zeros((len(blocks), size * size))
+        for exponent, block in zip(exponents, blocks):
             exponent[block.entries] = block.weights @ xi
-            flow = scipy.linalg.expm(exponent.reshape(block.size, block.size))
-            out.append(flow[:, list(block.seeds.values())])
-        return out
+        flows = expm(exponents.reshape(len(blocks), size, size))
+        return [flow[:, list(block.seeds.values())] for flow, block in zip(flows, blocks)]
 
     def _pair(self, columns: list[np.ndarray]) -> tuple[Multivector, Multivector]:
         """(ψ, φ) from the seed columns of every block."""
@@ -397,7 +393,7 @@ def random_class_point(model: GroupModel, g0, rng: np.random.Generator) -> Conju
 
 def su2_class_from_trace(trace: float) -> np.ndarray:
     """Diagonal SU(2) representative of the class with the given (real) trace."""
-    if abs(trace) > 2:
+    if not abs(trace) <= 2:  # also refuses NaN
         raise ValueError("SU(2) traces lie in [-2, 2]")
     z = trace / 2.0 + 1j * math.sqrt(max(0.0, 1.0 - (trace / 2.0) ** 2))
     return np.array([[z, 0], [0, np.conj(z)]], dtype=complex)

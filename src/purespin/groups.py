@@ -4,9 +4,11 @@ A :class:`GroupModel` packages a faithful matrix representation, an ordered
 basis of the Lie algebra, and an ad-invariant inner product B.  Group
 elements are plain numpy matrices in the representation; the adjoint action,
 structure constants and exponential are derived from the representation.
-``GroupModel.log`` is each model's one logarithm (a Schur form, or the closed
-form on the semidirect product); it refuses an element whose logarithm is
-not in the Lie algebra.
+``expm`` is the package's one matrix exponential (Padé scaling and squaring
+over stacks).  ``GroupModel.log`` is each model's one logarithm (unitary
+eigen-angles, the 3×3 rotation closed form, or the closed form on the
+semidirect product); it refuses an element whose logarithm is not in the Lie
+algebra.
 
 Provided models: su(2) (B = Id from the normalized trace form), so(3)
 (same Lie algebra, adjoint action not liftable through the double cover),
@@ -22,7 +24,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .spinor import rho_words
 
@@ -31,6 +32,7 @@ from .spinor import rho_words
 _MEMBERSHIP_TOL = 1e-9
 
 __all__ = [
+    "expm",
     "GroupModel",
     "su2_model",
     "so3_model",
@@ -41,6 +43,64 @@ __all__ = [
     "get_model",
     "MODEL_BUILDERS",
 ]
+
+# Padé numerator coefficients b_0..b_m of degree m, and the largest 1-norm
+# θ_m at which that degree is accurate to double precision without scaling
+# (Higham, "The scaling and squaring method for the matrix exponential
+# revisited", 2005, Table 2.3).
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                               1512.0, 56.0, 1.0)),
+    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                               1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                               670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                               960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def expm(a) -> np.ndarray:
+    """exp of each matrix of a stack (..., n, n), by Padé scaling and squaring.
+
+    Higham's 2005 method: the degree m in (3, 5, 7, 9, 13) and the number s
+    of squarings come from the largest 1-norm in the stack, so one call
+    applies one rational function r_m(A / 2^s)^(2^s) = (V − U)⁻¹(V + U),
+    squared s times, to every matrix; U holds the odd and V the even terms
+    of the numerator.
+    """
+    a = np.asarray(a)
+    norm = float(np.abs(a).sum(axis=-2).max())
+    squarings = 0
+    for m, (theta, b) in _PADE.items():
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        a = a / 2.0 ** squarings
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    a2 = a @ a
+    if m == 13:
+        # Higham's evaluation: six products, from A², A⁴ and A⁶ only
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        power, u, v = a2, b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2
+        for k in range(4, m + 1, 2):
+            power = power @ a2
+            u = u + b[k + 1] * power
+            v = v + b[k] * power
+        u = a @ u
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 class GroupModel:
@@ -78,31 +138,33 @@ class GroupModel:
         return np.linalg.inv(g)
 
     def algebra_matrix(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        out = sum(c * x for c, x in zip(coeffs, self.basis))
-        return out
+        """Σ ξ_a e_a, as one product with the flattened basis."""
+        flat = np.asarray(coeffs, dtype=float) @ self._basis_stack.reshape(self.dim, -1)
+        return flat.reshape(self.rep_dim, self.rep_dim)
 
     def coeffs(self, mat) -> np.ndarray:
         flat = np.asarray(mat, dtype=complex).ravel()
         return self._coeff_pinv @ np.concatenate([flat.real, flat.imag])
 
     def exp(self, coeffs) -> np.ndarray:
-        return scipy.linalg.expm(self.algebra_matrix(coeffs))
+        return expm(self.algebra_matrix(coeffs))
 
     def log(self, g) -> np.ndarray:
         """ξ in the Lie algebra with exp ξ = g; a one-line ValueError if there is none.
 
-        ``_log_matrix`` is the one route per model: Schur eigen-angles moved by
-        whole turns to sum to zero (complex models), real Schur rotation blocks
-        (so3), a closed form (coadjoint-semidirect), factor by factor (products).
+        ``_log_matrix`` is the one route per model: unitary eigen-angles moved
+        by whole turns to sum to zero (complex models), the 3×3 rotation closed
+        form (so3), a closed form (coadjoint-semidirect), factor by factor
+        (products).
         It also returns exp x rebuilt from the factors it holds, so the one
         membership test checks both x ∈ g and exp x = g, the latter relative
         to ‖g‖, without a second exponential.
         """
         x, exp_x = self._log_matrix(g)
         xi = self.coeffs(x)
-        if (np.linalg.norm(self.algebra_matrix(xi) - x) > _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x))
-                or np.linalg.norm(exp_x - g) > _MEMBERSHIP_TOL * np.linalg.norm(g)):
+        # written as "not within", so that a NaN anywhere is refused
+        if not (np.linalg.norm(self.algebra_matrix(xi) - x) <= _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x))
+                and np.linalg.norm(exp_x - g) <= _MEMBERSHIP_TOL * np.linalg.norm(g)):
             raise ValueError(f"no logarithm of the element in the Lie algebra of {self.name!r}")
         return xi
 
@@ -147,8 +209,8 @@ class GroupModel:
                          np.asarray(y, dtype=float), self.structure)
 
     def ad(self, x) -> np.ndarray:
-        """Matrix of ad_x = [x, ·] on coordinates."""
-        return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.structure)
+        """Matrix of ad_x = [x, ·] on coordinates (one per row of a stack x)."""
+        return np.einsum("...i,ijk->...kj", np.asarray(x, dtype=float), self.structure)
 
     def pairing(self, x, y) -> float:
         return float(np.asarray(x, dtype=float) @ self.B @ np.asarray(y, dtype=float))
@@ -187,13 +249,17 @@ class GroupModel:
         return keys[keep] >> d, keys[keep] & ((1 << d) - 1), values[keep]
 
     def dexp_frame(self, x) -> np.ndarray:
-        """Left-trivialized differential of exp at x: (1 - e^{-ad_x}) / ad_x."""
+        """Left-trivialized differential of exp at x: (1 - e^{-ad_x}) / ad_x.
+
+        x is one point (d,) or a stack (k, d); a stack is one exponential of
+        the blocks [[-ad_x, I], [0, 0]] and gives the frames as (k, d, d).
+        """
         ad = self.ad(x)
         d = self.dim
-        block = np.zeros((2 * d, 2 * d))
-        block[:d, :d] = -ad
-        block[:d, d:] = np.eye(d)
-        return scipy.linalg.expm(block)[:d, d:]
+        block = np.zeros(ad.shape[:-2] + (2 * d, 2 * d))
+        block[..., :d, :d] = -ad
+        block[..., :d, d:] = np.eye(d)
+        return expm(block)[..., :d, d:]
 
     # -- sampling ---------------------------------------------------------- #
 
@@ -211,47 +277,50 @@ class GroupModel:
 # concrete models
 
 def _rotation_log(g) -> tuple[np.ndarray, np.ndarray]:
-    """Real skew logarithm of a rotation, from its real Schur form, and its exponential.
+    """Real skew logarithm of a 3×3 rotation, in closed form, and its exponential.
 
-    Each 2×2 block contributes the generator of its rotation angle, and
-    eigenvalues -1 are paired into half turns, which complex eigen-angles
-    cannot express as a real matrix.  The exponential is q·(rotation
-    blocks)·qᵀ: it equals g only if g is a rotation.
+    θ = atan2(|k|, (tr R − 1)/2), where k is the axial vector of the skew
+    part (R − Rᵀ)/2, equal to sin θ·n for a rotation by θ about n.  The axis
+    is k/|k|, or, once θ passes π/2, the column with the largest diagonal
+    entry of the symmetric part (R + Rᵀ)/2 − cos θ·I = (1 − cos θ)·n nᵀ,
+    signed along k: that stays exact at a half turn, where k vanishes.  The
+    exponential is Rodrigues' I + sin θ·n̂ + (1 − cos θ)·n̂²: it equals g
+    only if g is a rotation.
     """
-    t, q = scipy.linalg.schur(np.asarray(g).real, output="real")
-    n = t.shape[0]
-    x = np.zeros((n, n))
-    rot = np.eye(n)
-    half_turns = []
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            angle = math.atan2(t[i + 1, i], t[i, i])
-            x[i + 1, i], x[i, i + 1] = angle, -angle
-            c, s = math.cos(angle), math.sin(angle)
-            rot[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
-            i += 2
-        else:
-            if t[i, i] < 0:
-                half_turns.append(i)
-            i += 1
-    for a, b in zip(half_turns[::2], half_turns[1::2]):
-        x[b, a], x[a, b] = math.pi, -math.pi
-        rot[a, a] = rot[b, b] = -1.0
-    return q @ x @ q.T, q @ rot @ q.T
+    r = np.asarray(g).real
+    if r.shape != (3, 3):
+        raise ValueError(f"the rotation logarithm takes a 3x3 matrix, not {r.shape}")
+    k = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    sin_norm = float(np.linalg.norm(k))
+    cos_theta = 0.5 * (float(np.trace(r)) - 1.0)
+    theta = math.atan2(sin_norm, cos_theta)
+    if cos_theta < 0.0:
+        sym = 0.5 * (r + r.T) - cos_theta * np.eye(3)
+        col = sym[:, int(np.argmax(np.diag(sym)))]
+        n = col / np.linalg.norm(col)
+        if n @ k < 0.0:
+            n = -n
+    else:
+        n = k / sin_norm if sin_norm else k  # k = 0 here means θ = 0: no axis needed
+    n_hat = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    exp_x = np.eye(3) + math.sin(theta) * n_hat + (1.0 - math.cos(theta)) * (n_hat @ n_hat)
+    return theta * n_hat, exp_x
 
 
 def _traceless_log(g) -> tuple[np.ndarray, np.ndarray]:
     """Skew-Hermitian logarithm of a unitary matrix whose eigen-angles sum to zero, and its exponential.
 
-    The principal eigen-angles of the complex Schur form, with round(Σθ/2π)
-    of the largest (or, for a negative sum, the smallest) moved by a whole
-    turn.  This lands in su(n) also where the principal logarithm is not
-    traceless: wrapped angle sums and central elements.  The exponential is
-    q·e^{iθ}·qᴴ: it equals g only if g is unitary.
+    The basis q is the QR factor of the eigenvector matrix, so q is unitary
+    and qᴴgq is upper triangular; the angles are the principal arguments of
+    its diagonal, with round(Σθ/2π) of the largest (or, for a negative sum,
+    the smallest) moved by a whole turn.  This lands in su(n) also where the
+    principal logarithm is not traceless: wrapped angle sums and central
+    elements.  The exponential is q·e^{iθ}·qᴴ: it equals g only if g is
+    unitary.
     """
-    t, q = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
-    theta = np.angle(np.diag(t))
+    g = np.asarray(g, dtype=complex)
+    q, _ = np.linalg.qr(np.linalg.eig(g)[1])
+    theta = np.angle(np.einsum("ji,jk,ki->i", q.conj(), g, q))
     exp_x = (q * np.exp(1j * theta)) @ q.conj().T
     turns = int(round(float(theta.sum()) / (2 * math.pi)))
     if turns:
@@ -306,8 +375,8 @@ class _CoadjointSemidirectModel(GroupModel):
     def _log_matrix(self, g) -> tuple[np.ndarray, np.ndarray]:
         """[[ω̂, p], [0, 0]] with exponential [[R, w], [0, 1]], for rotation angles in [0, π].
 
-        The rotation part ω̂ is the real Schur logarithm of R (half turns
-        paired); exp [[ω̂, p], [0, 0]] = [[R, V p], [0, 1]] with V the
+        The rotation part ω̂ is the closed-form logarithm of R (exact at half
+        turns); exp [[ω̂, p], [0, 0]] = [[R, V p], [0, 1]] with V the
         top-right block of exp [[ω̂, I], [0, 0]], invertible at these angles,
         so p = V⁻¹ w.  Every w is reached, so the exponential returned is
         [[exp ω̂, w], [0, 1]].
@@ -319,7 +388,7 @@ class _CoadjointSemidirectModel(GroupModel):
         block[:3, 3:] = np.eye(3)
         x = np.zeros((4, 4))
         x[:3, :3] = omega
-        x[:3, 3] = np.linalg.solve(scipy.linalg.expm(block)[:3, 3:], g[:3, 3].real)
+        x[:3, 3] = np.linalg.solve(expm(block)[:3, 3:], g[:3, 3].real)
         exp_x = np.eye(4)
         exp_x[:3, :3] = rot
         exp_x[:3, 3] = g[:3, 3].real

@@ -378,18 +378,17 @@ def homotopy_two_form(model: GroupModel, x) -> np.ndarray:
 
     With F = dexp_frame(t x), (exp*η)_{tx}(x, ·, ·) is the matrix
     -½ Fᵀ (Fx·T) F, where T is the invariant tensor and (y·T)_{bc} =
-    Σ_a y_a T_{abc}; the integral is a 32-node Gauss-Legendre sum over t.
+    Σ_a y_a T_{abc}; the integral is a 32-node Gauss-Legendre sum over t,
+    with the 32 frames from one stacked ``dexp_frame``.
     """
     x = np.asarray(x, dtype=float)
-    d = model.dim
     eta = -0.5 * model.invariant_tensor
     ts, ws = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (ts + 1.0)
     ws = 0.5 * ws
-    out = np.zeros((d, d))
-    for t, w in zip(ts, ws):
-        frame = model.dexp_frame(t * x)
-        out += w * t * t * (frame.T @ np.tensordot(frame @ x, eta, 1) @ frame)
+    frames = model.dexp_frame(ts[:, None] * x)
+    terms = frames.transpose(0, 2, 1) @ np.tensordot(frames @ x, eta, 1) @ frames
+    out = np.tensordot(ws * ts * ts, terms, 1)
     return 0.5 * (out - out.T)
 
 

@@ -166,6 +166,38 @@ class TestInputErrors:
         assert exc.value.code == "error: --n must be at least 1"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_clifford_dimension_must_be_positive(self, capsys, n):
+        # it said "n must be >= 1", without the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["clifford", "--n", n, "--samples", "1"])
+        assert exc.value.code == "error: --n must be at least 1"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["clifford", "--n", "1", "--samples", "1"],
+        ["spinor", "--n", "1", "--samples", "1"],
+        ["conjugacy-volume", "--samples", "1"],
+        ["integrability", "--points", "1"],
+        ["qham", "verify", "--samples", "1"],
+        ["verify-all"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_names_its_flag(self, capsys, argv):
+        # it was numpy's "expected non-negative integer", naming no flag
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == "error: --seed must be at least 0"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("trace", ["nan", "inf", "-inf"])
+    def test_non_finite_class_trace_is_refused(self, capsys, trace):
+        # NaN passed the range test and the run died with "SVD did not converge"
+        with pytest.raises(SystemExit) as exc:
+            main(["conjugacy-volume", "--group", "su2", f"--class-trace={trace}",
+                  "--samples", "1"])
+        assert exc.value.code == "error: SU(2) traces lie in [-2, 2]"
+        assert capsys.readouterr().out == ""
+
 
 class TestRemovedFlags:
     @pytest.mark.parametrize("argv", [
@@ -205,6 +237,17 @@ class TestDeterminism:
         assert report["command"] == "spinor"
 
 
+def _run_fresh(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter with src/ on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestMemory:
     def test_integrability_does_not_import_scipy_sparse(self):
         # importing scipy.sparse grows resident memory by about 11 MB; the
@@ -224,10 +267,27 @@ class TestMemory:
             "    model.log(model.random_element(np.random.default_rng(2)))\n"
             "print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert _run_fresh(script) == "[]"
+
+    def test_runtime_does_not_import_scipy(self):
+        # scipy is a test-only oracle: importing scipy.linalg alone took about
+        # half of the CLI's start-up and 29 MB of resident memory
+        script = (
+            "import sys, numpy as np\n"
+            "import purespin.cli\n"
+            "from purespin.geometry import PinLift, cartan_dirac_integrability, conjugacy_volume_top, class_point\n"
+            "from purespin.groups import MODEL_BUILDERS, so3_model\n"
+            "from purespin.suites import run_criterion\n"
+            "rng = np.random.default_rng(1)\n"
+            "for build in MODEL_BUILDERS.values():\n"
+            "    model = build()\n"
+            "    model.log(model.random_element(rng))\n"
+            "    if model.liftable:\n"
+            "        cartan_dirac_integrability(model, model.random_element(rng), PinLift(model))\n"
+            "run_criterion(7)\n"
+            "run_criterion(11)\n"
+            "so3 = so3_model()\n"
+            "conjugacy_volume_top(class_point(so3, so3.random_element(rng)), PinLift(so3))\n"
+            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+        )
+        assert _run_fresh(script) == "[]"

@@ -375,7 +375,7 @@ class TestSpinLiftExponential:
             su2_pin.forms_at(np.diag([1j, 1j]))  # unitary but not special
 
     def test_element_outside_the_group_with_a_logarithm_in_the_algebra_is_refused(self, su2_pin):
-        # the Schur route gives x = 0 ∈ su(2), but exp 0 = I ≠ 2I
+        # the eigen-angle route gives x = 0 ∈ su(2), but exp 0 = I ≠ 2I
         with pytest.raises(ValueError, match="no logarithm"):
             su2_pin.forms_at(2.0 * np.eye(2))
 

@@ -1,11 +1,17 @@
 """Group models: invariant forms, adjoint data, exponentials, extensions."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from purespin.geometry import PinLift
 from purespin.groups import (
     SwapDoubleModel,
+    _rotation_log,
+    _traceless_log,
+    expm,
     get_model,
     product_model,
     so3_model,
@@ -34,8 +40,8 @@ WRAPPED_ELEMENTS = {
 }
 
 
-# matrices outside the group whose Schur-route logarithm x = 0 lies in the
-# Lie algebra, with exp x = I ≠ g: scaled identities and a shear
+# matrices outside the group whose logarithm route gives x = 0, which lies in
+# the Lie algebra, with exp x = I ≠ g: scaled identities and a shear
 OUTSIDE_ELEMENTS = [
     ("su2", 2.0 * np.eye(2)),
     ("su2", np.array([[1.0, 1.0], [0.0, 1.0]])),
@@ -258,3 +264,165 @@ class TestSemidirectLog:
         monkeypatch.setattr(scipy.linalg, "logm", refuse)
         g = semidirect.random_element(rng, 1.5)
         assert np.linalg.norm(semidirect.exp(semidirect.log(g)) - g) < 1e-12
+
+
+def _relative(a, b) -> float:
+    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
+
+
+class TestExpmAgainstScipy:
+    """The numpy Padé exponential against ``scipy.linalg.expm`` as the oracle."""
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 3.0, 10.0])
+    def test_group_elements(self, model, rng, scale):
+        for _ in range(10):
+            a = model.algebra_matrix(model.random_algebra(rng, scale))
+            # scipy's own error on so3 at scale 10 is ~4e-13 (its fewer squarings)
+            assert _relative(expm(a), scipy.linalg.expm(a)) < 1e-12
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 3.0, 10.0])
+    def test_dexp_frame_blocks(self, model, rng, scale):
+        d = model.dim
+        xs = np.array([model.random_algebra(rng, scale) for _ in range(5)])
+        frames = model.dexp_frame(xs)
+        assert frames.shape == (5, d, d)
+        for x, frame in zip(xs, frames):
+            block = np.zeros((2 * d, 2 * d))
+            block[:d, :d] = -model.ad(x)
+            block[:d, d:] = np.eye(d)
+            assert _relative(frame, scipy.linalg.expm(block)[:d, d:]) < 1e-13
+            # a stacked call equals the single call to roundoff
+            assert _relative(frame, model.dexp_frame(x)) < 1e-14
+
+    def test_su3_spin_block(self, su3, rng):
+        block = PinLift(su3)._spin_blocks[0]
+        for scale in (0.5, 2.0):
+            exponent = np.zeros(block.size * block.size)
+            exponent[block.entries] = block.weights @ su3.random_algebra(rng, scale)
+            exponent = exponent.reshape(block.size, block.size)
+            reference = scipy.linalg.expm(exponent)
+            assert np.linalg.norm(expm(exponent) - reference) < 1e-13 * np.linalg.norm(reference)
+
+    def test_stack_equals_single_calls(self, rng):
+        # one degree and one squaring count for the whole stack, from its largest norm
+        stack = np.array([s * rng.standard_normal((4, 4)) for s in (1e-3, 0.1, 1.0, 5.0)])
+        stacked = expm(stack)
+        for a, e in zip(stack, stacked):
+            assert _relative(e, expm(a)) < 1e-13
+            assert _relative(e, scipy.linalg.expm(a)) < 1e-13
+
+
+def _schur_unitary_log(g) -> np.ndarray:
+    """The complex-Schur route: principal angles, whole turns moved as in the package."""
+    t, q = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
+    theta = np.angle(np.diag(t))
+    turns = int(round(float(theta.sum()) / (2 * math.pi)))
+    if turns:
+        order = np.argsort(theta)
+        shift = order[::-1][:turns] if turns > 0 else order[:-turns]
+        theta[shift] -= math.copysign(2 * math.pi, turns)
+    return (q * (1j * theta)) @ q.conj().T
+
+
+def _schur_rotation_log(r) -> np.ndarray:
+    """The real-Schur route: each 2×2 block's angle, eigenvalues -1 paired into half turns."""
+    t, q = scipy.linalg.schur(np.asarray(r).real, output="real")
+    n = t.shape[0]
+    x = np.zeros((n, n))
+    half_turns, i = [], 0
+    while i < n:
+        if i + 1 < n and t[i + 1, i] != 0.0:
+            angle = math.atan2(t[i + 1, i], t[i, i])
+            x[i + 1, i], x[i, i + 1] = angle, -angle
+            i += 2
+        else:
+            if t[i, i] < 0:
+                half_turns.append(i)
+            i += 1
+    for a, b in zip(half_turns[::2], half_turns[1::2]):
+        x[b, a], x[a, b] = math.pi, -math.pi
+    return q @ x @ q.T
+
+
+def _spectrum(x) -> np.ndarray:
+    return np.sort_complex(np.round(np.linalg.eigvals(x), 12))
+
+
+HALF_TURN_OFFSETS = [0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4, 1e-2]
+
+
+class TestLogarithmsAgainstSchur:
+    """The eig+QR unitary logarithm and the 3×3 rotation closed form against Schur."""
+
+    @pytest.mark.parametrize("name, g", [
+        ("su2", -np.eye(2, dtype=complex)),
+        ("su3", np.exp(2j * np.pi / 3) * np.eye(3)),
+        ("su3", np.exp(-2j * np.pi / 3) * np.eye(3)),
+    ], ids=["su2-minus-identity", "su3-centre-1", "su3-centre-2"])
+    def test_central_elements(self, name, g):
+        # the logarithm is not unique here; its spectrum is
+        model = get_model(name)
+        x, exp_x = _traceless_log(g)
+        assert np.allclose(_spectrum(x), _spectrum(_schur_unitary_log(g)), atol=1e-12, rtol=0)
+        assert abs(np.trace(x)) < 1e-12
+        assert np.linalg.norm(exp_x - g) < 1e-12 * np.linalg.norm(g)
+        assert np.linalg.norm(model.exp(model.log(g)) - g) < 1e-12 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-14, 1e-12, 1e-8, 1e-4])
+    def test_near_degenerate_su3_classes(self, su3, rng, gap):
+        for _ in range(20):
+            h = su3.random_element(rng, 3.0)
+            a = rng.uniform(-3.0, 3.0)
+            g = h @ np.diag(np.exp(1j * np.array([a, a + gap, -2 * a - gap]))) @ h.conj().T
+            x, _ = _traceless_log(g)
+            assert np.linalg.norm(x - _schur_unitary_log(g)) < 1e-12
+            assert np.linalg.norm(su3.exp(su3.log(g)) - g) < 1e-12 * np.linalg.norm(g)
+
+    def test_generic_unitary_points(self, rng):
+        for name in ("su2", "su3"):
+            model = get_model(name)
+            for _ in range(50):
+                g = model.random_element(rng, 3.0)
+                assert np.linalg.norm(_traceless_log(g)[0] - _schur_unitary_log(g)) < 1e-12
+
+    @pytest.mark.parametrize("offset", HALF_TURN_OFFSETS)
+    def test_so3_half_turns(self, rng, offset):
+        so3 = so3_model()
+        for _ in range(20):
+            axis = rng.standard_normal(3)
+            g = so3.exp((np.pi - offset) * axis / np.linalg.norm(axis))
+            x, _ = _rotation_log(g)
+            reference = _schur_rotation_log(g)
+            # an exact half turn has two logarithms, ±π·n̂
+            distance = np.linalg.norm(x - reference)
+            if offset == 0.0:
+                distance = min(distance, np.linalg.norm(x + reference))
+            assert distance < 1e-12
+            assert np.linalg.norm(so3.exp(so3.log(g)) - g) < 1e-12 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("offset", HALF_TURN_OFFSETS)
+    def test_semidirect_half_turns(self, semidirect, rng, offset):
+        for _ in range(20):
+            axis = rng.standard_normal(3)
+            x = np.concatenate([rng.standard_normal(3),
+                                (np.pi - offset) * axis / np.linalg.norm(axis)])
+            g = semidirect.exp(x)
+            omega, _ = _rotation_log(g[:3, :3])
+            reference = _schur_rotation_log(g[:3, :3])
+            distance = np.linalg.norm(omega - reference)
+            if offset == 0.0:
+                distance = min(distance, np.linalg.norm(omega + reference))
+            assert distance < 1e-12
+            assert np.linalg.norm(semidirect.exp(semidirect.log(g)) - g) < 1e-12 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 4)])
+    def test_rotation_log_refuses_other_sizes(self, shape):
+        with pytest.raises(ValueError, match="3x3") as exc:
+            _rotation_log(np.eye(*shape))
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["su2", "so3", "su3", "coadjoint-semidirect"])
+    def test_non_finite_element_is_refused(self, name):
+        model = get_model(name)
+        with pytest.raises(ValueError):
+            model.log(np.full((model.rep_dim, model.rep_dim), np.nan))
