@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -360,6 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -1e-3, -inf or -nan after a flag for a flag; "=" attaches it
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] \
+                and re.fullmatch(r"-(\d*\.?\d+(e[-+]?\d+)?|inf|nan)", argv[i], re.IGNORECASE):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         if "seed" in args:

@@ -44,7 +44,7 @@ from .bilinear import DEFAULT_TOL, LagrangianSubspace
 from .forms import fd_exterior_derivative, fd_exterior_derivative_flat, left_invariant_derivative
 from .groups import GroupModel, expm
 from .multivector import Multivector, merge_blades
-from .spinor import DoubledSpace, mask_vector, rho_contravariant, rho_of_columns, rho_words
+from .spinor import DoubledSpace, from_mask_vector, rho_contravariant, rho_of_columns, rho_words
 
 __all__ = [
     "section_matrix",
@@ -174,7 +174,7 @@ def _trivector(tensor: np.ndarray) -> Multivector:
 # Coefficients of an exponentiated spinor below this fraction of its largest
 # one are roundoff: on random su3 and coadjoint-semidirect points the exactly
 # vanishing blades come out below 1e-14 of the largest coefficient and the
-# others above 1e-9.  Dropping them keeps later wedges and pullbacks sparse.
+# others above 1e-9.  Zeroing them keeps the Multivectors of ``forms_at`` sparse.
 _ROUNDOFF_CUT = 1e-12
 
 
@@ -188,30 +188,30 @@ class _SpinBlock:
     """The spin generators on one parity block of Λ V*, stored sparsely.
 
     Σ_a ξ_a S_a has the value ``weights @ ξ`` at the flat positions
-    ``entries`` of a (size, size) matrix and is zero elsewhere; ``seeds``
-    maps "psi"/"phi" to the block position of 1 and of the top blade.
+    ``entries`` of a (size, size) matrix and is zero elsewhere; ``masks``
+    are the blades of the block, and ``seeds`` maps "psi"/"phi" to the block
+    position of 1 and of the top blade.
     """
 
     size: int
     entries: np.ndarray
     weights: np.ndarray
-    blades: list
+    masks: np.ndarray
     seeds: dict
 
 
 def _generator_images(block: _SpinBlock, cols: np.ndarray) -> np.ndarray:
-    """S_a applied to the block vectors ``cols`` for every a, shape (d, size, columns).
+    """S_a applied to the block vectors ``cols`` (seeds, size) for every a, shape (seeds, d, size).
 
     One gather of ``cols`` over the stored entries of all the S_a and one
-    scatter into the (d·size) stack.
+    scatter-add into the stack.
     """
-    size, seeds = cols.shape
-    d = block.weights.shape[1]
+    seeds, size = cols.shape
     gen, entry = np.nonzero(block.weights.T)
     rows, src = np.divmod(block.entries[entry], size)
-    gathered = block.weights[entry, gen][:, None] * cols[src]
-    return np.stack([np.bincount(gen * size + rows, gathered[:, c], minlength=d * size)
-                     for c in range(seeds)], axis=1).reshape(d, size, seeds)
+    out = np.zeros((seeds, block.weights.shape[1], size))
+    np.add.at(out, (slice(None), gen, rows), block.weights[entry, gen] * cols[:, src])
+    return out
 
 
 class PinLift:
@@ -226,7 +226,8 @@ class PinLift:
     Λ V* holding 1 and μ are built (on first use) and exponentiated.  Near
     g the same homomorphism gives L(g·exp(t e_a)) = exp(t S_a)·L(g), so the
     left-invariant derivatives are exactly X_a L(g) = S_a·L(g), which
-    ``forms_near`` returns with no step and no second exponential.
+    ``forms_near`` returns with no step and no second exponential, as dense
+    vectors over the blade masks (``forms_at`` gives :class:`Multivector`s).
 
     ξ = ``model.log(g)``, the model's one logarithm, which refuses an element
     with no logarithm in the Lie algebra.
@@ -264,17 +265,16 @@ class PinLift:
                 np.bincount(where, signs * coeff[a, pairs[pair, 0], pairs[pair, 1]],
                             minlength=entries.size)
                 for a in range(d)], axis=1)
-            blades = [tuple(i for i in range(d) if m >> i & 1) for m in members]
             seeds = {}
             if p == 0:
                 seeds["psi"] = int(pos[0])
             if p == d % 2:
                 seeds["phi"] = int(pos[(1 << d) - 1])
-            blocks.append(_SpinBlock(size, entries, weights, blades, seeds))
+            blocks.append(_SpinBlock(size, entries, weights, members, seeds))
         return blocks
 
     def _lift_columns(self, g) -> list[np.ndarray]:
-        """exp(Σ ξ_a S_a) on the seeds of each block for ξ = log g, as (size, seeds) arrays."""
+        """exp(Σ ξ_a S_a) on the seeds of each block for ξ = log g, as (seeds, size) arrays."""
         xi = self.model.log(g)
         blocks = self._spin_blocks
         size = blocks[0].size  # every parity block holds 2^(d-1) blades: one stacked exponential
@@ -282,20 +282,21 @@ class PinLift:
         for exponent, block in zip(exponents, blocks):
             exponent[block.entries] = block.weights @ xi
         flows = expm(exponents.reshape(len(blocks), size, size))
-        return [flow[:, list(block.seeds.values())] for flow, block in zip(flows, blocks)]
+        return [flow[:, list(block.seeds.values())].T for flow, block in zip(flows, blocks)]
 
-    def _pair(self, columns: list[np.ndarray]) -> tuple[Multivector, Multivector]:
-        """(ψ, φ) from the seed columns of every block."""
-        d = self.model.dim
+    def _pair(self, columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (ψ, φ) from the (seeds, ..., size) block columns, each cut at ``_ROUNDOFF_CUT``."""
         out = {}
         for block, cols in zip(self._spin_blocks, columns):
-            for name, values in zip(block.seeds, cols.T):
-                cut = _ROUNDOFF_CUT * np.abs(values).max()
-                # the block's blades are valid by construction: no re-validation
-                out[name] = Multivector.zero(d)
-                out[name].terms = {b: float(c) for b, c in zip(block.blades, values)
-                                   if abs(c) > cut}
-        return out["psi"], out["phi"].scale(self._mu_scale)
+            mags = np.abs(cols)
+            dense = np.zeros(cols.shape[:-1] + (1 << self.model.dim,))
+            dense[..., block.masks] = np.where(
+                mags > _ROUNDOFF_CUT * mags.max(axis=-1, keepdims=True), cols, 0.0)
+            out.update(zip(block.seeds, dense))
+        return out["psi"], self._mu_scale * out["phi"]
+
+    def _forms(self, g) -> tuple[Multivector, Multivector]:
+        return tuple(map(from_mask_vector, self._pair(self._lift_columns(g))))
 
     def _require_lift(self) -> None:
         if not self.model.liftable:
@@ -305,14 +306,14 @@ class PinLift:
     def forms_at(self, g) -> tuple[Multivector, Multivector]:
         """(ψ, φ) at g with the global sign branch fixed by ψ_e = 1."""
         self._require_lift()
-        return self._pair(self._lift_columns(g))
+        return self._forms(g)
 
-    def forms_near(self, g) -> tuple[tuple[Multivector, Multivector], list]:
+    def forms_near(self, g) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """(ψ, φ) at g and their left-invariant derivatives, from one lift.
 
-        Returns ((ψ_g, φ_g), derivatives) with derivatives[a] = (X_a ψ, X_a φ)
-        at g.  A_{gk} = A_k A_g, so the lift satisfies
-        L(g·exp(t e_a)) = exp(t S_a)·L(g), and the derivatives are the
+        Returns ((ψ_g, φ_g), (Xψ, Xφ)) over the blade masks, row a of Xψ and
+        Xφ being X_a ψ and X_a φ at g.  A_{gk} = A_k A_g, so the lift
+        satisfies L(g·exp(t e_a)) = exp(t S_a)·L(g), and the derivatives are the
         sparse products S_a·L(g) on the block vectors of ψ_g and φ_g
         (``_generator_images``): a point costs one logarithm and one
         exponential of each block.
@@ -320,12 +321,11 @@ class PinLift:
         self._require_lift()
         columns = self._lift_columns(g)
         images = [_generator_images(block, cols) for block, cols in zip(self._spin_blocks, columns)]
-        derivatives = [self._pair([image[a] for image in images]) for a in range(self.model.dim)]
-        return self._pair(columns), derivatives
+        return self._pair(columns), self._pair(images)
 
     def forms_at_unsigned(self, g) -> tuple[Multivector, Multivector]:
         """Sign-agnostic evaluation for models without a global lift."""
-        return self._pair(self._lift_columns(g))
+        return self._forms(g)
 
 
 # --------------------------------------------------------------------------- #
@@ -603,20 +603,14 @@ def cartan_section_field(model: GroupModel, xi, which: str = "e"):
     return field
 
 
-def _structure_action(model: GroupModel, g, psi: Multivector) -> np.ndarray:
-    """Σ c_ijk R_i R_j R_k ψ over the structure trivector, as a dense vector over the blade masks.
+def _cubic_action(tensor: np.ndarray, ws: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Σ_ijk t_ijk ρ(w_i) ρ(w_j) ρ(w_k) x / 6 over the columns w_i of ``ws``, on dense forms (..., 2^d).
 
-    R_i = ρ(e(ξ_i)) = Σ_m e_mat[m, i] P_m from the ρ table; the sum is taken as
-    U_i = Σ_jk c_ijk R_j R_k ψ, then Σ_i R_i U_i.
+    For an antisymmetric t and isotropic, mutually orthogonal w_i this is the action of the
+    trivector Σ_{i<j<k} t_ijk w_i w_j w_k, taken as Σ_i ρ(w_i) U_i, U_i = Σ_jk t_ijk ρ(w_j) ρ(w_k) x.
     """
-    d = model.dim
-    e_mat, _ = cartan_section_bases(model, g)
-    coeff = np.zeros((d, d, d))
-    for (i, j, k), c in structure_trivector(model).terms.items():
-        coeff[i, j, k] = c
-    twice = rho_of_columns(e_mat, rho_of_columns(e_mat, mask_vector(psi)))
-    inner = np.einsum("ijk,jkn->in", coeff, twice)
-    return np.einsum("iin->n", rho_of_columns(e_mat, inner))
+    twice = rho_of_columns(ws, rho_of_columns(ws, x))
+    return np.einsum("ii...->...", rho_of_columns(ws, np.einsum("ijk,jk...->i...", tensor, twice))) / 6
 
 
 def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift) -> dict:
@@ -628,28 +622,26 @@ def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift) -> dict:
     left-invariant formula on the exact derivatives of ``PinLift.forms_near``,
     so the residuals carry roundoff only.
     """
-    eta = eta_multivector(model)
-    (psi_c, phi_c), derivatives = pin.forms_near(g)
-    res_phi = left_invariant_derivative(model, phi_c, (x_phi for _, x_phi in derivatives)) \
-        + eta.wedge(phi_c)
-    res_psi = left_invariant_derivative(model, psi_c, (x_psi for x_psi, _ in derivatives)) \
-        + eta.wedge(psi_c)
-
-    rhs = _structure_action(model, g, psi_c)
-    res_vec = mask_vector(res_psi)
+    d = model.dim
+    (psi, phi), (x_psi, x_phi) = pin.forms_near(g)
+    # η ∧ is η = -½T acting through the covector columns, ρ(0 ⊕ e^i) = e^i ∧
+    eta_psi, eta_phi = _cubic_action(-0.5 * model.invariant_tensor, np.eye(2 * d, d, -d),
+                                     np.stack([psi, phi]))
+    res_psi = left_invariant_derivative(model, psi, x_psi) + eta_psi
+    res_phi = left_invariant_derivative(model, phi, x_phi) + eta_phi
+    # the structure trivector T^{ijk} acting through R_i = ρ(e(ξ_i)) is T through e_mat·B⁻¹
+    rhs = _cubic_action(model.invariant_tensor, cartan_section_bases(model, g)[0] @ model.B_inv, psi)
     rhs_norm2 = float(rhs @ rhs)
-    lam = 0.0
-    if rhs_norm2 > 1e-30:
-        lam = float(rhs @ res_vec) / rhs_norm2
-    fit_residual = float(np.linalg.norm(res_vec - lam * rhs))
-    # (d+η) flips parity: the component of the residual sharing φ's parity is pure noise
-    same_parity = res_phi.odd_part() if phi_c.min_grade() % 2 else res_phi.even_part()
+    lam = float(rhs @ res_psi) / rhs_norm2 if rhs_norm2 > 1e-30 else 0.0
+    psi_norm, fit_residual = (float(np.linalg.norm(r)) for r in (res_psi, res_psi - lam * rhs))
+    # (d+η) flips parity: the part of the residual sharing φ's parity (grade d's) is pure noise
+    same_parity = res_phi[np.bitwise_count(np.arange(res_phi.size)) % 2 == d % 2]
     return {
-        "phi_residual": res_phi.norm(),
-        "psi_residual": res_psi.norm(),
+        "phi_residual": float(np.linalg.norm(res_phi)),
+        "psi_residual": psi_norm,
         "xi_fit_coefficient": lam,
-        "xi_fit_relative_residual": fit_residual / max(res_psi.norm(), 1e-30),
-        "phi_same_parity_residual": same_parity.norm(),
+        "xi_fit_relative_residual": fit_residual / max(psi_norm, 1e-30),
+        "phi_same_parity_residual": float(np.linalg.norm(same_parity)),
     }
 
 

@@ -145,12 +145,6 @@ class Multivector:
     def min_grade(self) -> int:
         return min((len(b) for b in self.terms), default=0)
 
-    def even_part(self) -> "Multivector":
-        return Multivector(self.dim, {b: c for b, c in self.terms.items() if len(b) % 2 == 0})
-
-    def odd_part(self) -> "Multivector":
-        return Multivector(self.dim, {b: c for b, c in self.terms.items() if len(b) % 2 == 1})
-
     def has_pure_parity(self) -> bool:
         parities = {len(b) % 2 for b in self.terms}
         return len(parities) <= 1

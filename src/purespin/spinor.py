@@ -52,6 +52,7 @@ __all__ = [
     "rho_words",
     "rho_of_columns",
     "mask_vector",
+    "from_mask_vector",
     "rho_contravariant",
     "rho_covariant",
     "null_space",
@@ -190,6 +191,20 @@ def mask_vector(phi: Multivector, exact_ints: bool = False) -> np.ndarray:
     for blade, c in zip(phi.terms, coeffs):
         vec[sum(1 << i for i in blade)] = c
     return vec
+
+
+@lru_cache(maxsize=None)
+def _mask_blades(n: int) -> tuple[tuple[int, ...], ...]:
+    """The blade of every mask below 2^n, by mask (a table: building the tuples dominates on su3)."""
+    return tuple(tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n))
+
+
+def from_mask_vector(vec: np.ndarray) -> Multivector:
+    """The inverse of ``mask_vector``: the form with the nonzero entries of a float vector."""
+    masks = np.flatnonzero(vec)
+    out = Multivector.zero(vec.size.bit_length() - 1)  # the blades are valid: no re-validation
+    out.terms = dict(zip(map(_mask_blades(out.dim).__getitem__, masks.tolist()), vec[masks].tolist()))
+    return out
 
 
 def rho_contravariant(doubled: DoubledSpace, w, phi: Multivector) -> Multivector:

@@ -198,6 +198,23 @@ class TestInputErrors:
         assert exc.value.code == "error: SU(2) traces lie in [-2, 2]"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("trace", ["-inf", "-nan"])
+    def test_non_finite_class_trace_after_a_space_is_refused(self, capsys, trace):
+        # "-inf" after a space was taken for a flag: exit 2 with the usage text
+        with pytest.raises(SystemExit) as exc:
+            main(["conjugacy-volume", "--group", "su2", "--class-trace", trace, "--samples", "1"])
+        assert exc.value.code == "error: SU(2) traces lie in [-2, 2]"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("trace", ["-1e-3", "-1.5E+0"])
+    def test_negative_class_trace_after_a_space_runs(self, capsys, trace):
+        # argparse reads only -<digits> and -<digits>.<digits> as numbers
+        code = main(["conjugacy-volume", "--group", "su2", "--class-trace", trace,
+                     "--samples", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["passed"]
+        assert float(report["config"]["class_trace"]) == float(trace)
+
 
 class TestRemovedFlags:
     @pytest.mark.parametrize("argv", [

@@ -21,6 +21,7 @@ from purespin.spinor import (
     covariant_spinor_of_lagrangian,
     decompose_pure_spinor,
     fixed_line_dimension,
+    from_mask_vector,
     graph_two_form_of,
     null_space,
     mask_vector,
@@ -179,6 +180,20 @@ class TestRhoTable:
         for j in range(2):
             img = rho_contravariant(d, list(ws[:, j]), phi.scale(6))
             assert out[j].tolist() == mask_vector(img, exact_ints=False).astype(int).tolist()
+
+    @pytest.mark.parametrize("form", [
+        Multivector.zero(3),
+        Multivector.scalar(3, 2.5),
+        Multivector.top(3, -1.5),
+        Multivector(4, {(): 1.0, (1, 3): -0.25, (0, 1, 2): 3.0, (0, 1, 2, 3): 0.5}),
+        Multivector.zero(0),
+        Multivector.scalar(0, 4.0),
+    ], ids=["zero", "scalar", "top", "mixed", "dim0-zero", "dim0-scalar"])
+    def test_from_mask_vector_inverts_mask_vector(self, form):
+        back = from_mask_vector(mask_vector(form))
+        assert back.dim == form.dim
+        assert back.terms == form.terms
+        assert all(type(c) is float for c in back.terms.values())
 
 
 class TestNullSpaces:
