@@ -42,9 +42,10 @@ from .dirac import dirac_image, dirac_preimage, is_strong_dirac, kappa_embed
 from .geometry import (
     PinLift,
     cartan_dirac_integrability,
-    conjugacy_volume_top,
+    conjugacy_volume_tops,
     ghjw_matrix,
     random_class_point,
+    random_class_points,
     su2_class_from_trace,
 )
 from .groups import get_model
@@ -220,11 +221,10 @@ def cmd_conjugacy_volume(args) -> int:
         g0 = su2_class_from_trace(args.class_trace)
     else:
         g0 = model.random_element(rng)
-    pts = [random_class_point(model, g0, rng) for _ in range(args.samples)]
+    pts = random_class_points(model, g0, rng, args.samples)
     checks = []
-    for idx, pt in enumerate(pts):
+    for idx, (pt, dens) in enumerate(zip(pts, conjugacy_volume_tops(pts, pin).tolist())):
         omega = ghjw_matrix(pt)
-        dens = conjugacy_volume_top(pt, pin)
         checks.append({
             "index": idx,
             "point": np.asarray(pt.g).tolist(),
@@ -301,9 +301,16 @@ def cmd_verify_all(args) -> int:
 
 # --------------------------------------------------------------------------- #
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and, through ``add_subparsers``, its subparsers) that
+    refuses a command line with one line, "error: …", and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="purespin",
-                                     description="pure-spinor / Dirac-geometry verifier")
+    parser = _Parser(prog="purespin", description="pure-spinor / Dirac-geometry verifier")
     parser.add_argument("--version", action="version", version=f"purespin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

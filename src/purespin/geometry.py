@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .bilinear import DEFAULT_TOL, LagrangianSubspace
 from .forms import fd_exterior_derivative, fd_exterior_derivative_flat, left_invariant_derivative
-from .groups import GroupModel, expm
+from .groups import GroupModel, expm_rows
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, from_mask_vector, rho_contravariant, rho_of_columns, rho_words
 
@@ -62,9 +62,12 @@ __all__ = [
     "PinLift",
     "ConjugacyClassPoint",
     "class_point",
+    "class_points",
     "random_class_point",
+    "random_class_points",
     "su2_class_from_trace",
     "conjugacy_volume_top",
+    "conjugacy_volume_tops",
     "frame_volume_density",
     "volume_density_oracle",
     "pfaffian",
@@ -79,7 +82,10 @@ __all__ = [
 # linear data at a point
 
 def section_matrix(model: GroupModel, g) -> np.ndarray:
-    """Left-trivialized matrix of the section exchanging invariant frames, A_g = Ad(g⁻¹)."""
+    """Left-trivialized matrix of the section exchanging invariant frames, A_g = Ad(g⁻¹).
+
+    g may be a stack (N, n, n); A_g is then (N, d, d).
+    """
     return model.Ad(model.inv(g), g)
 
 
@@ -123,7 +129,7 @@ def _class_form_operator(model: GroupModel, a: np.ndarray) -> np.ndarray:
     B is Ad-invariant, so Ad_g = A⁻¹ = B⁻¹AᵀB and the matrix is (BA - (BA)ᵀ)/2.
     """
     ba = model.B @ a
-    return 0.5 * (ba - ba.T)
+    return 0.5 * (ba - ba.mT)
 
 
 def eta_multivector(model: GroupModel) -> Multivector:
@@ -176,6 +182,19 @@ def _trivector(tensor: np.ndarray) -> Multivector:
 # vanishing blades come out below 1e-14 of the largest coefficient and the
 # others above 1e-9.  Zeroing them keeps the Multivectors of ``forms_at`` sparse.
 _ROUNDOFF_CUT = 1e-12
+
+# Bytes of one stacked array (exponents of the lift, bordered matrices of the
+# volume density) per call; a stack of sample points is cut into chunks of
+# this size.  One su3 lift block (128×128 floats) fills it, so a su3 stack
+# needs no more memory than a single point, while 512 su2 lifts (2×4×4
+# floats each) still go in one call.
+_STACK_BYTES = 1 << 17
+
+
+def _chunks(count: int, row_bytes: int) -> list[slice]:
+    """Slices of ``range(count)`` whose rows of ``row_bytes`` fill at most ``_STACK_BYTES``."""
+    step = max(1, _STACK_BYTES // max(row_bytes, 1))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _kappa_derivative(x: np.ndarray, b: np.ndarray, b_inv: np.ndarray) -> np.ndarray:
@@ -230,7 +249,10 @@ class PinLift:
     vectors over the blade masks (``forms_at`` gives :class:`Multivector`s).
 
     ξ = ``model.log(g)``, the model's one logarithm, which refuses an element
-    with no logarithm in the Lie algebra.
+    with no logarithm in the Lie algebra.  The dense (ψ, φ) of ``_dense``
+    are taken at one element (n, n) or at a stack (N, n, n): a stack costs
+    one logarithm and a few exponentials (``groups.expm_rows``) and gives,
+    row by row, the bits of a call per point.
     """
 
     def __init__(self, model: GroupModel):
@@ -274,15 +296,31 @@ class PinLift:
         return blocks
 
     def _lift_columns(self, g) -> list[np.ndarray]:
-        """exp(Σ ξ_a S_a) on the seeds of each block for ξ = log g, as (seeds, size) arrays."""
+        """exp(Σ ξ_a S_a) on the seeds of each block for ξ = log g, as (seeds, ..., size) arrays.
+
+        g is one element or a stack (N, n, n).  The blocks of one element
+        share one exponential call, and a stack is exponentiated in chunks
+        of ``_STACK_BYTES``, each element with its own Padé degree.
+        """
         xi = self.model.log(g)
         blocks = self._spin_blocks
         size = blocks[0].size  # every parity block holds 2^(d-1) blades: one stacked exponential
-        exponents = np.zeros((len(blocks), size * size))
-        for exponent, block in zip(exponents, blocks):
-            exponent[block.entries] = block.weights @ xi
-        flows = expm(exponents.reshape(len(blocks), size, size))
-        return [flow[:, list(block.seeds.values())].T for flow, block in zip(flows, blocks)]
+        rows = xi.reshape(-1, xi.shape[-1])
+        seeds = [list(block.seeds.values()) for block in blocks]
+        columns = [np.empty((len(rows), size, len(s))) for s in seeds]
+        for part in _chunks(len(rows), len(blocks) * size * size * 8):
+            exponents = np.zeros((len(rows[part]), len(blocks), size * size))
+            for k, block in enumerate(blocks):
+                exponents[:, k, block.entries] = (block.weights @ rows[part, :, None])[..., 0]
+            flows = expm_rows(exponents.reshape(-1, len(blocks), size, size))
+            for k, cols in enumerate(columns):
+                cols[part] = flows[:, k][..., seeds[k]]
+        return [cols.transpose(2, 0, 1).reshape((len(s),) + xi.shape[:-1] + (size,))
+                for cols, s in zip(columns, seeds)]
+
+    def _dense(self, g) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (ψ, φ) at g, or at each element of a stack as (N, 2^d) arrays."""
+        return self._pair(self._lift_columns(g))
 
     def _pair(self, columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Dense (ψ, φ) from the (seeds, ..., size) block columns, each cut at ``_ROUNDOFF_CUT``."""
@@ -296,7 +334,7 @@ class PinLift:
         return out["psi"], self._mu_scale * out["phi"]
 
     def _forms(self, g) -> tuple[Multivector, Multivector]:
-        return tuple(map(from_mask_vector, self._pair(self._lift_columns(g))))
+        return tuple(map(from_mask_vector, self._dense(g)))
 
     def _require_lift(self) -> None:
         if not self.model.liftable:
@@ -333,7 +371,10 @@ class PinLift:
 
 @dataclass
 class ConjugacyClassPoint:
-    """A class point with a pivoted tangent frame U = (A_g - I) Z."""
+    """A class point with a pivoted tangent frame U = (A_g - I) Z.
+
+    ``class_points`` builds the points of a stack of elements together.
+    """
 
     model: GroupModel
     g: np.ndarray
@@ -353,42 +394,70 @@ _FRAME_CUT = 1e3 * DEFAULT_TOL
 _PIVOT_TIE = 64 * np.finfo(float).eps
 
 
-def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy frame of ran(gen), pivoting on the largest remaining generator image.
+def _pivoted_frames(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Greedy frame of ran(gen) for each square matrix of a stack (N, d, d).
 
-    Returns (frame, params): the chosen columns of the square matrix ``gen``
-    and the unit vectors selecting them, so that frame = gen @ params.  The
-    remaining images are the rows of one (d, d) array, deflated together
-    after each pivot.  Images whose norms tie with the largest up to
+    Returns (frame, params) per matrix: its chosen columns and the unit
+    vectors selecting them, so that frame = gen @ params.  Each step pivots
+    on the largest remaining generator image.  The remaining images of a
+    matrix are the rows of one (d, d) array, and all N are deflated together
+    after each pivot; a matrix stops at its own rank, so the ranks of a
+    stack may differ.  Images whose norms tie with the largest up to
     roundoff (``_PIVOT_TIE``) are taken lowest index first, so the frame,
     and the sign of a density read on it, do not depend on the last bits of
     how ``gen`` was computed.
     """
-    d = gen.shape[1]
-    residual = np.array(gen.T, dtype=float, order="C")
-    scale = max(np.linalg.norm(gen, 2), 1.0)
-    chosen: list[int] = []
+    residual = np.array(gen.mT, dtype=float, order="C")
+    rows = np.arange(len(gen))
+    scale = np.maximum(np.linalg.svd(gen, compute_uv=False)[:, 0], 1.0)  # max(‖gen‖₂, 1)
+    tie, cut = _PIVOT_TIE * scale[:, None], _FRAME_CUT * scale
+    bests, tops = [], []
     while True:
         norms = np.sqrt(np.vecdot(residual, residual))
-        best = int(np.argmax(norms >= norms.max() - _PIVOT_TIE * scale))
-        if norms[best] <= _FRAME_CUT * scale:
+        best = np.argmax(norms >= norms.max(axis=1, keepdims=True) - tie, axis=1)
+        top = norms[rows, best]
+        if not (top > cut).any():
             break
-        chosen.append(best)
-        q = residual[best] / norms[best]
-        residual -= np.vecdot(residual, q)[:, None] * q
-    return gen.T[chosen].T, np.eye(d)[chosen].T
+        bests.append(best)
+        tops.append(top)
+        # a matrix past its rank is deflated on as well, harmlessly: its frame ends at its first top <= cut
+        q = (residual[rows, best] / np.maximum(top, cut)[:, None])[:, None, :]
+        residual -= np.vecdot(residual, q)[..., None] * q
+    ranks = np.argmin(np.array([*tops, cut]) > cut, axis=0)
+    picks = np.array(bests, dtype=np.intp).reshape(len(bests), len(gen)).T
+    eye = np.eye(gen.shape[-1])
+    return [(one.T[pick[:rank]].T, eye[pick[:rank]].T) for one, pick, rank in zip(gen, picks, ranks)]
+
+
+def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_pivoted_frames`` of one square matrix."""
+    return _pivoted_frames(gen[None])[0]
+
+
+def class_points(model: GroupModel, g) -> list[ConjugacyClassPoint]:
+    """The class point of each element of a stack (N, n, n): one stacked adjoint and
+    the greedy frames of ``_pivoted_frames``; the points may differ in class dimension."""
+    g = np.asarray(g)
+    a = section_matrix(model, g)
+    frames = _pivoted_frames(a - np.eye(model.dim))
+    return [ConjugacyClassPoint(model, g_i, frame, params, a_i)
+            for g_i, a_i, (frame, params) in zip(g, a, frames)]
 
 
 def class_point(model: GroupModel, g) -> ConjugacyClassPoint:
-    """Greedy frame for T_g C, pivoting on the largest remaining generator image."""
-    a = section_matrix(model, g)
-    frame, params = _pivoted_frame(a - np.eye(model.dim))
-    return ConjugacyClassPoint(model, np.asarray(g), frame, params, a)
+    """Greedy frame for T_g C, pivoting on the largest remaining generator image (``class_points`` of one)."""
+    return class_points(model, np.asarray(g)[None])[0]
+
+
+def random_class_points(model: GroupModel, g0, rng: np.random.Generator,
+                        count: int) -> list[ConjugacyClassPoint]:
+    """``count`` points h·g0·h⁻¹ of the class of g0, h from one stacked draw."""
+    h = model.random_element(rng, count=count)
+    return class_points(model, model.mul(model.mul(h, g0), model.inv(h)))
 
 
 def random_class_point(model: GroupModel, g0, rng: np.random.Generator) -> ConjugacyClassPoint:
-    h = model.random_element(rng)
-    return class_point(model, model.mul(model.mul(h, g0), model.inv(h)))
+    return random_class_points(model, g0, rng, 1)[0]
 
 
 def su2_class_from_trace(trace: float) -> np.ndarray:
@@ -406,9 +475,9 @@ def ghjw_matrix(point: ConjugacyClassPoint) -> np.ndarray:
 
 def _ghjw_on_params(model: GroupModel, a: np.ndarray, params: np.ndarray) -> np.ndarray:
     """ω[i, j] = B(((Ad_g - Ad_{g^{-1}})/2) p_i, p_j) over the columns p_i of ``params``,
-    with A = Ad(g^{-1}), as the one product Pᵀ·op·P, antisymmetrized."""
-    out = params.T @ _class_form_operator(model, a) @ params
-    return 0.5 * (out - out.T)
+    with A = Ad(g^{-1}), as the one product Pᵀ·op·P, antisymmetrized (per point of a stack)."""
+    out = params.mT @ _class_form_operator(model, a) @ params
+    return 0.5 * (out - out.mT)
 
 
 # --------------------------------------------------------------------------- #
@@ -447,40 +516,92 @@ def _pfaffians(a: np.ndarray) -> np.ndarray:
     return pf
 
 
-def frame_volume_density(omega: np.ndarray, psi: Multivector, frame: np.ndarray) -> float:
-    """Top coefficient of e^ω ∧ frame*ψ on an m-dimensional frame, one batched Pfaffian sweep.
+@lru_cache(maxsize=None)
+def _blade_table(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The blades K of Λ V* (dim V = d) that an m-frame density reads, and how.
 
-    ``omega`` is the (m, m) 2-form on the frame and ``frame`` the (d, m)
-    matrix of the frame vectors in the coordinates of ψ.  For a blade
-    K = (k_1 < ... < k_r) of ψ with A_K = frame[K, :]^T (m × r),
+    Returns (masks, signs, index, pads): the masks of the blades with r <= m
+    and m + r even, in increasing order; (-1)^{r(r-1)/2} for each; for each,
+    the rows (and columns) of the bordered matrix [[ω, Fᵀ], [-F, 0]] followed
+    by ``pads`` blocks J that make up its matrix in ``frame_volume_density``:
+    the m rows of ω, then m + k for k in K, then pad rows up to the longest
+    blade.  The arrays are cached, so they are made read-only.
+    """
+    masks = np.arange(1 << d)
+    grades = np.bitwise_count(masks)
+    keep = (grades <= m) & ((m + grades) % 2 == 0)
+    masks, grades = masks[keep], grades[keep].astype(int)
+    longest = int(grades.max(initial=0))
+    pads = (longest - int(grades.min(initial=0))) // 2
+    tail = list(range(m + d, m + d + 2 * pads))
+    index = np.array([list(range(m)) + [m + k for k in range(d) if mask >> k & 1] + tail[:longest - r]
+                      for mask, r in zip(masks.tolist(), grades.tolist())], dtype=np.intp)
+    signs = np.where(grades * (grades - 1) // 2 % 2, -1.0, 1.0)
+    index = index.reshape(len(masks), m + longest)
+    for table in (masks, signs, index):
+        table.flags.writeable = False
+    return masks, signs, index, pads
+
+
+def frame_volume_density(omega: np.ndarray, psi: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Top coefficient of e^ω ∧ frame*ψ on an m-dimensional frame, by batched Pfaffian sweeps.
+
+    ``omega`` is the (m, m) 2-form on the frame, ``psi`` the dense form over
+    the 2^d blade masks and ``frame`` the (d, m) matrix of the frame vectors
+    in the coordinates of ψ; or each is a stack of N of these, with one m,
+    and the result has shape (N,).  For a blade K = (k_1 < ... < k_r) of ψ
+    with A_K = frame[K, :]^T (m × r),
 
         top(e^ω ∧ frame*e^K) = (-1)^{r(r-1)/2} Pf([[ω, A_K], [-A_K^T, 0]]),
 
     which vanishes unless m + r is even and r <= m.  The bordered matrices of
-    all admissible blades are gathered into one stack, those of shorter
-    blades padded to the longest by blocks J = [[0, 1], [-1, 0]] on the
-    diagonal (Pf(diag(X, J)) = Pf(X)), and eliminated together
-    (``_pfaffians``).  Nothing is expanded.
+    the admissible blades (``_blade_table``) on which some ψ of the stack is
+    nonzero are gathered into one stack, those of shorter blades padded to
+    the longest by blocks J = [[0, 1], [-1, 0]] on the diagonal
+    (Pf(diag(X, J)) = Pf(X)), and eliminated together (``_pfaffians``), in
+    chunks of ``_STACK_BYTES``.  Nothing is expanded.
     """
-    d, m = frame.shape
-    blades = [(b, c) for b, c in psi.terms.items() if len(b) <= m and (m + len(b)) % 2 == 0]
-    if not blades:
-        return 0.0
-    longest = max(len(b) for b, _ in blades)
-    pads = (longest - min(len(b) for b, _ in blades)) // 2
-    # [[ω, Fᵀ], [-F, 0]] followed by ``pads`` blocks J on the diagonal
-    border = np.zeros((m + d + 2 * pads,) * 2)
-    border[:m, :m] = omega
-    border[:m, m:m + d] = frame.T
-    border[m:m + d, :m] = -frame
-    j = np.arange(m + d, m + d + 2 * pads, 2)
-    border[j, j + 1], border[j + 1, j] = 1.0, -1.0
-    head, tail = list(range(m)), list(range(m + d, m + d + 2 * pads))
-    index = np.array([head + [m + k for k in b] + tail[:longest - len(b)] for b, _ in blades],
-                     dtype=np.intp)
-    pf = _pfaffians(border[index[:, :, None], index[:, None, :]])
-    signs = np.array([-1.0 if len(b) * (len(b) - 1) // 2 % 2 else 1.0 for b, _ in blades])
-    return float((signs * pf) @ np.array([float(c) for _, c in blades]))
+    single = omega.ndim == 2
+    omega, psi, frame = (np.asarray(x, dtype=float)[None] if single else np.asarray(x, dtype=float)
+                         for x in (omega, psi, frame))
+    count, d, m = frame.shape
+    masks, signs, index, pads = _blade_table(d, m)
+    live = np.flatnonzero(np.any(psi[:, masks], axis=0))
+    out = np.zeros(count)
+    if live.size:
+        masks, signs, index = masks[live], signs[live], index[live]
+        size = index.shape[1]
+        for part in _chunks(count, len(masks) * size * size * 8):
+            # [[ω, Fᵀ], [-F, 0]] followed by ``pads`` blocks J on the diagonal
+            border = np.zeros((len(frame[part]),) + (m + d + 2 * pads,) * 2)
+            border[:, :m, :m] = omega[part]
+            border[:, :m, m:m + d] = frame[part].mT
+            border[:, m:m + d, :m] = -frame[part]
+            j = np.arange(m + d, m + d + 2 * pads, 2)
+            border[:, j, j + 1], border[:, j + 1, j] = 1.0, -1.0
+            pf = _pfaffians(border[:, index[:, :, None], index[:, None, :]].reshape(
+                len(border) * len(masks), size, size))
+            # contiguous rows: BLAS dots a strided row with another kernel, to other bits
+            coeffs = np.ascontiguousarray(psi[part][:, masks])
+            out[part] = np.vecdot(signs * pf.reshape(-1, len(masks)), coeffs)
+    return out[0] if single else out
+
+
+def conjugacy_volume_tops(points: list[ConjugacyClassPoint], pin: PinLift) -> np.ndarray:
+    """``conjugacy_volume_top`` of each point of a list, stacked by class dimension.
+
+    The points of one class share a frame size m, so a class is one stacked
+    lift and one stacked density; points of other sizes are stacked apart.
+    """
+    out = np.empty(len(points))
+    by_dim: dict[int, list[int]] = {}
+    for row, point in enumerate(points):
+        by_dim.setdefault(point.class_dim, []).append(row)
+    for rows in by_dim.values():
+        stack = lambda field: np.array([getattr(points[row], field) for row in rows])
+        omega = _ghjw_on_params(pin.model, stack("section"), stack("params"))
+        out[rows] = _lift_density(pin, stack("g"), omega, stack("frame"))
+    return out
 
 
 def conjugacy_volume_top(point: ConjugacyClassPoint, pin: PinLift) -> float:
@@ -492,17 +613,17 @@ def conjugacy_volume_top(point: ConjugacyClassPoint, pin: PinLift) -> float:
     A_K = frame[K, :]^T (see ``frame_volume_density``).  Exact for every ψ,
     on the singular locus det(A_g + I) = 0 too.
     """
-    return _lift_density(pin, point.g, ghjw_matrix(point), point.frame)
+    return float(_lift_density(pin, point.g, ghjw_matrix(point), point.frame))
 
 
-def _lift_density(pin: PinLift, g, omega: np.ndarray, frame: np.ndarray) -> float:
+def _lift_density(pin: PinLift, g, omega: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """``frame_volume_density`` of ψ at g, as |·| when the model has no global lift.
 
-    Without a lift ψ is defined only up to sign, and so is the density.
+    g may be a stack, with ``omega`` and ``frame`` stacked alike.  Without a
+    lift ψ is defined only up to sign, and so is the density.
     """
-    if pin.model.liftable:
-        return frame_volume_density(omega, pin.forms_at(g)[0], frame)
-    return abs(frame_volume_density(omega, pin.forms_at_unsigned(g)[0], frame))
+    density = frame_volume_density(omega, pin._dense(g)[0], frame)
+    return density if pin.model.liftable else np.abs(density)
 
 
 def pfaffian(a: np.ndarray) -> float:

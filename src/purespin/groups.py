@@ -5,7 +5,8 @@ basis of the Lie algebra, and an ad-invariant inner product B.  Group
 elements are plain numpy matrices in the representation; the adjoint action,
 structure constants and exponential are derived from the representation.
 ``expm`` is the package's one matrix exponential (Padé scaling and squaring
-over stacks).  ``GroupModel.log`` is each model's one logarithm (unitary
+over stacks); ``expm_rows`` applies it to a stack of samples, each with the
+degree a call of its own would take.  ``GroupModel.log`` is each model's one logarithm (unitary
 eigen-angles, the 3×3 rotation closed form, or the closed form on the
 semidirect product); it refuses an element whose logarithm is not in the Lie
 algebra.
@@ -33,6 +34,7 @@ _MEMBERSHIP_TOL = 1e-9
 
 __all__ = [
     "expm",
+    "expm_rows",
     "GroupModel",
     "su2_model",
     "so3_model",
@@ -62,23 +64,19 @@ _PADE = {
 }
 
 
-def expm(a) -> np.ndarray:
-    """exp of each matrix of a stack (..., n, n), by Padé scaling and squaring.
-
-    Higham's 2005 method: the degree m in (3, 5, 7, 9, 13) and the number s
-    of squarings come from the largest 1-norm in the stack, so one call
-    applies one rational function r_m(A / 2^s)^(2^s) = (V − U)⁻¹(V + U),
-    squared s times, to every matrix; U holds the odd and V the even terms
-    of the numerator.
-    """
-    a = np.asarray(a)
-    norm = float(np.abs(a).sum(axis=-2).max())
-    squarings = 0
-    for m, (theta, b) in _PADE.items():
+def _pade_plan(norm: float) -> tuple[int, int]:
+    """Padé degree m and number of squarings s for a largest 1-norm (Higham 2005)."""
+    for m, (theta, _) in _PADE.items():
         if norm <= theta:
-            break
-    else:
-        squarings = math.ceil(math.log2(norm / theta))
+            return m, 0
+    return m, math.ceil(math.log2(norm / theta))
+
+
+def _pade(a: np.ndarray, m: int, squarings: int) -> np.ndarray:
+    """r_m(A / 2^s)^(2^s) = (V − U)⁻¹(V + U), squared s times, for each matrix of a stack;
+    U holds the odd and V the even terms of the numerator."""
+    b = _PADE[m][1]
+    if squarings:
         a = a / 2.0 ** squarings
     eye = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
@@ -101,6 +99,42 @@ def expm(a) -> np.ndarray:
     for _ in range(squarings):
         r = r @ r
     return r
+
+
+def expm(a) -> np.ndarray:
+    """exp of each matrix of a stack (..., n, n), by Padé scaling and squaring.
+
+    Higham's 2005 method: the degree m in (3, 5, 7, 9, 13) and the number s
+    of squarings come from the largest 1-norm in the stack, so one call
+    applies one rational function to every matrix.
+    """
+    a = np.asarray(a)
+    return _pade(a, *_pade_plan(float(np.abs(a).sum(axis=-2).max())))
+
+
+def expm_rows(a) -> np.ndarray:
+    """exp of a stack (N, ..., n, n) row by row: row i equals ``expm(a[i])`` bit for bit.
+
+    Each row gets the degree and squarings of its own largest 1-norm, and
+    the rows that share them are exponentiated in one call, so a stack of
+    sample points costs a few calls and gives what a call per point gives.
+    """
+    a = np.asarray(a)
+    if len(a) == 1:
+        return expm(a)
+    norms = np.abs(a).sum(axis=-2).max(axis=tuple(range(1, a.ndim - 1)))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for row, norm in enumerate(norms.tolist()):
+        groups.setdefault(_pade_plan(norm), []).append(row)
+    out = np.empty(a.shape, dtype=np.result_type(a.dtype, float))
+    for plan, rows in groups.items():
+        out[rows] = _pade(a[rows], *plan)
+    return out
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, n)."""
+    return np.sqrt(np.vecdot(a, a).real.sum(axis=-1))
 
 
 class GroupModel:
@@ -138,35 +172,43 @@ class GroupModel:
         return np.linalg.inv(g)
 
     def algebra_matrix(self, coeffs) -> np.ndarray:
-        """Σ ξ_a e_a, as one product with the flattened basis."""
-        flat = np.asarray(coeffs, dtype=float) @ self._basis_stack.reshape(self.dim, -1)
-        return flat.reshape(self.rep_dim, self.rep_dim)
+        """Σ ξ_a e_a for ξ of shape (..., d), as one product with the flattened basis."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        flat = (coeffs[..., None, :] @ self._basis_stack.reshape(self.dim, -1))[..., 0, :]
+        return flat.reshape(coeffs.shape[:-1] + (self.rep_dim, self.rep_dim))
 
     def coeffs(self, mat) -> np.ndarray:
-        flat = np.asarray(mat, dtype=complex).ravel()
-        return self._coeff_pinv @ np.concatenate([flat.real, flat.imag])
+        """Basis coordinates (..., d) of each matrix of a stack (..., n, n)."""
+        mat = np.asarray(mat, dtype=complex)
+        flat = mat.reshape(mat.shape[:-2] + (-1,))
+        return (self._coeff_pinv @ np.concatenate([flat.real, flat.imag], axis=-1)[..., None])[..., 0]
 
     def exp(self, coeffs) -> np.ndarray:
-        return expm(self.algebra_matrix(coeffs))
+        """exp of ξ (d,) or of each row of a stack (..., d), each as a call of its own would give."""
+        x = self.algebra_matrix(coeffs)
+        return expm_rows(x.reshape((-1,) + x.shape[-2:])).reshape(x.shape)
 
     def log(self, g) -> np.ndarray:
         """ξ in the Lie algebra with exp ξ = g; a one-line ValueError if there is none.
 
-        ``_log_matrix`` is the one route per model: unitary eigen-angles moved
-        by whole turns to sum to zero (complex models), the 3×3 rotation closed
-        form (so3), a closed form (coadjoint-semidirect), factor by factor
-        (products).
+        g is one element (n, n) or a stack (..., n, n), and ξ has shape
+        (..., d); a stack is refused if any of its elements is.
+        ``_log_matrix`` is the one route per model, applied to the whole
+        stack: unitary eigen-angles moved by whole turns to sum to zero
+        (complex models), the 3×3 rotation closed form (so3), a closed form
+        (coadjoint-semidirect), factor by factor (products).
         It also returns exp x rebuilt from the factors it holds, so the one
         membership test checks both x ∈ g and exp x = g, the latter relative
         to ‖g‖, without a second exponential.
         """
-        x, exp_x = self._log_matrix(g)
-        xi = self.coeffs(x)
-        # written as "not within", so that a NaN anywhere is refused
-        if not (np.linalg.norm(self.algebra_matrix(xi) - x) <= _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x))
-                and np.linalg.norm(exp_x - g) <= _MEMBERSHIP_TOL * np.linalg.norm(g)):
-            raise ValueError(f"no logarithm of the element in the Lie algebra of {self.name!r}")
-        return xi
+        g = np.asarray(g)
+        if np.isfinite(g).all():
+            x, exp_x = self._log_matrix(g)
+            xi = self.coeffs(x)
+            if np.all((_frobenius(self.algebra_matrix(xi) - x) <= _MEMBERSHIP_TOL * (1.0 + _frobenius(x)))
+                      & (_frobenius(exp_x - g) <= _MEMBERSHIP_TOL * _frobenius(g))):
+                return xi
+        raise ValueError(f"no logarithm of the element in the Lie algebra of {self.name!r}")
 
     def _log_matrix(self, g) -> tuple[np.ndarray, np.ndarray]:
         return _traceless_log(g) if self._complex else _rotation_log(g)
@@ -174,15 +216,17 @@ class GroupModel:
     # -- adjoint data ------------------------------------------------------ #
 
     def Ad(self, g, g_inv=None) -> np.ndarray:
-        """Matrix of the adjoint action on the basis coordinates.
+        """Matrix (..., d, d) of the adjoint action on the basis coordinates, for g (..., n, n).
 
         One stacked product g·e_a·g⁻¹ over the basis and one projection onto
         it; ``g_inv``, when the caller holds g⁻¹ already, saves the inversion.
         """
+        g = np.asarray(g)
         if g_inv is None:
             g_inv = self.inv(g)
-        conj = (g @ self._basis_stack @ g_inv).reshape(self.dim, -1)
-        return self._coeff_pinv @ np.concatenate([conj.real, conj.imag], axis=1).T
+        conj = g[..., None, :, :] @ self._basis_stack @ np.asarray(g_inv)[..., None, :, :]
+        conj = conj.reshape(g.shape[:-2] + (self.dim, -1))
+        return self._coeff_pinv @ np.concatenate([conj.real, conj.imag], axis=-1).mT
 
     def Ad_inverse(self, ad: np.ndarray) -> np.ndarray:
         """Ad(g⁻¹) from ad = Ad(g): B⁻¹·adᵀ·B, since Ad(g) preserves B."""
@@ -263,11 +307,18 @@ class GroupModel:
 
     # -- sampling ---------------------------------------------------------- #
 
-    def random_algebra(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return scale * rng.standard_normal(self.dim)
+    def random_algebra(self, rng: np.random.Generator, scale: float = 1.0,
+                       count: int | None = None) -> np.ndarray:
+        """A Gaussian ξ (d,), or ``count`` of them as rows (count, d).
 
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return self.exp(self.random_algebra(rng, scale))
+        One draw of (count, d) gives the numbers of ``count`` draws of (d,)
+        in a row, so stacking keeps the random stream.
+        """
+        return scale * rng.standard_normal(self.dim if count is None else (count, self.dim))
+
+    def random_element(self, rng: np.random.Generator, scale: float = 1.0,
+                       count: int | None = None) -> np.ndarray:
+        return self.exp(self.random_algebra(rng, scale, count))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GroupModel({self.name}, dim={self.dim})"
@@ -285,11 +336,16 @@ def _rotation_log(g) -> tuple[np.ndarray, np.ndarray]:
     entry of the symmetric part (R + Rᵀ)/2 − cos θ·I = (1 − cos θ)·n nᵀ,
     signed along k: that stays exact at a half turn, where k vanishes.  The
     exponential is Rodrigues' I + sin θ·n̂ + (1 − cos θ)·n̂²: it equals g
-    only if g is a rotation.
+    only if g is a rotation.  A stack (..., 3, 3) is taken matrix by matrix:
+    the closed form is scalar arithmetic, cheaper one matrix at a time than
+    as numpy operations on small stacks.
     """
     r = np.asarray(g).real
-    if r.shape != (3, 3):
+    if r.shape[-2:] != (3, 3):
         raise ValueError(f"the rotation logarithm takes a 3x3 matrix, not {r.shape}")
+    if r.ndim > 2:
+        logs, exps = zip(*map(_rotation_log, r.reshape(-1, 3, 3)))
+        return np.reshape(logs, r.shape), np.reshape(exps, r.shape)
     k = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     sin_norm = float(np.linalg.norm(k))
     cos_theta = 0.5 * (float(np.trace(r)) - 1.0)
@@ -316,18 +372,20 @@ def _traceless_log(g) -> tuple[np.ndarray, np.ndarray]:
     the smallest) moved by a whole turn.  This lands in su(n) also where the
     principal logarithm is not traceless: wrapped angle sums and central
     elements.  The exponential is q·e^{iθ}·qᴴ: it equals g only if g is
-    unitary.
+    unitary.  g may be a stack (..., n, n), each matrix taken on its own.
     """
     g = np.asarray(g, dtype=complex)
     q, _ = np.linalg.qr(np.linalg.eig(g)[1])
-    theta = np.angle(np.einsum("ji,jk,ki->i", q.conj(), g, q))
-    exp_x = (q * np.exp(1j * theta)) @ q.conj().T
-    turns = int(round(float(theta.sum()) / (2 * math.pi)))
-    if turns:
-        order = np.argsort(theta)
-        shift = order[::-1][:turns] if turns > 0 else order[:-turns]
-        theta[shift] -= math.copysign(2 * math.pi, turns)
-    return (q * (1j * theta)) @ q.conj().T, exp_x
+    q_h = q.conj().mT
+    theta = np.angle(np.einsum("...ji,...jk,...ki->...i", q.conj(), g, q))
+    exp_x = (q * np.exp(1j * theta)[..., None, :]) @ q_h
+    turns = np.rint(theta.sum(axis=-1) / (2 * math.pi))[..., None]
+    if turns.any():
+        # rank of each angle among its row's, ascending; the |turns| largest or smallest move
+        rank = np.argsort(np.argsort(theta, axis=-1), axis=-1)
+        shift = np.where(turns > 0, rank >= theta.shape[-1] - turns, rank < -turns)
+        theta = theta - np.where(shift, np.copysign(2 * math.pi, turns), 0.0)
+    return (q * (1j * theta)[..., None, :]) @ q_h, exp_x
 
 
 _PAULI = [
@@ -382,16 +440,20 @@ class _CoadjointSemidirectModel(GroupModel):
         [[exp ω̂, w], [0, 1]].
         """
         g = np.asarray(g)
-        omega, rot = _rotation_log(g[:3, :3])
-        block = np.zeros((6, 6))
-        block[:3, :3] = omega
-        block[:3, 3:] = np.eye(3)
-        x = np.zeros((4, 4))
-        x[:3, :3] = omega
-        x[:3, 3] = np.linalg.solve(expm(block)[:3, 3:], g[:3, 3].real)
-        exp_x = np.eye(4)
-        exp_x[:3, :3] = rot
-        exp_x[:3, 3] = g[:3, 3].real
+        lead = g.shape[:-2]
+        omega, rot = _rotation_log(g[..., :3, :3])
+        block = np.zeros(lead + (6, 6))
+        block[..., :3, :3] = omega
+        block[..., :3, 3:] = np.eye(3)
+        v = expm_rows(block.reshape(-1, 6, 6)).reshape(block.shape)[..., :3, 3:]
+        w = g[..., :3, 3].real
+        x = np.zeros(lead + (4, 4))
+        x[..., :3, :3] = omega
+        x[..., :3, 3] = np.linalg.solve(v, w[..., None])[..., 0]
+        exp_x = np.zeros(lead + (4, 4))
+        exp_x[..., :3, :3] = rot
+        exp_x[..., :3, 3] = w
+        exp_x[..., 3, 3] = 1.0
         return x, exp_x
 
 
@@ -446,8 +508,8 @@ class _ProductModel(GroupModel):
         (m1, m2), r = self.factors, self.factors[0].rep_dim
         x = np.array(g, dtype=complex)
         exp_x = np.zeros_like(x)
-        x[:r, :r], exp_x[:r, :r] = m1._log_matrix(x[:r, :r])
-        x[r:, r:], exp_x[r:, r:] = m2._log_matrix(x[r:, r:])
+        x[..., :r, :r], exp_x[..., :r, :r] = m1._log_matrix(x[..., :r, :r])
+        x[..., r:, r:], exp_x[..., r:, r:] = m2._log_matrix(x[..., r:, r:])
         return x, exp_x
 
 

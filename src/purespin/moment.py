@@ -357,7 +357,7 @@ def qham_volume_top(p: QHamPoint, pin: PinLift) -> float:
     Σ_K ψ_K (-1)^{r(r-1)/2} Pf([[ω, A_K], [-A_K^T, 0]])
     (see ``geometry.frame_volume_density``).
     """
-    return _lift_density(pin, p.phi, p.omega, p.dphi.T)
+    return float(_lift_density(pin, p.phi, p.omega, p.dphi.T))
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,9 @@ session, through ``purespin verify-all --seed 7`` (the ``verify_all_run``
 fixture); each test reads its criterion from that report.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from purespin.suites import ALL_CRITERIA
@@ -29,3 +32,17 @@ def test_criterion(number, verify_all_run):
     details = ", ".join(f"{k}={_fmt(v)}" for k, v in report["details"].items())
     print(f"[{status}] criterion {number:2d} {report['name']} (seed={SEED}): {details}")
     assert report["passed"], f"criterion {number} ({report['name']}) failed: {report['details']}"
+
+
+def test_report_passes_the_benchmark_check(verify_all_run):
+    # the benchmark pins its own copy of the thresholds and of the detail keys it reads
+    spec = importlib.util.spec_from_file_location(
+        "checks", Path(__file__).resolve().parents[1] / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    _, report = verify_all_run
+    assert checks.verify_all_report(report) is None
+    volume = next(c for c in report["checks"] if c["criterion"] == "7")
+    assert set(volume["details"]) == {"min_abs_density", "max_oracle_error", "classes",
+                                      "points_per_class"}
+

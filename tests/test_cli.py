@@ -216,6 +216,17 @@ class TestInputErrors:
         assert float(report["config"]["class_trace"]) == float(trace)
 
 
+    @pytest.mark.parametrize("value", ["x", "-1e3"])
+    def test_argument_type_error_is_one_line(self, capsys, value):
+        # it was argparse's usage block followed by "invalid int value"
+        with pytest.raises(SystemExit) as exc:
+            main(["conjugacy-volume", "--samples", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument --samples: invalid int value: '{value}'\n"
+
+
 class TestRemovedFlags:
     @pytest.mark.parametrize("argv", [
         ["verify-all", "--group", "su2"],

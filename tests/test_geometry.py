@@ -16,7 +16,9 @@ from purespin.geometry import (
     cartan_section_bases,
     cartan_section_field,
     class_point,
+    class_points,
     conjugacy_volume_top,
+    conjugacy_volume_tops,
     courant_bracket,
     eta_multivector,
     frame_volume_density,
@@ -26,6 +28,7 @@ from purespin.geometry import (
     moment_form_field,
     pfaffian,
     random_class_point,
+    random_class_points,
     section_matrix,
     sharp_vector,
     structure_trivector,
@@ -33,6 +36,7 @@ from purespin.geometry import (
     transverse_fiber,
     volume_density_oracle,
 )
+from purespin.groups import get_model
 from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
@@ -516,7 +520,7 @@ class TestFrameVolumeDensity:
         psi = (pin.forms_at(pt.g) if model.liftable else pin.forms_at_unsigned(pt.g))[0]
         omega = ghjw_matrix(pt)
         oracle = volume_density_oracle(omega, psi, pt.frame)
-        density = frame_volume_density(omega, psi, pt.frame)
+        density = frame_volume_density(omega, mask_vector(psi), pt.frame)
         assert abs(density - oracle) < 1e-10 * max(1.0, abs(oracle))
         return density
 
@@ -547,9 +551,79 @@ class TestFrameVolumeDensity:
         n = model.basis[0].shape[0]
         g = np.exp(2j * np.pi / n) * np.eye(n)
         psi = PinLift(model).forms_at(g)[0]
-        density = frame_volume_density(np.zeros((0, 0)), psi, np.zeros((model.dim, 0)))
+        density = frame_volume_density(np.zeros((0, 0)), mask_vector(psi), np.zeros((model.dim, 0)))
         assert density == float(psi.scalar_part())
         assert abs(density) == pytest.approx(1.0, abs=1e-12)
+
+
+def _greedy_pivots(gen: np.ndarray) -> list[int]:
+    """The greedy pivot rule of the frames, one matrix at a time in plain loops."""
+    scale = max(np.linalg.norm(gen, 2), 1.0)
+    residual = [np.array(col, dtype=float) for col in gen.T]
+    chosen = []
+    while True:
+        norms = [float(np.sqrt(r @ r)) for r in residual]
+        top = max(norms)
+        best = next(i for i, n in enumerate(norms) if n >= top - 64 * np.finfo(float).eps * scale)
+        if norms[best] <= 1e3 * 1e-9 * scale:
+            return chosen
+        chosen.append(best)
+        q = residual[best] / norms[best]
+        residual = [r - (r @ q) * q for r in residual]
+
+
+class TestStackedClassPoints:
+    """Class points and densities of a stack against the same quantities one point at a time."""
+
+    @staticmethod
+    def _stacks(su2, su3, rng):
+        h2 = su2.random_element(rng, count=20)
+        h3 = su3.random_element(rng, count=20)
+        # su3 at exp(0.7 X_8): four generator images of equal norm, a tie broken by index
+        tie = su3.exp(0.7 * np.eye(8)[7])
+        # a mixed-rank stack: two central elements among generic points
+        mixed = np.concatenate([su3.random_element(rng, count=3),
+                                [np.exp(2j * np.pi / 3) * np.eye(3)], su3.random_element(rng, count=2),
+                                [np.eye(3, dtype=complex)]])
+        return [(su2, h2 @ su2_class_from_trace(0.0) @ np.linalg.inv(h2)),
+                (su3, h3 @ tie @ np.linalg.inv(h3)),
+                (su3, mixed)]
+
+    def test_stacked_frames_pick_the_per_point_pivots(self, su2, su3, rng):
+        stacks = self._stacks(su2, su3, rng)
+        for model, stack in stacks:
+            points = class_points(model, stack)
+            for g, pt in zip(stack, points):
+                single = class_point(model, g)
+                assert np.array_equal(pt.frame, single.frame)
+                assert np.array_equal(pt.params, single.params)
+                assert np.array_equal(pt.section, single.section)
+                pivots = np.argmax(pt.params, axis=0).tolist()
+                assert pivots == _greedy_pivots(section_matrix(model, g) - np.eye(model.dim))
+        assert [pt.class_dim for pt in class_points(su3, stacks[2][1])] == [6, 6, 6, 0, 6, 6, 0]
+
+    def test_stacked_draws_are_the_per_point_draws(self, su3):
+        g0 = su3.exp(0.7 * np.eye(8)[7])
+        stacked = random_class_points(su3, g0, np.random.default_rng(5), 6)
+        rng = np.random.default_rng(5)
+        for pt in stacked:
+            single = random_class_point(su3, g0, rng)
+            assert np.array_equal(pt.g, single.g) and np.array_equal(pt.frame, single.frame)
+
+    @pytest.mark.parametrize("name", ["su2", "so3", "su3", "coadjoint-semidirect"])
+    def test_stacked_densities_equal_single_densities_and_the_oracle(self, name, rng):
+        model = get_model(name)
+        pin = PinLift(model)
+        g0 = su2_class_from_trace(0.4) if name == "su2" else model.random_element(rng)
+        # and the identity: a class of dimension 0, stacked apart
+        points = random_class_points(model, g0, rng, 5) + [class_point(model, model.identity())]
+        stacked = conjugacy_volume_tops(points, pin)
+        assert np.array_equal(stacked, [conjugacy_volume_top(pt, pin) for pt in points])
+        for pt, density in zip(points, stacked):
+            psi = (pin.forms_at(pt.g) if model.liftable else pin.forms_at_unsigned(pt.g))[0]
+            oracle = volume_density_oracle(ghjw_matrix(pt), psi, pt.frame)
+            oracle = oracle if model.liftable else abs(oracle)
+            assert abs(density - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
 
 class TestPfaffianLTL:

@@ -426,3 +426,33 @@ class TestLogarithmsAgainstSchur:
         model = get_model(name)
         with pytest.raises(ValueError):
             model.log(np.full((model.rep_dim, model.rep_dim), np.nan))
+
+
+class TestStackedRoutes:
+    """A stack of elements costs a few calls and gives what a call per element gives, bit for bit."""
+
+    def test_stacked_draw_is_the_sequential_draws(self, model):
+        stacked = model.random_element(np.random.default_rng(3), 0.9, count=40)
+        rng = np.random.default_rng(3)
+        assert np.array_equal(stacked, [model.random_element(rng, 0.9) for _ in range(40)])
+
+    def test_stacked_log_equals_the_per_point_log(self, model, rng):
+        # scales across several Padé degrees; −I in SU(2), the SU(3) centre and half turns
+        elements = [model.random_element(rng, scale) for scale in (0.2, 1.0, 2.5, 4.0) for _ in range(8)]
+        elements += WRAPPED_ELEMENTS[model.name](model, rng)
+        stack = np.array(elements)
+        stacked = model.log(stack)
+        assert stacked.shape == (len(elements), model.dim)
+        assert np.array_equal(stacked, [model.log(g) for g in elements])
+        assert np.array_equal(model.exp(stacked), [model.exp(xi) for xi in stacked])
+
+    @pytest.mark.parametrize("bad", ["nan", "doubled", "shear"])
+    def test_stack_with_one_bad_element_is_refused(self, model, rng, bad):
+        n = model.rep_dim
+        stack = model.random_element(rng, count=4)
+        stack[2] = {"nan": np.full((n, n), np.nan), "doubled": 2.0 * np.eye(n),
+                    "shear": np.eye(n) + np.eye(n, k=1)}[bad]
+        with pytest.raises(ValueError, match="no logarithm of the element") as exc:
+            model.log(stack)
+        assert "\n" not in str(exc.value)
+
