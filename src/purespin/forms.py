@@ -1,4 +1,4 @@
-"""The left-invariant exterior derivative on matrix groups, and its finite-difference routes.
+"""The left-invariant exterior derivative on matrix groups, and its finite-difference oracle.
 
 Differential forms are carried in left trivialization: at a base point g the
 value of a form field is a form over the Lie algebra whose arguments are
@@ -9,12 +9,12 @@ exterior derivative is the left-invariant formula
 
 with X_j α(g) the derivative along the left-invariant field of e_j and d_CE
 the Chevalley–Eilenberg differential of the Lie algebra
-(``GroupModel.chevalley_eilenberg_triples``), which is exact.
+(``GroupModel.chevalley_eilenberg_triples``).  From exact derivatives X_j α,
 ``left_invariant_derivative`` assembles it on dense forms (vectors over the
-blade masks) from derivatives the caller supplies (the invariant spinors have
-exact ones, see ``geometry.PinLift.forms_near``); ``fd_exterior_derivative``
-feeds it the central quotients (α(g e^{h e_j}) - α(g e^{-h e_j})) / 2h of its
-:class:`Multivector` field, which are O(h²).  No chart frame is differentiated.
+blade masks) and ``two_form_derivative`` on 2-forms as antisymmetric
+matrices: every d a command reports.  The tests' oracle
+``fd_exterior_derivative`` feeds the dense one the O(h²) central quotients
+(α(g e^{h e_j}) - α(g e^{-h e_j})) / 2h of a :class:`Multivector` field.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ __all__ = [
     "fd_exterior_derivative_flat",
     "left_invariant_derivative",
     "lie_derivative_residual",
+    "three_form_norm",
+    "two_form_derivative",
 ]
 
 FD_STEP = 1e-4
@@ -59,15 +61,34 @@ def _wedge_partials(partials: np.ndarray) -> np.ndarray:
 
 
 def chevalley_eilenberg(model: GroupModel, alpha: np.ndarray) -> np.ndarray:
-    """d_CE α = -½ Σ c_ij^k ε^i ∧ ε^j ∧ ι(e_k) α, from the model's sparse triples."""
+    """d_CE α = -½ Σ c_ij^k ε^i ∧ ε^j ∧ ι(e_k) α, from the model's sparse triples, form by form of α (..., 2^d)."""
     rows, cols, vals = model.chevalley_eilenberg_triples
-    return np.bincount(rows, vals * alpha[cols], minlength=1 << model.dim)
+    return np.array([np.bincount(rows, vals * form[cols], minlength=1 << model.dim)
+                     for form in alpha.reshape(-1, 1 << model.dim)]).reshape(alpha.shape)
 
 
 def left_invariant_derivative(model: GroupModel, value: np.ndarray,
                               partials: np.ndarray) -> np.ndarray:
-    """dα(g) = Σ_j e^j ∧ X_j α(g) + d_CE α(g) from α(g) and the rows X_j α(g), j = 0..d-1."""
+    """dα(g) = Σ_j e^j ∧ X_j α(g) + d_CE α(g) from α(g) (..., 2^d) and the rows X_j α(g) (d, ..., 2^d)."""
     return _wedge_partials(partials) + chevalley_eilenberg(model, value)
+
+
+def two_form_derivative(model: GroupModel | None, value: np.ndarray, partials: np.ndarray) -> np.ndarray:
+    """dω (D, D, D) of a 2-form ω (antisymmetric (D, D)) from its partials X_i ω (D, D, D).
+
+    dω_ijk = X_iω_jk - X_jω_ik + X_kω_ij - ω([e_i,e_j],e_k) + ω([e_i,e_k],e_j) - ω([e_j,e_k],e_i),
+    brackets read off ``model.structure``; ``model`` None is a vector space (no bracket terms).
+    """
+    rows = partials  # the cyclic sum of X_iω_jk - ω([e_j,e_k],e_i)
+    if model is not None:
+        rows = partials - np.tensordot(model.structure, value, 1).transpose(2, 0, 1)
+    return rows + rows.transpose(1, 2, 0) + rows.transpose(2, 0, 1)
+
+
+def three_form_norm(tensor: np.ndarray) -> float:
+    """‖Σ_{i<j<k} t_ijk e^i ∧ e^j ∧ e^k‖, the ``Multivector.norm`` of an antisymmetric (D, D, D) tensor."""
+    i, j, k = np.ogrid[:len(tensor), :len(tensor), :len(tensor)]
+    return float(np.linalg.norm(tensor[(i < j) & (j < k)]))
 
 
 def fd_exterior_derivative(model: GroupModel, field: FormField, g,
@@ -78,8 +99,8 @@ def fd_exterior_derivative(model: GroupModel, field: FormField, g,
     adds the exact Chevalley–Eilenberg term (see the module docstring).
     """
     value = mask_vector(field(g))
-    stencil = ((field(model.mul(g, model.exp(s))), field(model.mul(g, model.exp(-s))))
-               for s in h * np.eye(model.dim))
+    plus, minus = model.exp(h * np.eye(model.dim)), model.exp(-h * np.eye(model.dim))  # row i: exp(±h e_i)
+    stencil = ((field(model.mul(g, p)), field(model.mul(g, m))) for p, m in zip(plus, minus))
     return from_mask_vector(left_invariant_derivative(model, value, _central_quotients(stencil, h)))
 
 

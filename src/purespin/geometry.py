@@ -41,10 +41,10 @@ from itertools import combinations
 import numpy as np
 
 from .bilinear import DEFAULT_TOL, LagrangianSubspace
-from .forms import fd_exterior_derivative, fd_exterior_derivative_flat, left_invariant_derivative
+from .forms import fd_exterior_derivative_flat, left_invariant_derivative
 from .groups import GroupModel, expm_rows
 from .multivector import Multivector, merge_blades
-from .spinor import DoubledSpace, from_mask_vector, rho_contravariant, rho_of_columns, rho_words
+from .spinor import DoubledSpace, from_mask_vector, rho_of_columns, rho_words
 
 __all__ = [
     "section_matrix",
@@ -72,7 +72,7 @@ __all__ = [
     "volume_density_oracle",
     "pfaffian",
     "courant_bracket",
-    "cartan_section_field",
+    "cartan_section_jet",
     "cartan_dirac_integrability",
     "leaf_two_form_residual",
 ]
@@ -670,58 +670,34 @@ def volume_density_oracle(omega: np.ndarray, psi: Multivector, frame: np.ndarray
 # --------------------------------------------------------------------------- #
 # derived bracket and integrability
 
-def _rho_field(doubled: DoubledSpace, section, form_field):
-    def field(point):
-        return rho_contravariant(doubled, section(point), form_field(point))
-    return field
+def courant_bracket(model: GroupModel, w1, w2, eta: np.ndarray | None = None) -> np.ndarray:
+    """Derived bracket [ρ(w1), [ρ(w2), d + η]] of two sections, from their jets (value (2d,), rows X_a w (d, 2d)).
 
-
-def courant_bracket(model: GroupModel, w1, w2, g, eta: Multivector | None = None) -> np.ndarray:
-    """Derived bracket of two section fields of the doubled bundle at g.
-
-    ``w1``/``w2`` map group elements to left-trivialized (vector, covector)
-    coordinates; the result is the value of the bracket section at g,
-    recovered by probing the operator [ρ(w1), [ρ(w2), d + η]] on constant
-    test forms.
-    """
+    Probed on the dense forms 1 and ε^j: d is ``left_invariant_derivative`` of the exact partials
+    X_a(ρ(w)p) = ρ(X_a w)p (Leibniz for ρ(w2)ρ(w1)p), η ∧ is ``_cubic_action`` of ``eta`` (None: untwisted)."""
     d = model.dim
-    doubled = DoubledSpace(d)
-    eta_mv = eta if eta is not None else Multivector.zero(d)
-
-    def d_plus_eta_at(form_field, point):
-        return fd_exterior_derivative(model, form_field, point) + eta_mv.wedge(form_field(point))
-
-    def bracket_on(probe: Multivector) -> Multivector:
-        probe_field = lambda point: probe
-        rho2_probe = _rho_field(doubled, w2, probe_field)
-        rho1_probe = _rho_field(doubled, w1, probe_field)
-        rho21_probe = _rho_field(doubled, w2, rho1_probe)
-        # X := ρ(w2)(d+η) + (d+η)ρ(w2), then [ρ(w1), X] probed at g
-        x_probe = rho_contravariant(doubled, w2(g), d_plus_eta_at(probe_field, g)) \
-            + d_plus_eta_at(rho2_probe, g)
-        term1 = rho_contravariant(doubled, w1(g), x_probe)
-        term2 = rho_contravariant(doubled, w2(g), d_plus_eta_at(rho1_probe, g)) \
-            + d_plus_eta_at(rho21_probe, g)
-        return term1 - term2
-
-    # ρ(v ⊕ a) 1 = a and the scalar part of ρ(v ⊕ a) ε_j is v_j.
-    alpha = bracket_on(Multivector.scalar(d, 1.0))
-    out = np.zeros(2 * d)
-    for i in range(d):
-        out[d + i] = float(alpha.terms.get((i,), 0.0))
-    for j in range(d):
-        out[j] = float(bracket_on(Multivector.basis_vector(d, j)).scalar_part())
-    return out
+    (v1, rows1), (v2, rows2) = w1, w2
+    probes = np.eye(1 << d)[np.r_[0, 1 << np.arange(d)]]
+    rho = lambda w, x: rho_of_columns(w[:, None], x)[0]
+    rho1, partials1 = rho(v1, probes), rho_of_columns(rows1.T, probes)
+    # the fields p, ρ(w2)p, ρ(w1)p and ρ(w2)ρ(w1)p, and their rows X_a
+    values = np.stack([probes, rho(v2, probes), rho1, rho(v2, rho1)])
+    partials = np.stack([np.zeros_like(partials1), rho_of_columns(rows2.T, probes), partials1,
+                         rho_of_columns(rows2.T, rho1) + rho(v2, partials1)], axis=1)
+    d_eta = left_invariant_derivative(model, values, partials)
+    if eta is not None:
+        d_eta += _cubic_action(eta, np.eye(2 * d, d, -d), values)
+    # X = ρ(w2)(d+η) + (d+η)ρ(w2), and [ρ(w1), X] = ρ(w1)X - Xρ(w1)
+    bracket = rho(v1, rho(v2, d_eta[0]) + d_eta[1]) - rho(v2, d_eta[2]) - d_eta[3]
+    # ρ(v ⊕ a) 1 = a and the scalar part of ρ(v ⊕ a) ε_j is v_j
+    return np.concatenate([bracket[1:, 0], bracket[0, 1 << np.arange(d)]])
 
 
-def cartan_section_field(model: GroupModel, xi, which: str = "e"):
+def cartan_section_jet(model: GroupModel, g, xi) -> tuple[np.ndarray, np.ndarray]:
+    """e(ξ) at g and its rows X_a e(ξ) = (-ad(e_a)Aξ, -B·ad(e_a)Aξ/2), as X_a A = -ad(e_a)·A for A = Ad(g⁻¹)."""
     xi = np.asarray(xi, dtype=float)
-
-    def field(point):
-        e_mat, f_mat = cartan_section_bases(model, point)
-        return (e_mat if which == "e" else f_mat) @ xi
-
-    return field
+    moved = -model.ad(np.eye(model.dim)) @ (section_matrix(model, g) @ xi)  # row a: -ad(e_a)Aξ
+    return cartan_section_bases(model, g)[0] @ xi, np.hstack([moved, moved @ model.B.T / 2.0])
 
 
 def _cubic_action(tensor: np.ndarray, ws: np.ndarray, x: np.ndarray) -> np.ndarray:

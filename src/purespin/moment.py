@@ -24,7 +24,7 @@ from .dirac import (
     graph_of_bivector_subspace,
     graph_of_two_form,
 )
-from .forms import FD_STEP, fd_exterior_derivative, fd_exterior_derivative_flat
+from .forms import FD_STEP, fd_exterior_derivative, three_form_norm, two_form_derivative
 from .geometry import (
     PinLift,
     _lift_density,
@@ -34,7 +34,7 @@ from .geometry import (
     eta_multivector,
     ghjw_matrix,
 )
-from .groups import GroupModel, SwapDoubleModel, product_model, swap_double_model
+from .groups import GroupModel, SwapDoubleModel, expm, product_model, swap_double_model
 from .multivector import Multivector
 from .spinor import DoubledSpace
 
@@ -304,22 +304,26 @@ def fusion_tau(model: GroupModel, g1, g2, u, v) -> float:
 
 
 def mult_eta_identity_residual(base: GroupModel, prod: GroupModel, a, b) -> float:
-    """‖Mult*η - pr1*η - pr2*η - dτ‖ at (a, b)."""
+    """‖Mult*η - pr1*η - pr2*η - dτ‖ at (a, b) on exact tensors: dτ from ``_tau_partials``
+    by ``two_form_derivative`` on ``prod``, each η a contraction of -½T."""
     d = base.dim
-    eta = eta_multivector(base)
-    r = base.rep_dim
-
-    def tau_field(point):
-        g2 = np.asarray(point)[r:, r:]
-        return Multivector.from_antisymmetric_matrix(tau_matrix(base, g2))
-
-    d_tau = fd_exterior_derivative(prod, tau_field, _prod_pair(base, a, b))
+    tau = tau_matrix(base, b)
+    pulled = lambda m: _eta_between(base, m, m.T, m)  # η(m·, m·, m·)
     d_mult = np.hstack([base.Ad_inverse(base.Ad(b)), np.eye(d)])
-    pr1 = np.hstack([np.eye(d), np.zeros((d, d))])
-    pr2 = np.hstack([np.zeros((d, d)), np.eye(d)])
-    lhs = eta.pullback(d_mult)
-    rhs = eta.pullback(pr1) + eta.pullback(pr2) + d_tau
-    return (lhs - rhs).norm()
+    residual = (pulled(d_mult) - pulled(np.eye(d, 2 * d)) - pulled(np.eye(d, 2 * d, d))
+                - two_form_derivative(prod, tau, _tau_partials(base, tau)))
+    return three_form_norm(residual)
+
+
+def _tau_partials(base: GroupModel, tau: np.ndarray) -> np.ndarray:
+    """X_c τ (2d, 2d, 2d) from τ at (a, b): zero along the first factor; along e_c of the
+    second, the off-diagonal block ½·B·Ad(b)·ad(e_c), since X_c Ad(b) = Ad(b)·ad(e_c)."""
+    d = base.dim
+    blocks = tau[:d, d:] @ base.ad(np.eye(d))
+    partials = np.zeros((2 * d,) * 3)
+    partials[d:, :d, d:] = blocks
+    partials[d:, d:, :d] = -blocks.mT
+    return partials
 
 
 def _prod_pair(base: GroupModel, a, b) -> np.ndarray:
@@ -382,14 +386,46 @@ def homotopy_two_form(model: GroupModel, x) -> np.ndarray:
     with the 32 frames from one stacked ``dexp_frame``.
     """
     x = np.asarray(x, dtype=float)
-    eta = -0.5 * model.invariant_tensor
+    ts, weights = _homotopy_nodes()
+    frames = model.dexp_frame(ts[:, None] * x)
+    out = np.tensordot(weights, _eta_between(model, frames, frames @ x, frames), 1)
+    return 0.5 * (out - out.T)
+
+
+def _homotopy_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The 32 Gauss-Legendre nodes t of [0, 1] and the weights w·t² of the homotopy integral."""
     ts, ws = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (ts + 1.0)
-    ws = 0.5 * ws
-    frames = model.dexp_frame(ts[:, None] * x)
-    terms = frames.transpose(0, 2, 1) @ np.tensordot(frames @ x, eta, 1) @ frames
-    out = np.tensordot(ws * ts * ts, terms, 1)
-    return 0.5 * (out - out.T)
+    return ts, 0.5 * ws * ts * ts
+
+
+def _eta_between(model: GroupModel, left, moved, right) -> np.ndarray:
+    """leftᵀ (moved·η) right, η = -½T, over stacks: [i, j] = η(moved, left e_i, right e_j)."""
+    return left.mT @ np.tensordot(moved, -0.5 * model.invariant_tensor, 1) @ right
+
+
+def _dexp_frame_jets(model: GroupModel, ts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F = dexp_frame(t x) (n, 1, d, d) and G_j = ∂_j[F(t x)] (n, d, d, d) for the n scales t of ts:
+    the (2, 3) and (1, 3) blocks of exp [[-ad_{tx}, -t·ad(e_j), 0], [0, -ad_{tx}, I], [0, 0, 0]]
+    (Mathias 1996), the n × d blocks in one ``groups.expm``."""
+    d = model.dim
+    block = np.zeros((len(ts), d, 3 * d, 3 * d))
+    block[..., :d, :d] = block[..., d:2 * d, d:2 * d] = -model.ad(ts[:, None] * x)[:, None]
+    block[..., :d, d:2 * d] = -ts[:, None, None, None] * model.ad(np.eye(d))
+    block[..., d:2 * d, 2 * d:] = np.eye(d)
+    blocks = expm(block)
+    return blocks[:, :1, d:2 * d, 2 * d:], blocks[..., :d, 2 * d:]
+
+
+def _homotopy_partials(model: GroupModel, x: np.ndarray) -> np.ndarray:
+    """∂_jϖ(x) as (d, d, d), ∂_j of Fᵀ(Fx·η)F being G_jᵀ(Fx·η)F + Fᵀ(Fx·η)G_j + Fᵀ((G_j x + F e_j)·η)F."""
+    ts, weights = _homotopy_nodes()
+    frames, derivs = _dexp_frame_jets(model, ts, x)
+    moved = frames @ x
+    terms = (_eta_between(model, derivs, moved, frames) + _eta_between(model, frames, moved, derivs)
+             + _eta_between(model, frames, derivs @ x + frames[:, 0].mT, frames))  # F e_j: row j of Fᵀ
+    out = np.tensordot(weights, terms, 1)
+    return 0.5 * (out - out.mT)
 
 
 def exp_orbit_qham_point(model: GroupModel, x) -> QHamPoint:
@@ -431,9 +467,9 @@ def regular_value_report(p: QHamPoint) -> dict:
 def exp_dirac_report(model: GroupModel, x) -> dict:
     """The two halves of the exponential theorem at x.
 
-    (i) d(homotopy form) = exp*η by flat differencing; (ii) the trivialized
-    differential of exp is a strong Dirac map from the gauged Poisson graph
-    to the invariant Lagrangian fiber at exp x.
+    (i) d(homotopy form) = exp*η, d the flat ``two_form_derivative`` of exact
+    partials; (ii) the trivialized differential of exp is a strong Dirac map
+    from the gauged Poisson graph to the invariant Lagrangian fiber at exp x.
     """
     x = np.asarray(x, dtype=float)
     d = model.dim
@@ -441,18 +477,13 @@ def exp_dirac_report(model: GroupModel, x) -> dict:
     jac = abs(float(np.linalg.det(t_frame)))
     if jac < 1e3 * DEFAULT_TOL:
         raise ValueError("point is outside the domain where exp is a local diffeomorphism")
-    eta = eta_multivector(model)
-
-    def w_field(y):
-        return Multivector.from_antisymmetric_matrix(homotopy_two_form(model, y))
-
-    d_w = fd_exterior_derivative_flat(w_field, x)
-    pulled = eta.pullback(t_frame)
-    exterior_residual = (d_w - pulled).norm()
+    w = homotopy_two_form(model, x)
+    d_w = two_form_derivative(None, w, _homotopy_partials(model, x))
+    exterior_residual = three_form_norm(d_w - _eta_between(model, t_frame, t_frame.T, t_frame))
 
     doubled = DoubledSpace(d)
     graph = graph_of_bivector_subspace(doubled, kirillov_poisson_matrix(model, x))
-    gauged = gauge_transform(graph, homotopy_two_form(model, x))
+    gauged = gauge_transform(graph, w)
     target = cartan_dirac_fiber(model, model.exp(x), doubled)
     image, strong = dirac_image(t_frame, gauged, doubled)
     return {

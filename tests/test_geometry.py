@@ -14,7 +14,7 @@ from purespin.geometry import (
     cartan_dirac_fiber,
     cartan_dirac_integrability,
     cartan_section_bases,
-    cartan_section_field,
+    cartan_section_jet,
     class_point,
     class_points,
     conjugacy_volume_top,
@@ -730,32 +730,110 @@ class TestIntegrability:
         assert rep["phi_residual"] < 1e-10 and rep["psi_residual"] < 1e-10
 
 
+def _constant_jet(value) -> tuple[np.ndarray, np.ndarray]:
+    """A left-trivialized section that is constant: its rows X_a w vanish."""
+    value = np.asarray(value, dtype=float)
+    return value, np.zeros((value.size // 2, value.size))
+
+
+def _fd_section_rows(model, g, xi, h):
+    """Central quotients (e(ξ)(g e^{h e_a}) - e(ξ)(g e^{-h e_a})) / 2h, row a."""
+    e = lambda point: cartan_section_jet(model, point, xi)[0]
+    return np.array([(e(g @ model.exp(s)) - e(g @ model.exp(-s))) / (2 * h)
+                     for s in h * np.eye(model.dim)])
+
+
 class TestCourant:
     def test_abelian_constant_fields_commute(self, torus3, rng):
-        g = torus3.exp([0.1, 0.2, -0.4])
-        w1 = lambda h: np.concatenate([np.array([1.0, 0, 0]), np.zeros(3)])
-        w2 = lambda h: np.concatenate([np.array([0, 1.0, 0]), np.zeros(3)])
-        br = courant_bracket(torus3, w1, w2, g)
-        assert np.linalg.norm(br) < 1e-8
+        w1 = _constant_jet([1.0, 0, 0, 0, 0, 0])
+        w2 = _constant_jet([0, 1.0, 0, 0, 0, 0])
+        br = courant_bracket(torus3, w1, w2)
+        assert np.linalg.norm(br) <= 1e-15
 
     def test_left_invariant_fields_reduce_to_lie_bracket(self, su2, rng):
-        g = su2.random_element(rng)
         xi, zeta = su2.random_algebra(rng), su2.random_algebra(rng)
-        w1 = lambda h: np.concatenate([xi, np.zeros(3)])
-        w2 = lambda h: np.concatenate([zeta, np.zeros(3)])
-        br = courant_bracket(su2, w1, w2, g)
-        assert np.linalg.norm(br[:3] - su2.bracket(xi, zeta)) < 1e-6
-        assert np.linalg.norm(br[3:]) < 1e-8
+        w1 = _constant_jet(np.concatenate([xi, np.zeros(3)]))
+        w2 = _constant_jet(np.concatenate([zeta, np.zeros(3)]))
+        br = courant_bracket(su2, w1, w2)
+        assert np.linalg.norm(br[:3] - su2.bracket(xi, zeta)) <= 1e-13
+        assert np.linalg.norm(br[3:]) <= 1e-15
 
     def test_closure_of_invariant_sections(self, su2, rng):
-        eta = eta_multivector(su2)
+        eta = -0.5 * su2.invariant_tensor
         d = DoubledSpace(3)
         g = su2.random_element(rng)
         xi, zeta, chi = (su2.random_algebra(rng) for _ in range(3))
-        br = courant_bracket(su2, cartan_section_field(su2, xi),
-                             cartan_section_field(su2, zeta), g, eta=eta)
-        assert abs(d.space.pairing(cartan_section_field(su2, chi)(g), br)) < 1e-4
-        assert cartan_dirac_fiber(su2, g, d).contains(br, 1e-5)
+        br = courant_bracket(su2, cartan_section_jet(su2, g, xi),
+                             cartan_section_jet(su2, g, zeta), eta=eta)
+        assert abs(d.space.pairing(cartan_section_jet(su2, g, chi)[0], br)) <= 1e-13
+        assert cartan_dirac_fiber(su2, g, d).contains(br, 1e-13)
+
+    @pytest.mark.parametrize("name", ["su3", "coadjoint-semidirect"])
+    def test_closure_on_larger_models(self, name, rng):
+        # E is closed under the η-twisted bracket on every model, to roundoff
+        model = get_model(name)
+        eta = -0.5 * model.invariant_tensor
+        d = DoubledSpace(model.dim)
+        for _ in range(3):
+            g = model.random_element(rng, 0.8)
+            xi, zeta, chi = (model.random_algebra(rng) for _ in range(3))
+            br = courant_bracket(model, cartan_section_jet(model, g, xi),
+                                 cartan_section_jet(model, g, zeta), eta=eta)
+            assert abs(d.space.pairing(cartan_section_jet(model, g, chi)[0], br)) <= 1e-13
+            assert cartan_dirac_fiber(model, g, d).contains(br, 1e-13)
+
+    def test_untwisted_bracket_does_not_close(self, su3, rng):
+        # the control: without η the bracket of two e-sections leaves E.  (On su2
+        # the vector parts (A - I)ξ span a plane, where η vanishes, so su3.)
+        d = DoubledSpace(8)
+        g = su3.random_element(rng, 0.8)
+        xi, zeta = su3.random_algebra(rng), su3.random_algebra(rng)
+        br = courant_bracket(su3, cartan_section_jet(su3, g, xi), cartan_section_jet(su3, g, zeta))
+        assert not cartan_dirac_fiber(su3, g, d).contains(br, 1e-6)
+
+    def test_matches_the_finite_difference_bracket(self, su2, rng):
+        # the derived bracket with d taken by the stencil on Multivector probes,
+        # the route the exact partials replaced: the two agree to the stencil's O(h²)
+        eta_tensor = -0.5 * su2.invariant_tensor
+        eta = eta_multivector(su2)
+        d = DoubledSpace(3)
+        g = su2.random_element(rng)
+        xi, zeta = su2.random_algebra(rng), su2.random_algebra(rng)
+        fields = [lambda p, v=v: cartan_section_jet(su2, p, v)[0] for v in (xi, zeta)]
+        exact = courant_bracket(su2, cartan_section_jet(su2, g, xi), cartan_section_jet(su2, g, zeta),
+                                eta=eta_tensor)
+        gaps = []
+        for h in (1e-3, 5e-4):
+            def d_plus_eta(field):
+                return fd_exterior_derivative(su2, field, g, h) + eta.wedge(field(g))
+
+            def bracket_on(probe):
+                rho = lambda w, field: lambda p: rho_contravariant(d, w(p), field(p))
+                const = lambda p: probe
+                w1, w2 = fields
+                x_probe = rho_contravariant(d, w2(g), d_plus_eta(const)) + d_plus_eta(rho(w2, const))
+                return (rho_contravariant(d, w1(g), x_probe) - rho_contravariant(d, w2(g), d_plus_eta(rho(w1, const)))
+                        - d_plus_eta(rho(w2, rho(w1, const))))
+
+            alpha = bracket_on(Multivector.scalar(3, 1.0))
+            stencil = np.array([bracket_on(Multivector.basis_vector(3, j)).scalar_part() for j in range(3)]
+                               + [alpha.terms.get((i,), 0.0) for i in range(3)])
+            gaps.append(np.linalg.norm(stencil - exact))
+        assert gaps[0] <= 10 * 1e-3 ** 2 * np.linalg.norm(exact)
+        assert 3 <= gaps[0] / gaps[1] <= 5
+
+
+class TestSectionJets:
+    @pytest.mark.parametrize("name", ["su2", "su3", "coadjoint-semidirect"])
+    def test_rows_are_the_limit_of_central_quotients(self, name, rng):
+        model = get_model(name)
+        g = model.random_element(rng, 0.8)
+        xi = model.random_algebra(rng)
+        value, rows = cartan_section_jet(model, g, xi)
+        assert np.abs(value - cartan_section_bases(model, g)[0] @ xi).max() <= 1e-15 * np.abs(value).max()
+        gaps = [np.abs(_fd_section_rows(model, g, xi, h) - rows).max() for h in (1e-3, 5e-4)]
+        assert gaps[0] <= 10 * 1e-3 ** 2 * np.abs(rows).max()
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
 
 class TestFormWrappers:
@@ -764,8 +842,9 @@ class TestFormWrappers:
         g = su2.random_element(rng)
         xi = su2.random_algebra(rng)
         e, f = cartan_sections(su2, g, xi)
-        assert np.allclose(e, cartan_section_field(su2, xi, "e")(g))
-        assert np.allclose(f, cartan_section_field(su2, xi, "f")(g))
+        a, eye = section_matrix(su2, g), np.eye(3)
+        assert np.allclose(e, cartan_section_jet(su2, g, xi)[0])
+        assert np.allclose(f, np.concatenate([(eye + a) @ xi / 2, su2.B @ (a - eye) @ xi / 4]))
 
 
 class TestLeafIdentity:

@@ -20,8 +20,11 @@ from purespin.geometry import (
     structure_trivector,
     su2_class_from_trace,
 )
-from purespin.groups import GroupModel, get_model, swap_double_model
+from purespin.groups import GroupModel, get_model, product_model, swap_double_model
 from purespin.moment import (
+    _dexp_frame_jets,
+    _homotopy_partials,
+    _tau_partials,
     DoubleFactory,
     FusionData,
     QHamPoint,
@@ -149,14 +152,14 @@ class TestFusion:
     def test_mult_eta_identity(self, su2, factory, rng):
         for _ in range(3):
             a, b = su2.random_element(rng), su2.random_element(rng)
-            assert mult_eta_identity_residual(su2, factory.product, a, b) < 1e-4
+            assert mult_eta_identity_residual(su2, factory.product, a, b) <= 1e-13
 
     def test_abelian_identity_trivial(self, torus3):
         from purespin.groups import product_model
         prod = product_model(torus3, torus3)
         a = torus3.exp([0.2, 0.1, 0.0])
         b = torus3.exp([-0.3, 0.0, 0.5])
-        assert mult_eta_identity_residual(torus3, prod, a, b) < 1e-10
+        assert mult_eta_identity_residual(torus3, prod, a, b) == 0.0
 
 
 class TestDoubles:
@@ -352,18 +355,18 @@ class TestExponential:
 
     def test_origin_conditions_exact(self, su2):
         rep = exp_dirac_report(su2, 1e-8 * np.ones(3))
-        assert rep["exterior_residual"] < 1e-6
+        assert rep["exterior_residual"] <= 1e-13
         assert rep["dirac_distance"] < 1e-8 and rep["strong"]
 
     def test_abelian_trivial(self, torus3):
         rep = exp_dirac_report(torus3, np.array([0.4, -0.2, 0.1]))
-        assert rep["exterior_residual"] < 1e-10
+        assert rep["exterior_residual"] == 0.0
         assert rep["dirac_distance"] < 1e-10 and rep["strong"]
 
     def test_random_points(self, su2, rng):
         for _ in range(5):
             rep = exp_dirac_report(su2, su2.random_algebra(rng, 0.8))
-            assert rep["exterior_residual"] < 1e-5
+            assert rep["exterior_residual"] <= 1e-13
             assert rep["dirac_distance"] < 1e-8 and rep["strong"]
 
     def test_outside_natural_domain_rejected(self, su2):
@@ -492,3 +495,81 @@ class TestRankDeficientFrames:
             p = exp_orbit_qham_point(su3, x)
             assert p.frame_dim == dim
             self._assert_q_hamiltonian(p)
+
+
+LARGER = ["su3", "coadjoint-semidirect"]
+MODELS = ["su2"] + LARGER
+
+
+def _gaps(exact: np.ndarray, quotient) -> list[float]:
+    """Largest gap between the exact partials and the central quotients at h and h/2."""
+    return [float(np.abs(quotient(h) - exact).max()) for h in (1e-3, 5e-4)]
+
+
+def _second_order(gaps: list[float], exact: np.ndarray) -> bool:
+    # O(h²): halving h quarters the gap
+    return gaps[0] <= 10 * 1e-3 ** 2 * np.abs(exact).max() and 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
+class TestExactPartials:
+    """Each exact partial against central differences: the gap falls as h²."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_tau_partials(self, name, rng):
+        base = get_model(name)
+        d = base.dim
+        b = base.random_element(rng, 0.8)
+        exact = _tau_partials(base, tau_matrix(base, b))
+        # τ does not depend on the first factor; along e_c of the second it moves with b·exp(t e_c)
+        assert not exact[:d].any()
+
+        def quotient(h):
+            steps = h * np.eye(d)
+            return np.concatenate([np.zeros((d, 2 * d, 2 * d)), [
+                (tau_matrix(base, b @ base.exp(s)) - tau_matrix(base, b @ base.exp(-s))) / (2 * h)
+                for s in steps]])
+
+        assert _second_order(_gaps(exact, quotient), exact)
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_dexp_frame_partials(self, name, rng):
+        model = get_model(name)
+        x = model.random_algebra(rng, 0.7)
+        ts = np.array([0.25, 1.0])
+        frames, exact = _dexp_frame_jets(model, ts, x)
+        assert np.abs(frames[:, 0] - model.dexp_frame(ts[:, None] * x)).max() <= 1e-14
+
+        def quotient(h):
+            steps = h * np.eye(model.dim)
+            return np.array([[(model.dexp_frame(t * (x + s)) - model.dexp_frame(t * (x - s))) / (2 * h)
+                              for s in steps] for t in ts])
+
+        assert _second_order(_gaps(exact, quotient), exact)
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_homotopy_form_partials(self, name, rng):
+        model = get_model(name)
+        x = model.random_algebra(rng, 0.7)
+        exact = _homotopy_partials(model, x)
+
+        def quotient(h):
+            return np.array([(homotopy_two_form(model, x + s) - homotopy_two_form(model, x - s)) / (2 * h)
+                             for s in h * np.eye(model.dim)])
+
+        assert _second_order(_gaps(exact, quotient), exact)
+
+
+class TestIdentitiesOnLargerModels:
+    @pytest.mark.parametrize("name", LARGER)
+    def test_mult_eta_identity(self, name, rng):
+        base = get_model(name)
+        prod = product_model(base, base)
+        for _ in range(3):
+            a, b = base.random_element(rng, 0.8), base.random_element(rng, 0.8)
+            assert mult_eta_identity_residual(base, prod, a, b) <= 1e-13
+
+    @pytest.mark.parametrize("name", LARGER)
+    def test_exponential_theorem(self, name, rng):
+        model = get_model(name)
+        for _ in range(3):
+            assert exp_dirac_report(model, model.random_algebra(rng, 0.7))["exterior_residual"] <= 1e-13
