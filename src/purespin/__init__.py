@@ -7,9 +7,7 @@ from .bilinear import (
     BilinearSpace,
     LagrangianSubspace,
     Subspace,
-    lagrangian_from_orthogonal,
     make_split_space,
-    same_component,
     transverse,
 )
 from .clifford import CliffordAlgebra, CliffordElement, PinElement, projector_p
@@ -22,9 +20,7 @@ __all__ = [
     "Subspace",
     "LagrangianSubspace",
     "make_split_space",
-    "lagrangian_from_orthogonal",
     "transverse",
-    "same_component",
     "CliffordAlgebra",
     "CliffordElement",
     "PinElement",

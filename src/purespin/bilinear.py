@@ -18,8 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .multivector import _scalar_str
-
 DEFAULT_TOL = 1e-9
 
 __all__ = [
@@ -28,10 +26,7 @@ __all__ = [
     "Subspace",
     "LagrangianSubspace",
     "make_split_space",
-    "lagrangian_from_orthogonal",
-    "orthogonal_from_lagrangian",
     "transverse",
-    "same_component",
     "random_orthogonal",
     "nullspace_basis",
     "column_space_basis",
@@ -110,9 +105,6 @@ class BilinearSpace:
             isinstance(x, (int, Fraction)) for row in self.gram_exact for x in row
         )
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "gram": [[_scalar_str(x) for x in row] for row in self.gram_exact]}
-
     def __repr__(self) -> str:  # pragma: no cover
         p, q = self.signature()
         return f"BilinearSpace(dim={self.dim}, signature=({p},{q}))"
@@ -140,14 +132,6 @@ class Subspace:
 
     def distance(self, other: "Subspace") -> float:
         return float(np.linalg.norm(self.projector() - other.projector(), 2))
-
-    def equals(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
-        return self.dim == other.dim and self.distance(other) <= tol
-
-    def contains(self, vector, tol: float = DEFAULT_TOL) -> bool:
-        v = np.asarray(vector, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(v)))
-        return float(np.linalg.norm(self.projector() @ v - v)) <= tol * scale
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.dim == 0 or other.dim == 0:
@@ -197,25 +181,6 @@ def make_split_space(n: int) -> BilinearSpace:
     return BilinearSpace(gram)
 
 
-def lagrangian_from_orthogonal(A) -> LagrangianSubspace:
-    """E_A = {(Av, v)} in R^{n,n}; Lagrangian exactly when A is orthogonal."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    defect = np.linalg.norm(A.T @ A - np.eye(n))
-    if defect > 1000 * DEFAULT_TOL:
-        raise ValueError(f"matrix is not orthogonal (‖AᵀA−I‖ = {defect:.2e})")
-    basis = np.vstack([A, np.eye(n)])
-    return LagrangianSubspace(make_split_space(n), basis)
-
-
-def orthogonal_from_lagrangian(E: Subspace) -> np.ndarray:
-    """Recover the unique A with E = E_A (split space, standard basis)."""
-    n = E.ambient.dim // 2
-    top, bottom = E.basis[:n], E.basis[n:]
-    # E cannot meet the definite first factor, so the bottom block is invertible.
-    return top @ np.linalg.inv(bottom)
-
-
 def transverse(E: Subspace, F: Subspace) -> bool:
     if E.dim + F.dim < E.ambient.dim:
         return False
@@ -223,12 +188,6 @@ def transverse(E: Subspace, F: Subspace) -> bool:
     s = np.linalg.svd(stacked, compute_uv=False)
     full_rank = s[min(E.ambient.dim, E.dim + F.dim) - 1] > DEFAULT_TOL * s[0]
     return bool(full_rank) and E.dim + F.dim == E.ambient.dim
-
-
-def same_component(E: LagrangianSubspace, F: LagrangianSubspace) -> bool:
-    """Same component of the Lagrangian Grassmannian iff n + dim(E∩F) is even."""
-    n = E.ambient.dim // 2
-    return (n + E.intersection(F).dim) % 2 == 0
 
 
 def random_orthogonal(n: int, rng: np.random.Generator, special: bool | None = None) -> np.ndarray:

@@ -258,30 +258,9 @@ class CliffordAlgebra:
             ok = bool(np.linalg.norm(a.T @ gmat @ a - gmat) <= 1e-6 * max(1.0, np.linalg.norm(gmat)))
         return ok, a
 
-    def pin_normalize(self, g: Multivector) -> "PinElement":
-        """Scale g ∈ Γ(W) so that g^T g = ±1."""
-        t = self.mul(self.transpose(g), g)
-        c = t.scalar_part()
-        stray = math.sqrt(sum(float(v) ** 2 for b, v in t.terms.items() if b != ()))
-        if stray > 1e-8 * max(1.0, abs(float(c))) or c == 0:
-            raise NotInCliffordGroup("g^T g is not a nonzero scalar")
-        sign = 1 if float(c) > 0 else -1
-        if isinstance(c, (int, Fraction)):
-            root = Fraction(abs(c)) ** HALF if _is_square(Fraction(abs(c))) else None
-            if root is not None:
-                return PinElement(self.element(g.scale(1 / root)), sign)
-        scale = 1.0 / math.sqrt(abs(float(c)))
-        return PinElement(self.element(g.map_coeff(lambda v: float(v) * scale)), sign)
-
 
 def _is_exact(x: Multivector) -> bool:
     return all(isinstance(c, (int, Fraction)) for c in x.terms.values())
-
-
-def _is_square(q: Fraction) -> bool:
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    return rn * rn == q.numerator and rd * rd == q.denominator
 
 
 @dataclass
@@ -316,9 +295,6 @@ class CliffordElement:
 
     def inverse(self) -> "CliffordElement":
         return CliffordElement(self.algebra, self.algebra.inverse(self.mv))
-
-    def to_json(self) -> dict:
-        return {"space": self.algebra.space.to_json(), "element": self.mv.to_json()}
 
 
 @dataclass

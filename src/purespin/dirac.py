@@ -39,10 +39,8 @@ from .multivector import Multivector
 from .spinor import (
     DoubledSpace,
     PureSpinor,
-    chevalley_pairing,
     pure_spinor,
     rho_contravariant,
-    spinor_of_lagrangian,
 )
 
 LinearDirac = LagrangianSubspace
@@ -51,19 +49,12 @@ __all__ = [
     "LinearDirac",
     "OrthogonalLift",
     "graph_of_two_form",
-    "graph_of_bivector",
     "gauge_transform",
-    "gauge_transform_spinor",
     "dirac_image",
     "dirac_preimage",
-    "is_dirac_map",
     "is_strong_dirac",
     "kappa_embed",
     "spinor_of_orthogonal",
-    "phi_of_orthogonal",
-    "contraction_by_bivector",
-    "pullback_transversality",
-    "b_volume_form",
 ]
 
 
@@ -84,55 +75,12 @@ def graph_of_bivector_subspace(doubled: DoubledSpace, pi) -> LinearDirac:
     return LagrangianSubspace(doubled.space, basis)
 
 
-def contraction_by_bivector(pi_mv: Multivector, phi: Multivector) -> Multivector:
-    """ι(π)φ, extending contraction to Λ V so that ι(a ∧ b) = ι(b) ∘ ι(a)."""
-    out = Multivector.zero(phi.dim)
-    for blade, c in pi_mv.terms.items():
-        img = phi
-        for idx in blade:  # ι(a) acts first: ι(a ∧ b) = ι(b) ι(a)
-            vec = [0.0] * phi.dim
-            vec[idx] = 1
-            img = img.contract(vec)
-        out = out + img.scale(c)
-    return out
-
-
-def graph_of_bivector(doubled: DoubledSpace, pi) -> PureSpinor:
-    """Pure spinor e^{-ι(π)} μ whose null space is Gr_π, μ the unit top form."""
-    n = doubled.n
-    p = np.asarray(pi, dtype=float)
-    mu = Multivector.top(n)
-    pi_mv = Multivector.from_antisymmetric_matrix(p)
-    form = Multivector.zero(n)
-    term = mu
-    k = 0
-    sign = 1
-    while term:
-        form = form + term.scale(sign * _inv_factorial(k))
-        k += 1
-        sign = -sign
-        term = contraction_by_bivector(pi_mv, term)
-        if k > n:
-            break
-    return pure_spinor(doubled, form)
-
-
-def _inv_factorial(k: int) -> float:
-    return 1.0 / math.factorial(k)
-
-
 def gauge_transform(E: LinearDirac, tau) -> LinearDirac:
     """Image of E under v ⊕ α -> v ⊕ (α + ι_v τ) for an antisymmetric matrix τ."""
     n = E.ambient.dim // 2
     t = np.asarray(tau, dtype=float)
     block = np.block([[np.eye(n), np.zeros((n, n))], [t.T, np.eye(n)]])
     return LagrangianSubspace(E.ambient, block @ E.basis, check=False)
-
-
-def gauge_transform_spinor(doubled: DoubledSpace, phi: Multivector, tau) -> Multivector:
-    """Spinor-level gauge transformation e^{-τ} ∧ φ."""
-    t = Multivector.from_antisymmetric_matrix(np.asarray(tau, dtype=float))
-    return (-t).exp_wedge().wedge(phi)
 
 
 # --------------------------------------------------------------------------- #
@@ -196,23 +144,9 @@ def dirac_preimage(A, F_target: LinearDirac, doubled_source: DoubledSpace) -> tu
     return pre, not _meets(F_target, ann, covectors=True)
 
 
-def is_dirac_map(A, E: LinearDirac, E_target: LinearDirac,
-                 doubled_target: DoubledSpace) -> bool:
-    """Whether the forward image of E is E_target, to a projector distance of 1e-8."""
-    image, _ = dirac_image(A, E, doubled_target)
-    return image.dim == E_target.dim and image.distance(E_target) <= 1e-8
-
-
-def is_strong_dirac(A, E: LinearDirac, E_target: LinearDirac | None = None,
-                    doubled_target: DoubledSpace | None = None) -> bool:
-    """E ∩ (ker A ⊕ 0) = 0; with a target, also require the image to match."""
-    a = np.asarray(A, dtype=float)
-    if E_target is not None:
-        if doubled_target is None:
-            raise ValueError("doubled_target required when checking the image")
-        if not is_dirac_map(a, E, E_target, doubled_target):
-            return False
-    return not _meets(E, nullspace_basis(a))
+def is_strong_dirac(A, E: LinearDirac) -> bool:
+    """E ∩ (ker A ⊕ 0) = 0."""
+    return not _meets(E, nullspace_basis(np.asarray(A, dtype=float)))
 
 
 # --------------------------------------------------------------------------- #
@@ -247,11 +181,6 @@ def _cayley_two_form(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     c = np.linalg.solve((np.eye(n) + a).T, (np.eye(n) - a).T).T  # (I-A)(I+A)^{-1}
     m = -0.5 * g @ c
     return 0.5 * (m - m.T)
-
-
-def b_volume_form(B: BilinearSpace) -> Multivector:
-    """Riemannian volume form sqrt|det B| ε^1 ∧ ... ∧ ε^n of the inner product."""
-    return Multivector.top(B.dim, math.sqrt(abs(float(np.linalg.det(B.gram)))))
 
 
 def _reflection_chain(vectors, B: BilinearSpace, seed: Multivector) -> Multivector:
@@ -297,41 +226,3 @@ def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
     if psi.null.distance(expected) > 1e-6:
         raise AssertionError("null space of ψ does not match A^κ(V)")
     return OrthogonalLift(psi, method)
-
-
-def phi_of_orthogonal(A, B: BilinearSpace) -> PureSpinor:
-    """Pure spinor ρ(Ã^κ) μ with null space A^κ(V*), μ the B-volume form."""
-    a = np.asarray(A, dtype=float)
-    n = a.shape[0]
-    doubled = DoubledSpace(n)
-    vectors = factor_into_reflections(a, B)
-    form = _reflection_chain(vectors, B, b_volume_form(B))
-    phi = pure_spinor(doubled, form)
-    expected = Subspace(doubled.space, kappa_embed(a, B)[:, n:], check_rank=False)
-    if phi.null.distance(expected) > 1e-6:
-        raise AssertionError("null space of φ does not match A^κ(V*)")
-    return phi
-
-
-# --------------------------------------------------------------------------- #
-# transversality transport along strong Dirac maps
-
-def pullback_transversality(A, E: LinearDirac, E_target: LinearDirac,
-                            psi_target: PureSpinor, doubled_source: DoubledSpace,
-                            doubled_target: DoubledSpace) -> PureSpinor:
-    """Pull a transverse partner of E' back to a transverse partner of E.
-
-    Requires A to be a strong Dirac map (E, E'); then ψ = A*ψ' is a nonzero
-    pure spinor and N_ψ is transverse to E.
-    """
-    a = np.asarray(A, dtype=float)
-    if not is_strong_dirac(a, E, E_target, doubled_target):
-        raise ValueError("map is not a strong Dirac map for (E, E')")
-    psi = psi_target.form.pullback(a)
-    if psi.norm() <= 1e-12:
-        raise AssertionError("pullback of the transverse spinor vanished")
-    pulled = pure_spinor(doubled_source, psi)
-    phi_e = spinor_of_lagrangian(doubled_source, E)
-    if abs(float(chevalley_pairing(phi_e.form, psi))) <= 1e-12:
-        raise AssertionError("pullback spinor is not transverse to E")
-    return pulled

@@ -30,7 +30,6 @@ __all__ = [
     "scale_to_integers",
     "identity",
     "mat_mul",
-    "mat_vec",
     "transpose",
     "rref",
     "rank",
@@ -58,10 +57,6 @@ def transpose(m: Mat) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Mat, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def _integer_rref(m: Mat) -> tuple[list[list[int]], list[int]]:

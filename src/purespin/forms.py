@@ -35,7 +35,6 @@ __all__ = [
     "fd_exterior_derivative",
     "fd_exterior_derivative_flat",
     "left_invariant_derivative",
-    "lie_derivative_residual",
     "three_form_norm",
     "two_form_derivative",
 ]
@@ -113,19 +112,3 @@ def fd_exterior_derivative_flat(field: Callable[[np.ndarray], Multivector], x0,
     x0 = np.asarray(x0, dtype=float)
     stencil = ((field(x0 + s), field(x0 - s)) for s in h * np.eye(x0.size))
     return from_mask_vector(_wedge_partials(_central_quotients(stencil, h)))
-
-
-def lie_derivative_residual(model: GroupModel, field: FormField, g, vector_field) -> float:
-    """‖L_X ω‖ at g by Cartan's formula, for invariance checks.
-
-    ``vector_field`` maps a group element to left-trivialized coordinates.
-    """
-    d_of = fd_exterior_derivative(model, field, g)
-    x = np.asarray(vector_field(g), dtype=float)
-    term1 = d_of.contract(list(x))
-
-    def contracted(point):
-        return field(point).contract(list(np.asarray(vector_field(point), dtype=float)))
-
-    term2 = fd_exterior_derivative(model, contracted, g)
-    return (term1 + term2).norm()

@@ -50,15 +50,9 @@ __all__ = [
     "section_matrix",
     "cartan_section_bases",
     "cartan_dirac_fiber",
-    "transverse_fiber",
-    "sharp_vector",
-    "cartan_sections",
     "ghjw_value",
     "ghjw_matrix",
     "eta_multivector",
-    "moment_covector",
-    "moment_form_field",
-    "structure_trivector",
     "PinLift",
     "ConjugacyClassPoint",
     "class_point",
@@ -106,17 +100,6 @@ def cartan_dirac_fiber(model: GroupModel, g, doubled: DoubledSpace | None = None
     return LagrangianSubspace(doubled.space, e_mat, check=False)
 
 
-def transverse_fiber(model: GroupModel, g, doubled: DoubledSpace | None = None) -> LagrangianSubspace:
-    doubled = doubled or DoubledSpace(model.dim)
-    _, f_mat = cartan_section_bases(model, g)
-    return LagrangianSubspace(doubled.space, f_mat, check=False)
-
-
-def sharp_vector(model: GroupModel, g, xi) -> np.ndarray:
-    """ξ^♯(g) = (A_g - I) ξ in left-trivialized coordinates."""
-    return (section_matrix(model, g) - np.eye(model.dim)) @ np.asarray(xi, dtype=float)
-
-
 def ghjw_value(model: GroupModel, g, xi1, xi2) -> float:
     """Invariant class 2-form on generators: B(((Ad_g - Ad_{g^{-1}})/2) ξ1, ξ2)."""
     xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
@@ -137,36 +120,6 @@ def eta_multivector(model: GroupModel) -> Multivector:
     return _trivector(-0.5 * model.invariant_tensor)
 
 
-def cartan_sections(model: GroupModel, g, xi) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (e(ξ), f(ξ)) at g as vectors of the doubled algebra."""
-    e_mat, f_mat = cartan_section_bases(model, g)
-    xi = np.asarray(xi, dtype=float)
-    return e_mat @ xi, f_mat @ xi
-
-
-def moment_covector(model: GroupModel, g, xi) -> np.ndarray:
-    """Coefficient vector of the 1-form B((θ^L + θ^R)/2, ξ) at g."""
-    a = section_matrix(model, g)
-    return model.B @ (np.eye(model.dim) + a) @ np.asarray(xi, dtype=float) / 2.0
-
-
-def moment_form_field(model: GroupModel, xi):
-    def field(point):
-        return Multivector.from_vector(moment_covector(model, point, xi))
-    return field
-
-
-def structure_trivector(model: GroupModel) -> Multivector:
-    """A fixed representative of the structure trivector, indices raised by B^{-1}.
-
-    Only the ray matters: the scalar multiple relating (d+η)ψ to the cubic
-    section action is fitted, not asserted.
-    """
-    b_inv = model.B_inv
-    return _trivector(np.einsum("abc,ai,bj,ck->ijk", model.invariant_tensor, b_inv, b_inv, b_inv,
-                                optimize=True))
-
-
 def _trivector(tensor: np.ndarray) -> Multivector:
     """The 3-vector with the nonzero entries tensor[i, j, k], i < j < k, as its coefficients."""
     d = tensor.shape[0]
@@ -180,7 +133,10 @@ def _trivector(tensor: np.ndarray) -> Multivector:
 # Coefficients of an exponentiated spinor below this fraction of its largest
 # one are roundoff: on random su3 and coadjoint-semidirect points the exactly
 # vanishing blades come out below 1e-14 of the largest coefficient and the
-# others above 1e-9.  Zeroing them keeps the Multivectors of ``forms_at`` sparse.
+# others above 1e-9.  Zeroing them keeps the Multivectors of ``forms_at``
+# sparse, and it decides which blades ``frame_volume_density`` gathers: a
+# bordered matrix is built only for a blade on which some ψ of the stack is
+# nonzero, so the cut sets both the number of Pfaffians and the terms summed.
 _ROUNDOFF_CUT = 1e-12
 
 # Bytes of one stacked array (exponents of the lift, bordered matrices of the

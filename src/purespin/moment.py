@@ -14,6 +14,7 @@ provided as closures producing such records at arbitrary points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .dirac import (
     graph_of_bivector_subspace,
     graph_of_two_form,
 )
-from .forms import FD_STEP, fd_exterior_derivative, three_form_norm, two_form_derivative
+from .forms import fd_exterior_derivative, three_form_norm, two_form_derivative
 from .geometry import (
     PinLift,
     _lift_density,
@@ -48,7 +49,6 @@ __all__ = [
     "symmetric_space_record",
     "DoubleFactory",
     "fuse",
-    "fusion_tau",
     "tau_matrix",
     "mult_eta_identity_residual",
     "fused_three_form_residual",
@@ -57,8 +57,6 @@ __all__ = [
     "homotopy_two_form",
     "exp_orbit_qham_point",
     "exp_dirac_report",
-    "regular_value_report",
-    "infinitesimal_invariance_residual",
 ]
 
 
@@ -163,21 +161,6 @@ def strong_dirac_equivalence(p: QHamPoint) -> dict:
         moment_condition_residual(p) <= 1e-8 and minimal_degeneracy(p)["original"]
     )
     return {"axioms": axioms_ok, "dirac": dirac_ok, "agree": axioms_ok == dirac_ok}
-
-
-def infinitesimal_invariance_residual(point_builder, p: QHamPoint, xi) -> float:
-    """‖L(ξ^♯) ω‖ estimated by differencing the 2-form along the flow.
-
-    ``point_builder`` maps a group element h to the QHamPoint at the
-    transported carrier point h·x; invariance of ω is checked through the
-    frame-coherent builder, not through any particular chart.
-    """
-    h = FD_STEP
-    exp_plus = p.model.exp(np.asarray(xi, dtype=float) * h)
-    exp_minus = p.model.exp(-np.asarray(xi, dtype=float) * h)
-    om_plus = point_builder(exp_plus).omega
-    om_minus = point_builder(exp_minus).omega
-    return float(np.max(np.abs(om_plus - om_minus))) / (2 * h)
 
 
 # --------------------------------------------------------------------------- #
@@ -297,12 +280,6 @@ def tau_matrix(model: GroupModel, g2) -> np.ndarray:
     return out
 
 
-def fusion_tau(model: GroupModel, g1, g2, u, v) -> float:
-    """τ at (g1, g2) on two tangent vectors of G × G (left-trivialized)."""
-    t = tau_matrix(model, g2)
-    return float(np.asarray(u, dtype=float) @ t @ np.asarray(v, dtype=float))
-
-
 def mult_eta_identity_residual(base: GroupModel, prod: GroupModel, a, b) -> float:
     """‖Mult*η - pr1*η - pr2*η - dτ‖ at (a, b) on exact tensors: dτ from ``_tau_partials``
     by ``two_form_derivative`` on ``prod``, each η a contraction of -½T."""
@@ -392,11 +369,17 @@ def homotopy_two_form(model: GroupModel, x) -> np.ndarray:
     return 0.5 * (out - out.T)
 
 
+@lru_cache(maxsize=None)
 def _homotopy_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """The 32 Gauss-Legendre nodes t of [0, 1] and the weights w·t² of the homotopy integral."""
+    """The 32 Gauss-Legendre nodes t of [0, 1] and the weights w·t² of the homotopy integral.
+
+    Built on first use, not at import; the arrays are cached, so they are made read-only.
+    """
     ts, ws = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (ts + 1.0)
-    return ts, 0.5 * ws * ts * ts
+    weights = 0.5 * ws * ts * ts
+    ts.flags.writeable = weights.flags.writeable = False
+    return ts, weights
 
 
 def _eta_between(model: GroupModel, left, moved, right) -> np.ndarray:
@@ -445,23 +428,6 @@ def exp_orbit_qham_point(model: GroupModel, x) -> QHamPoint:
     dphi = (t_frame @ u).T
     action, *_ = np.linalg.lstsq(u, neg_ad, rcond=None) if u.size else (np.zeros((0, d)),)
     return QHamPoint(model, omega, model.exp(x), dphi, action)
-
-
-def regular_value_report(p: QHamPoint) -> dict:
-    """Pointwise data for reduction at the identity value of the moment map.
-
-    No quotient is built; this only reports whether the moment value is the
-    identity, the rank of its differential there, and the kernel dimensions
-    entering the local regular-value criterion.
-    """
-    at_identity = bool(np.linalg.norm(np.asarray(p.phi) - p.model.identity()) < 1e-9)
-    rank = p.dphi.shape[1] - nullspace_basis(p.dphi, scale=1.0).shape[1]
-    return {
-        "moment_is_identity": at_identity,
-        "dphi_rank": rank,
-        "dphi_kernel_dim": p.frame_dim - rank,
-        "omega_kernel_dim": minimal_degeneracy(p)["kernel_dim"],
-    }
 
 
 def exp_dirac_report(model: GroupModel, x) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -120,30 +120,14 @@ class Multivector:
     # ------------------------------------------------------------------ #
     # basic structure
 
-    def __iter__(self) -> Iterator[tuple[Blade, Scalar]]:
-        return iter(self.terms.items())
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def coeff(self, blade: Iterable[int]) -> Scalar:
         return self.terms.get(tuple(blade), 0)
 
-    @property
-    def grades(self) -> set[int]:
-        return {len(b) for b in self.terms}
-
     def grade(self, k: int) -> "Multivector":
         return Multivector(self.dim, {b: c for b, c in self.terms.items() if len(b) == k})
-
-    def max_grade(self) -> int:
-        return max((len(b) for b in self.terms), default=0)
-
-    def min_grade(self) -> int:
-        return min((len(b) for b in self.terms), default=0)
 
     def has_pure_parity(self) -> bool:
         parities = {len(b) % 2 for b in self.terms}
@@ -307,28 +291,6 @@ class Multivector:
     def norm(self) -> float:
         return math.sqrt(sum(float(c) ** 2 for c in self.terms.values()))
 
-    def to_float(self) -> "Multivector":
-        return self.map_coeff(float)
-
-    # ------------------------------------------------------------------ #
-    # serialization
-
-    def to_json(self) -> list[dict]:
-        """JSON encoding: 1-based strictly increasing index sets, scalar strings."""
-        items = []
-        for blade in sorted(self.terms, key=lambda b: (len(b), b)):
-            c = self.terms[blade]
-            items.append({"idx": [i + 1 for i in blade], "c": _scalar_str(c)})
-        return items
-
-    @classmethod
-    def from_json(cls, dim: int, items: Sequence[Mapping]) -> "Multivector":
-        terms = {}
-        for item in items:
-            blade = tuple(i - 1 for i in item["idx"])
-            terms[blade] = _scalar_parse(item["c"])
-        return cls(dim, terms)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.terms:
             return "0"
@@ -376,12 +338,3 @@ def _scalar_str(c: Scalar) -> str:
     if isinstance(c, (int, np.integer)):
         return str(int(c))
     return repr(float(c))
-
-
-def _scalar_parse(s: str) -> Scalar:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    if any(ch in s for ch in ".eE") or s in ("inf", "-inf", "nan"):
-        return float(s)
-    return int(s)

@@ -7,8 +7,10 @@ Lagrangians.  The contravariant module is Λ V* with
     ρ(v ⊕ α) φ = ι(v) φ + α ∧ φ,
 
 which satisfies ρ(w)ρ(w') + ρ(w')ρ(w) = <w, w'> id on the nose (no extra
-factor of two with this pairing); the covariant module Λ V swaps the roles
-of V and V*.  Coordinates: indices 0..n-1 are V, indices n..2n-1 are V*.
+factor of two with this pairing).  The covariant module Λ V is the same
+action with V and V* exchanged: ρ(v ⊕ α) acts on Λ V as the contravariant
+ρ(α ⊕ v) on the same coefficients, so it needs no code of its own.
+Coordinates: indices 0..n-1 are V, indices n..2n-1 are V*.
 
 The ρ table.  A blade of Λ V* is the bit mask of its indices.  ρ(e_i) = ι(e_i)
 clears bit i and ρ(ε^i) = ε^i ∧ sets it, both with the sign (-1)^(set bits
@@ -39,7 +41,6 @@ from .bilinear import (
     BilinearSpace,
     LagrangianSubspace,
     Subspace,
-    nullspace_basis,
 )
 from .multivector import Multivector
 
@@ -54,17 +55,11 @@ __all__ = [
     "mask_vector",
     "from_mask_vector",
     "rho_contravariant",
-    "rho_covariant",
     "null_space",
-    "null_space_covariant",
     "spinor_of_lagrangian",
-    "covariant_spinor_of_lagrangian",
-    "graph_two_form_of",
     "chevalley_pairing",
     "transversality_by_pairing",
-    "star_to_covariant",
     "fixed_line_dimension",
-    "decompose_pure_spinor",
 ]
 
 
@@ -79,19 +74,9 @@ class DoubledSpace:
             gram[n + i][i] = 1
         self.space = BilinearSpace(gram)
 
-    def v_subspace(self) -> LagrangianSubspace:
-        basis = np.vstack([np.eye(self.n), np.zeros((self.n, self.n))])
-        return LagrangianSubspace(self.space, basis)
-
     def v_star_subspace(self) -> LagrangianSubspace:
         basis = np.vstack([np.zeros((self.n, self.n)), np.eye(self.n)])
         return LagrangianSubspace(self.space, basis)
-
-    def swap_matrix(self) -> np.ndarray:
-        """Isometry V ⊕ V* -> V* ⊕ V exchanging the two blocks."""
-        z = np.zeros((self.n, self.n))
-        eye = np.eye(self.n)
-        return np.block([[z, eye], [eye, z]])
 
     def rho_word_matrix(self, indices) -> np.ndarray:
         """Integer matrix of ρ(w_{i1}) ρ(w_{i2}) ... on Λ V* for generator indices of V ⊕ V*.
@@ -218,17 +203,6 @@ def rho_contravariant(doubled: DoubledSpace, w, phi: Multivector) -> Multivector
     return out
 
 
-def rho_covariant(doubled: DoubledSpace, w, chi: Multivector) -> Multivector:
-    """ρ(v ⊕ α) χ = ι(α) χ + v ∧ χ on multivectors χ ∈ Λ V."""
-    v = list(w[: doubled.n])
-    a = list(w[doubled.n:])
-    out = chi.contract(a)
-    vec = Multivector.from_vector(v)
-    if vec:
-        out = out + vec.wedge(chi)
-    return out
-
-
 @dataclass
 class PureSpinor:
     """A spinor with Lagrangian null space, cached."""
@@ -237,35 +211,30 @@ class PureSpinor:
     form: Multivector
     null: LagrangianSubspace
 
-    @property
-    def parity(self) -> int:
-        return self.form.min_grade() % 2
 
-    def to_json(self) -> dict:
-        return {"form": self.form.to_json(), "null_basis": self.null.basis.tolist()}
-
-
-def _spinor_action_matrix(doubled: DoubledSpace, phi: Multivector, covariant: bool):
+def _spinor_action_matrix(doubled: DoubledSpace, phi: Multivector):
     """Columns ρ(w_k) φ over the generator basis of the doubled space, stacked.
 
     Exact coefficients give an integer matrix proportional to the exact one
-    (the same null space).  The covariant action on Λ V is the contravariant
-    table with V and V* exchanged.
+    (the same null space).
     """
     exact_ok = all(isinstance(c, (int, Fraction)) for c in phi.terms.values())
     cols = _rho_each(mask_vector(phi, exact_ok))[:, _grade_masks(doubled.n)]
-    if covariant:
-        cols = np.roll(cols, doubled.n, axis=0)
     if exact_ok:
         return cols.T.tolist(), True
     # structural zeros as +0.0: LAPACK picks reflector signs by the sign of zeros too
     return cols.T + 0.0, False
 
 
-def _null_space(doubled: DoubledSpace, phi: Multivector, covariant: bool, diagnostics: bool):
+def null_space(doubled: DoubledSpace, phi: Multivector, diagnostics: bool = False):
+    """Null space {w : ρ(w)φ = 0} of a contravariant spinor and a purity flag.
+
+    With ``diagnostics`` the spectral-gap report backing the float-path
+    dimension decision is returned as a third value.
+    """
     if not phi:
         raise ValueError("null space of the zero spinor is undefined")
-    m, exact_path = _spinor_action_matrix(doubled, phi, covariant)
+    m, exact_path = _spinor_action_matrix(doubled, phi)
     diag = {"exact": exact_path, "gap_ratio": math.inf, "gap_ok": True}
     if exact_path:
         basis_vecs = exact.nullspace(m)
@@ -290,19 +259,6 @@ def _null_space(doubled: DoubledSpace, phi: Multivector, covariant: bool, diagno
     if diagnostics:
         return sub, is_pure, diag
     return sub, is_pure
-
-
-def null_space(doubled: DoubledSpace, phi: Multivector, diagnostics: bool = False):
-    """Null space {w : ρ(w)φ = 0} of a contravariant spinor and a purity flag.
-
-    With ``diagnostics`` the spectral-gap report backing the float-path
-    dimension decision is returned as a third value.
-    """
-    return _null_space(doubled, phi, covariant=False, diagnostics=diagnostics)
-
-
-def null_space_covariant(doubled: DoubledSpace, chi: Multivector):
-    return _null_space(doubled, chi, covariant=True, diagnostics=False)
 
 
 def pure_spinor(doubled: DoubledSpace, form: Multivector) -> PureSpinor:
@@ -337,18 +293,6 @@ def _annihilator_volume(ann: np.ndarray) -> Multivector:
     return mu
 
 
-def graph_two_form_of(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Range, induced 2-form, and kernel of a Lagrangian E ⊂ V ⊕ V*.
-
-    Returns (S, omega_S, kernel): S an orthonormal n×r basis of the range in
-    V, omega_S the r×r matrix ω_S(s_i, s_j) = α_i(s_j) for lifts s_i ⊕ α_i ∈ E,
-    and kernel an orthonormal basis of {v : (v, 0) ∈ E}.  Lifts differ by
-    0 ⊕ ann(S) ⊂ E, so the kernel is S·ker ω_S, cut at ``DEFAULT_TOL``·max(s_max, 1).
-    """
-    s_basis, _, omega_s = _range_data(E)
-    return s_basis, omega_s, s_basis @ nullspace_basis(omega_s, scale=1.0)
-
-
 def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace,
                          orientation: Multivector | None = None) -> PureSpinor:
     """Contravariant pure spinor e^{-ω_S} ∧ μ with null space E.
@@ -367,12 +311,6 @@ def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace,
     return pure_spinor(doubled, form)
 
 
-def covariant_spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace) -> Multivector:
-    """Covariant pure spinor χ ∈ Λ V with null space E (roles of V, V* swapped)."""
-    swapped = LagrangianSubspace(doubled.space, doubled.swap_matrix() @ E.basis, check=False)
-    return spinor_of_lagrangian(doubled, swapped).form
-
-
 def chevalley_pairing(phi: Multivector, psi: Multivector):
     """Top coefficient of φ^T ∧ ψ in the standard trivialization of the pairing line."""
     return phi.transpose_sign().wedge(psi).top_coefficient()
@@ -384,24 +322,6 @@ PAIRING_CUT = 1e-8
 
 def transversality_by_pairing(phi: PureSpinor, psi: PureSpinor) -> bool:
     return abs(float(chevalley_pairing(phi.form, psi.form))) > PAIRING_CUT
-
-
-def star_to_covariant(phi: Multivector) -> Multivector:
-    """Star duality Λ V* -> Λ V against the standard basis volume form."""
-    n = phi.dim
-    out = {}
-    full = tuple(range(n))
-    for blade, c in phi.terms.items():
-        comp = tuple(i for i in full if i not in blade)
-        # sign of the shuffle (blade, comp) relative to the volume order
-        perm = list(blade) + list(comp)
-        sign = 1
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out[comp] = out.get(comp, 0) + sign * c
-    return Multivector(n, out)
 
 
 def fixed_line_dimension(doubled: DoubledSpace, E: LagrangianSubspace,
@@ -426,21 +346,3 @@ def fixed_line_dimension(doubled: DoubledSpace, E: LagrangianSubspace,
     s = np.linalg.svd(stacked, compute_uv=False)
     cut = DEFAULT_TOL * (s[0] if s.size else 1.0)
     return int(size - np.sum(s > cut))
-
-
-def decompose_pure_spinor(doubled: DoubledSpace,
-                          phi: Multivector) -> tuple[np.ndarray, np.ndarray, Multivector]:
-    """Write a contravariant pure spinor as e^{-ω} ∧ μ.
-
-    Returns (S, omega_S, mu): the range basis of N_φ, the induced 2-form on
-    it, and the annihilator volume factor μ scaled so that the round trip
-    e^{-ω} ∧ μ reproduces φ.
-    """
-    null, pure = null_space(doubled, phi)
-    if not pure:
-        raise ValueError("spinor is not pure")
-    s_basis, ann, omega_s = _range_data(LagrangianSubspace(doubled.space, null.basis, check=False))
-    mu = _annihilator_volume(ann)
-    # the lowest-degree part of e^{-ω} ∧ μ is μ itself: match scale on its largest coefficient
-    blade = max(mu.terms, key=lambda k: abs(mu.terms[k]))
-    return s_basis, omega_s, mu.scale(phi.terms.get(blade, 0) / mu.terms[blade])

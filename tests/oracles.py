@@ -1,0 +1,325 @@
+"""Lecture facts stated as code that no command runs: the tests' oracles and glue.
+
+Each function here restates an identity of the lectures through a route of
+its own, or builds the data a test compares a production route against.
+The package runs none of them; the tests import this module by name
+(``tests/`` is on ``sys.path`` under pytest's default import mode).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from purespin.bilinear import (
+    DEFAULT_TOL,
+    BilinearSpace,
+    LagrangianSubspace,
+    Subspace,
+    make_split_space,
+    nullspace_basis,
+)
+from purespin.clifford import HALF, CliffordAlgebra, NotInCliffordGroup, PinElement, factor_into_reflections
+from purespin.dirac import _reflection_chain, dirac_image, is_strong_dirac, kappa_embed
+from purespin.forms import FD_STEP, fd_exterior_derivative
+from purespin.geometry import _trivector, section_matrix
+from purespin.groups import GroupModel
+from purespin.moment import QHamPoint, minimal_degeneracy
+from purespin.multivector import Multivector
+from purespin.spinor import (
+    DoubledSpace,
+    PureSpinor,
+    _annihilator_volume,
+    _range_data,
+    chevalley_pairing,
+    null_space,
+    pure_spinor,
+    spinor_of_lagrangian,
+)
+
+
+# --------------------------------------------------------------------------- #
+# the Lagrangian Grassmannian of R^{n,n}
+
+def lagrangian_from_orthogonal(A) -> LagrangianSubspace:
+    """E_A = {(Av, v)} in R^{n,n}; Lagrangian exactly when A is orthogonal."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    defect = np.linalg.norm(A.T @ A - np.eye(n))
+    if defect > 1000 * DEFAULT_TOL:
+        raise ValueError(f"matrix is not orthogonal (‖AᵀA−I‖ = {defect:.2e})")
+    basis = np.vstack([A, np.eye(n)])
+    return LagrangianSubspace(make_split_space(n), basis)
+
+
+def orthogonal_from_lagrangian(E: Subspace) -> np.ndarray:
+    """Recover the unique A with E = E_A (split space, standard basis)."""
+    n = E.ambient.dim // 2
+    top, bottom = E.basis[:n], E.basis[n:]
+    # E cannot meet the definite first factor, so the bottom block is invertible.
+    return top @ np.linalg.inv(bottom)
+
+
+def same_component(E: LagrangianSubspace, F: LagrangianSubspace) -> bool:
+    """Same component of the Lagrangian Grassmannian iff n + dim(E∩F) is even."""
+    n = E.ambient.dim // 2
+    return (n + E.intersection(F).dim) % 2 == 0
+
+
+# --------------------------------------------------------------------------- #
+# Pin normalization
+
+def _is_square(q: Fraction) -> bool:
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    return rn * rn == q.numerator and rd * rd == q.denominator
+
+
+def pin_normalize(algebra: CliffordAlgebra, g: Multivector) -> PinElement:
+    """Scale g ∈ Γ(W) so that g^T g = ±1."""
+    t = algebra.mul(algebra.transpose(g), g)
+    c = t.scalar_part()
+    stray = math.sqrt(sum(float(v) ** 2 for b, v in t.terms.items() if b != ()))
+    if stray > 1e-8 * max(1.0, abs(float(c))) or c == 0:
+        raise NotInCliffordGroup("g^T g is not a nonzero scalar")
+    sign = 1 if float(c) > 0 else -1
+    if isinstance(c, (int, Fraction)):
+        root = Fraction(abs(c)) ** HALF if _is_square(Fraction(abs(c))) else None
+        if root is not None:
+            return PinElement(algebra.element(g.scale(1 / root)), sign)
+    scale = 1.0 / math.sqrt(abs(float(c)))
+    return PinElement(algebra.element(g.map_coeff(lambda v: float(v) * scale)), sign)
+
+
+# --------------------------------------------------------------------------- #
+# the doubled space V ⊕ V*
+
+def v_subspace(doubled: DoubledSpace) -> LagrangianSubspace:
+    """V ⊕ 0, the Lagrangian killing the spinor 1."""
+    basis = np.vstack([np.eye(doubled.n), np.zeros((doubled.n, doubled.n))])
+    return LagrangianSubspace(doubled.space, basis)
+
+
+def distance_from(sub: Subspace, v) -> float:
+    """‖P v - v‖ / max(1, ‖v‖) for the orthogonal projector P onto ``sub``: 0 when v lies in it."""
+    return float(np.linalg.norm(sub.projector() @ v - v)) / max(1.0, float(np.linalg.norm(v)))
+
+
+def swap_halves(x: np.ndarray) -> np.ndarray:
+    """Exchange the V and V* halves of the rows of x: v ⊕ α -> α ⊕ v.
+
+    On Λ V the covariant action is ρ(v ⊕ α)χ = ι(α)χ + v ∧ χ, the
+    contravariant ρ(α ⊕ v) on the same coefficients; so the covariant null
+    space of χ is the contravariant one with its halves swapped.
+    """
+    n = len(x) // 2
+    return np.concatenate([x[n:], x[:n]])
+
+
+def graph_two_form_of(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Range, induced 2-form, and kernel of a Lagrangian E ⊂ V ⊕ V*.
+
+    Returns (S, omega_S, kernel): S an orthonormal n×r basis of the range in
+    V, omega_S the r×r matrix ω_S(s_i, s_j) = α_i(s_j) for lifts s_i ⊕ α_i ∈ E,
+    and kernel an orthonormal basis of {v : (v, 0) ∈ E}.  Lifts differ by
+    0 ⊕ ann(S) ⊂ E, so the kernel is S·ker ω_S, cut at ``DEFAULT_TOL``·max(s_max, 1).
+    """
+    s_basis, _, omega_s = _range_data(E)
+    return s_basis, omega_s, s_basis @ nullspace_basis(omega_s, scale=1.0)
+
+
+def decompose_pure_spinor(doubled: DoubledSpace,
+                          phi: Multivector) -> tuple[np.ndarray, np.ndarray, Multivector]:
+    """Write a contravariant pure spinor as e^{-ω} ∧ μ.
+
+    Returns (S, omega_S, mu): the range basis of N_φ, the induced 2-form on
+    it, and the annihilator volume factor μ scaled so that the round trip
+    e^{-ω} ∧ μ reproduces φ.
+    """
+    null, pure = null_space(doubled, phi)
+    if not pure:
+        raise ValueError("spinor is not pure")
+    s_basis, ann, omega_s = _range_data(LagrangianSubspace(doubled.space, null.basis, check=False))
+    mu = _annihilator_volume(ann)
+    # the lowest-degree part of e^{-ω} ∧ μ is μ itself: match scale on its largest coefficient
+    blade = max(mu.terms, key=lambda k: abs(mu.terms[k]))
+    return s_basis, omega_s, mu.scale(phi.terms.get(blade, 0) / mu.terms[blade])
+
+
+def star_to_covariant(phi: Multivector) -> Multivector:
+    """Star duality Λ V* -> Λ V against the standard basis volume form."""
+    n = phi.dim
+    out = {}
+    full = tuple(range(n))
+    for blade, c in phi.terms.items():
+        comp = tuple(i for i in full if i not in blade)
+        # sign of the shuffle (blade, comp) relative to the volume order
+        perm = list(blade) + list(comp)
+        sign = 1
+        for i in range(len(perm)):
+            for j in range(i + 1, len(perm)):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        out[comp] = out.get(comp, 0) + sign * c
+    return Multivector(n, out)
+
+
+# --------------------------------------------------------------------------- #
+# linear Dirac structures
+
+def contraction_by_bivector(pi_mv: Multivector, phi: Multivector) -> Multivector:
+    """ι(π)φ, extending contraction to Λ V so that ι(a ∧ b) = ι(b) ∘ ι(a)."""
+    out = Multivector.zero(phi.dim)
+    for blade, c in pi_mv.terms.items():
+        img = phi
+        for idx in blade:  # ι(a) acts first: ι(a ∧ b) = ι(b) ι(a)
+            vec = [0.0] * phi.dim
+            vec[idx] = 1
+            img = img.contract(vec)
+        out = out + img.scale(c)
+    return out
+
+
+def graph_of_bivector(doubled: DoubledSpace, pi) -> PureSpinor:
+    """Pure spinor e^{-ι(π)} μ whose null space is Gr_π, μ the unit top form."""
+    n = doubled.n
+    pi_mv = Multivector.from_antisymmetric_matrix(np.asarray(pi, dtype=float))
+    form = Multivector.zero(n)
+    term = Multivector.top(n)
+    k = 0
+    sign = 1
+    while term:
+        form = form + term.scale(sign * (1.0 / math.factorial(k)))
+        k += 1
+        sign = -sign
+        term = contraction_by_bivector(pi_mv, term)
+        if k > n:
+            break
+    return pure_spinor(doubled, form)
+
+
+def gauge_transform_spinor(phi: Multivector, tau) -> Multivector:
+    """Spinor-level gauge transformation e^{-τ} ∧ φ."""
+    t = Multivector.from_antisymmetric_matrix(np.asarray(tau, dtype=float))
+    return (-t).exp_wedge().wedge(phi)
+
+
+def b_volume_form(B: BilinearSpace) -> Multivector:
+    """Riemannian volume form sqrt|det B| ε^1 ∧ ... ∧ ε^n of the inner product."""
+    return Multivector.top(B.dim, math.sqrt(abs(float(np.linalg.det(B.gram)))))
+
+
+def phi_of_orthogonal(A, B: BilinearSpace) -> PureSpinor:
+    """Pure spinor ρ(Ã^κ) μ with null space A^κ(V*), μ the B-volume form."""
+    a = np.asarray(A, dtype=float)
+    n = a.shape[0]
+    doubled = DoubledSpace(n)
+    form = _reflection_chain(factor_into_reflections(a, B), B, b_volume_form(B))
+    phi = pure_spinor(doubled, form)
+    expected = Subspace(doubled.space, kappa_embed(a, B)[:, n:], check_rank=False)
+    if phi.null.distance(expected) > 1e-6:
+        raise AssertionError("null space of φ does not match A^κ(V*)")
+    return phi
+
+
+def pullback_transversality(A, E: LagrangianSubspace, E_target: LagrangianSubspace,
+                            psi_target: PureSpinor, doubled_source: DoubledSpace,
+                            doubled_target: DoubledSpace) -> PureSpinor:
+    """Pull a transverse partner of E' back to a transverse partner of E.
+
+    Requires A to be a strong Dirac map (E, E'): E ∩ (ker A ⊕ 0) = 0 and the
+    forward image of E is E' to a projector distance of 1e-8.  Then
+    ψ = A*ψ' is a nonzero pure spinor and N_ψ is transverse to E.
+    """
+    a = np.asarray(A, dtype=float)
+    image, _ = dirac_image(a, E, doubled_target)
+    if not (image.dim == E_target.dim and image.distance(E_target) <= 1e-8
+            and is_strong_dirac(a, E)):
+        raise ValueError("map is not a strong Dirac map for (E, E')")
+    psi = psi_target.form.pullback(a)
+    if psi.norm() <= 1e-12:
+        raise AssertionError("pullback of the transverse spinor vanished")
+    pulled = pure_spinor(doubled_source, psi)
+    phi_e = spinor_of_lagrangian(doubled_source, E)
+    if abs(float(chevalley_pairing(phi_e.form, psi))) <= 1e-12:
+        raise AssertionError("pullback spinor is not transverse to E")
+    return pulled
+
+
+# --------------------------------------------------------------------------- #
+# forms on a group
+
+def structure_trivector(model: GroupModel) -> Multivector:
+    """A fixed representative of the structure trivector, indices raised by B^{-1}.
+
+    Only the ray matters: the scalar multiple relating (d+η)ψ to the cubic
+    section action is fitted, not asserted.
+    """
+    b_inv = model.B_inv
+    return _trivector(np.einsum("abc,ai,bj,ck->ijk", model.invariant_tensor, b_inv, b_inv, b_inv,
+                                optimize=True))
+
+
+def moment_covector(model: GroupModel, g, xi) -> np.ndarray:
+    """Coefficient vector of the 1-form B((θ^L + θ^R)/2, ξ) at g."""
+    a = section_matrix(model, g)
+    return model.B @ (np.eye(model.dim) + a) @ np.asarray(xi, dtype=float) / 2.0
+
+
+def moment_form_field(model: GroupModel, xi):
+    def field(point):
+        return Multivector.from_vector(moment_covector(model, point, xi))
+    return field
+
+
+def lie_derivative_residual(model: GroupModel, field, g, vector_field) -> float:
+    """‖L_X ω‖ at g by Cartan's formula, for invariance checks.
+
+    ``vector_field`` maps a group element to left-trivialized coordinates.
+    """
+    d_of = fd_exterior_derivative(model, field, g)
+    x = np.asarray(vector_field(g), dtype=float)
+    term1 = d_of.contract(list(x))
+
+    def contracted(point):
+        return field(point).contract(list(np.asarray(vector_field(point), dtype=float)))
+
+    term2 = fd_exterior_derivative(model, contracted, g)
+    return (term1 + term2).norm()
+
+
+# --------------------------------------------------------------------------- #
+# q-Hamiltonian points
+
+def infinitesimal_invariance_residual(point_builder, p: QHamPoint, xi) -> float:
+    """‖L(ξ^♯) ω‖ estimated by differencing the 2-form along the flow.
+
+    ``point_builder`` maps a group element h to the QHamPoint at the
+    transported carrier point h·x; invariance of ω is checked through the
+    frame-coherent builder, not through any particular chart.
+    """
+    h = FD_STEP
+    exp_plus = p.model.exp(np.asarray(xi, dtype=float) * h)
+    exp_minus = p.model.exp(-np.asarray(xi, dtype=float) * h)
+    om_plus = point_builder(exp_plus).omega
+    om_minus = point_builder(exp_minus).omega
+    return float(np.max(np.abs(om_plus - om_minus))) / (2 * h)
+
+
+def regular_value_report(p: QHamPoint) -> dict:
+    """Pointwise data for reduction at the identity value of the moment map.
+
+    No quotient is built; this only reports whether the moment value is the
+    identity, the rank of its differential there, and the kernel dimensions
+    entering the local regular-value criterion.
+    """
+    at_identity = bool(np.linalg.norm(np.asarray(p.phi) - p.model.identity()) < 1e-9)
+    rank = p.dphi.shape[1] - nullspace_basis(p.dphi, scale=1.0).shape[1]
+    return {
+        "moment_is_identity": at_identity,
+        "dphi_rank": rank,
+        "dphi_kernel_dim": p.frame_dim - rank,
+        "omega_kernel_dim": minimal_degeneracy(p)["kernel_dim"],
+    }

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles import lagrangian_from_orthogonal, orthogonal_from_lagrangian, same_component
 from purespin.bilinear import (
     BilinearSpace,
     LagrangianSubspace,
     Subspace,
-    lagrangian_from_orthogonal,
     make_split_space,
-    orthogonal_from_lagrangian,
     random_orthogonal,
-    same_component,
     subspace_distance,
     transverse,
 )
@@ -141,7 +139,7 @@ class TestSubspaceMachinery:
         sub1 = Subspace(w, basis)
         sub2 = Subspace(w, basis @ rng.standard_normal((2, 2)) + 0.0)
         if sub2.dim == 2:
-            assert sub1.equals(sub2, 1e-9)
+            assert sub1.dim == sub2.dim and sub1.distance(sub2) <= 1e-9
 
     def test_intersection_dimension(self, rng):
         w = make_split_space(2)

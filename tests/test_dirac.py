@@ -3,6 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    gauge_transform_spinor,
+    graph_of_bivector,
+    graph_two_form_of,
+    phi_of_orthogonal,
+    pullback_transversality,
+    swap_halves,
+    v_subspace,
+)
 from purespin.bilinear import (
     BilinearSpace,
     LagrangianSubspace,
@@ -14,23 +23,17 @@ from purespin.dirac import (
     dirac_image,
     dirac_preimage,
     gauge_transform,
-    gauge_transform_spinor,
-    graph_of_bivector,
     graph_of_bivector_subspace,
     graph_of_two_form,
     is_strong_dirac,
     kappa_embed,
-    phi_of_orthogonal,
-    pullback_transversality,
     spinor_of_orthogonal,
 )
 from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
     chevalley_pairing,
-    covariant_spinor_of_lagrangian,
     null_space,
-    null_space_covariant,
     spinor_of_lagrangian,
 )
 
@@ -81,7 +84,7 @@ class TestGauge:
     def test_tangent_space_becomes_graph(self, rng):
         d = DoubledSpace(3)
         tau = _antisym(rng, 3)
-        out = gauge_transform(d.v_subspace(), tau)
+        out = gauge_transform(v_subspace(d), tau)
         assert out.distance(graph_of_two_form(d, tau)) < 1e-10
 
     def test_spinor_and_subspace_routes_agree(self, rng):
@@ -90,7 +93,7 @@ class TestGauge:
             lag = _random_lagrangian(d, rng)
             tau = _antisym(rng, 3)
             phi = spinor_of_lagrangian(d, lag).form
-            transformed = gauge_transform_spinor(d, phi, tau)
+            transformed = gauge_transform_spinor(phi, tau)
             sub, pure = null_space(d, transformed)
             assert pure
             assert subspace_distance(sub.basis, gauge_transform(lag, tau).basis) < 1e-9
@@ -110,12 +113,12 @@ class TestDiracImages:
         a = np.zeros((0, 2))
         pi = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert is_strong_dirac(a, graph_of_bivector_subspace(d, pi))
-        assert not is_strong_dirac(a, d.v_subspace())
+        assert not is_strong_dirac(a, v_subspace(d))
 
     def test_kernel_obstructs_strongness(self, rng):
         d = DoubledSpace(3)
         a = np.diag([1.0, 1.0, 0.0])  # one-dimensional kernel
-        assert not is_strong_dirac(a, d.v_subspace())
+        assert not is_strong_dirac(a, v_subspace(d))
         omega = _antisym(rng, 3)
         assert is_strong_dirac(a, graph_of_two_form(d, omega)) == (
             abs(np.linalg.det(omega[2:, 2:])) > -1)  # graphs meet ker ⊕ 0 iff ω kernel does
@@ -132,12 +135,14 @@ class TestDiracImages:
             lag = _random_lagrangian(d, rng)
             image, strong = dirac_image(a, lag, d_out)
             assert image.is_lagrangian(1e-7)
-            chi = covariant_spinor_of_lagrangian(d, lag)
+            # the covariant spinor of E: the contravariant one of E with its halves swapped
+            swapped = LagrangianSubspace(d.space, swap_halves(lag.basis), check=False)
+            chi = spinor_of_lagrangian(d, swapped).form
             pushed = chi.pushforward(a)
             if pushed.norm() > 1e-9:
                 assert strong
-                sub, pure = null_space_covariant(d_out, pushed)
-                assert pure and subspace_distance(sub.basis, image.basis) < 1e-8
+                sub, pure = null_space(d_out, pushed)
+                assert pure and subspace_distance(swap_halves(sub.basis), image.basis) < 1e-8
             else:
                 assert not strong
 
@@ -171,13 +176,13 @@ class TestDiracImages:
         # the range of a Dirac structure with its induced form includes strongly
         d = DoubledSpace(3)
         lag = _random_lagrangian(d, rng)
-        from purespin.spinor import graph_two_form_of
         s, omega_s, _ = graph_two_form_of(lag)
         k = s.shape[1]
         if k:
             d_s = DoubledSpace(k)
             graph = graph_of_two_form(d_s, omega_s)
-            assert is_strong_dirac(s, graph, lag, d)
+            image, strong = dirac_image(s, graph, d)
+            assert strong and image.dim == lag.dim and image.distance(lag) <= 1e-8
 
     def test_strong_maps_compose(self, rng):
         n2, n1, n0 = 2, 3, 4
@@ -323,7 +328,7 @@ class TestOrthogonalSpinor:
         d = DoubledSpace(3)
         d_out = DoubledSpace(3)
         a = np.diag([1.0, 1.0, 0.0])
-        e = d.v_subspace()  # meets ker(A) ⊕ 0
+        e = v_subspace(d)  # meets ker(A) ⊕ 0
         e_out, _ = dirac_image(a, e, d_out)
         psi_t = spinor_of_lagrangian(d_out, d_out.v_star_subspace())
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Module hygiene: every export resolves, every import is used and at module level,
-every option is set, and every function the benchmark tracer wraps exists.
+"""Module hygiene: every export resolves and has a caller, every import is used and
+at module level, every option is set, and every function the benchmark tracer wraps exists.
 
 Each ``purespin`` module is parsed with ``ast``.  A name listed in
 ``__all__`` must exist on the imported module, and a name bound by an import
@@ -12,6 +12,12 @@ or more call sites in ``src/``, ``tests/`` or ``bench/``; otherwise it is a
 constant written as an option.  Calls are resolved by the called name alone
 (``f(...)`` and ``obj.f(...)`` both count for every function named ``f``), and
 a constructor call counts for the class's ``__init__``.
+
+A name listed in ``__all__`` must be referenced, as an ``ast.Name`` or
+``ast.Attribute``, in some ``src/purespin`` module outside its own top-level
+definition, or be named in ``bench/`` (as an identifier, or as a word of a
+``layertrace.TRACED`` string); ``EXPORT_ALLOWLIST`` names the exceptions, each
+with its reason.  Code that only tests run belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -202,12 +208,16 @@ def _unresolved_traced(traced: dict[str, list[str]]) -> list[str]:
     return out
 
 
-def test_traced_functions_resolve():
-    # a rename of a traced function fails here rather than in a traced benchmark run
+def _traced() -> dict[str, list[str]]:
     spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
-    unresolved = _unresolved_traced(layertrace.TRACED)
+    return layertrace.TRACED
+
+
+def test_traced_functions_resolve():
+    # a rename of a traced function fails here rather than in a traced benchmark run
+    unresolved = _unresolved_traced(_traced())
     assert not unresolved, f"traced names missing from purespin: {unresolved}"
 
 
@@ -216,3 +226,73 @@ def test_traced_check_catches_defects():
               "forms": ["fd_exterior_derivative", "FD_STEP"]}
     assert _unresolved_traced(traced) == ["geometry.PinLift.gone", "geometry.NoClass.forms_at",
                                           "geometry.gone", "forms.FD_STEP"]
+
+
+# Exports that no command, no benchmark round and no other module runs yet, with the reason each stays.
+EXPORT_ALLOWLIST = {
+    "geometry.leaf_two_form_residual":
+        "first structure axiom dω_C = ι*η on class leaves; qham verify is to report it (ROADMAP item 4)",
+    "moment.fused_three_form_residual":
+        "first structure axiom dω = Φ*η on the fused double; qham verify is to report it (ROADMAP item 4)",
+}
+
+
+def _references(tree: ast.Module) -> list[tuple[str, str | None]]:
+    """(name, owner) of each ``ast.Name`` and ``ast.Attribute``, owner the top-level def or class around it."""
+    out = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, owner))
+    return out
+
+
+def _bench_words(trees, traced: dict[str, list[str]]) -> set[str]:
+    """Identifiers of the benchmark's modules (names, attributes, imports) and the words of ``TRACED``."""
+    words = {w for names in traced.values() for name in names for w in re.findall(r"\w+", name)}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, ast.alias):
+                words.add(node.asname or node.name)
+    return words
+
+
+def _callerless(modules: dict[str, ast.Module], bench: set[str]) -> list[str]:
+    """``module.name`` of each export referenced nowhere but in its own definition, nor by the benchmark."""
+    refs = [(module, name, owner) for module, tree in modules.items()
+            for name, owner in _references(tree)]
+    return [f"{module}.{name}" for module, tree in modules.items() for name in _exports(tree)
+            if name not in bench
+            and not any(n == name and (m, o) != (module, name) for m, n, o in refs)]
+
+
+def test_every_export_has_a_caller():
+    modules = {path.stem: _parse(path) for path in sorted((ROOT / "src" / "purespin").glob("*.py"))}
+    bench = _bench_words((_parse(path) for path in sorted((ROOT / "bench").glob("*.py"))), _traced())
+    callerless = _callerless(modules, bench)
+    assert sorted(callerless) == sorted(EXPORT_ALLOWLIST), (
+        f"exports only tests reach (move them to tests/oracles.py): "
+        f"{sorted(set(callerless) - set(EXPORT_ALLOWLIST))}; "
+        f"allowlisted names that now have a caller: {sorted(set(EXPORT_ALLOWLIST) - set(callerless))}")
+
+
+def test_export_check_catches_defects():
+    modules = {
+        "a": ast.parse('__all__ = ["used", "recursive", "traced", "cited", "lonely"]\n'
+                       "def used(): pass\n"
+                       "def recursive(n): return recursive(n - 1)\n"
+                       "def traced(): pass\n"
+                       "def cited(): pass\n"
+                       "def lonely(): return lonely\n"),
+        "b": ast.parse('__all__ = ["Kind"]\nfrom a import lonely\nclass Kind:\n'
+                       "    def m(self): return used()\n"),
+    }
+    bench = _bench_words([ast.parse("from a import cited\n")], {"a": ["Kind.m", "traced"]})
+    assert _callerless(modules, bench) == ["a.recursive", "a.lonely"]

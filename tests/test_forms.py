@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import purespin
+from oracles import moment_form_field
 from purespin import forms
 from purespin.cli import main
 from purespin.forms import (
@@ -18,7 +19,7 @@ from purespin.forms import (
     three_form_norm,
     two_form_derivative,
 )
-from purespin.geometry import PinLift, cartan_dirac_integrability, eta_multivector, moment_form_field
+from purespin.geometry import PinLift, cartan_dirac_integrability, eta_multivector
 from purespin.groups import get_model, product_model, su2_model
 from purespin.moment import _tau_partials, tau_matrix
 from purespin.multivector import Multivector

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from oracles import infinitesimal_invariance_residual, regular_value_report, structure_trivector
 from purespin.geometry import (
     _FRAME_CUT,
     _PIVOT_TIE,
@@ -17,12 +18,13 @@ from purespin.geometry import (
     eta_multivector,
     ghjw_matrix,
     random_class_point,
-    structure_trivector,
     su2_class_from_trace,
 )
+from purespin.cli import main
 from purespin.groups import GroupModel, get_model, product_model, swap_double_model
 from purespin.moment import (
     _dexp_frame_jets,
+    _homotopy_nodes,
     _homotopy_partials,
     _tau_partials,
     DoubleFactory,
@@ -33,15 +35,12 @@ from purespin.moment import (
     exp_orbit_qham_point,
     fuse,
     fused_three_form_residual,
-    fusion_tau,
     homotopy_two_form,
-    infinitesimal_invariance_residual,
     kirillov_poisson_matrix,
     minimal_degeneracy,
     moment_condition_residual,
     mult_eta_identity_residual,
     qham_volume_top,
-    regular_value_report,
     strong_dirac_equivalence,
     symmetric_space_record,
     tau_matrix,
@@ -128,8 +127,7 @@ class TestFusion:
     def test_tau_at_identity_pair(self, su2, rng):
         xi1, xi2 = su2.random_algebra(rng), su2.random_algebra(rng)
         ze1, ze2 = su2.random_algebra(rng), su2.random_algebra(rng)
-        val = fusion_tau(su2, su2.identity(), su2.identity(),
-                         np.concatenate([xi1, xi2]), np.concatenate([ze1, ze2]))
+        val = np.concatenate([xi1, xi2]) @ tau_matrix(su2, su2.identity()) @ np.concatenate([ze1, ze2])
         expect = 0.5 * (su2.pairing(xi1, ze2) - su2.pairing(ze1, xi2))
         assert abs(val - expect) < 1e-12
 
@@ -334,6 +332,28 @@ class TestExponential:
     def test_kirillov_matrix_antisymmetric(self, su2, rng):
         p = kirillov_poisson_matrix(su2, su2.random_algebra(rng))
         assert np.linalg.norm(p + p.T) < 1e-12
+
+    def test_homotopy_nodes_are_built_once(self):
+        ts, weights = _homotopy_nodes()
+        again = _homotopy_nodes()
+        assert again[0] is ts and again[1] is weights
+        nodes, ws = np.polynomial.legendre.leggauss(32)
+        nodes = 0.5 * (nodes + 1.0)
+        assert np.array_equal(ts, nodes) and np.array_equal(weights, 0.5 * ws * nodes * nodes)
+        assert not ts.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize("group", ["su2", "su3"])
+    def test_cached_nodes_leave_exp_reports_unchanged(self, group, tmp_path):
+        # a report from freshly built nodes equals one from nodes that earlier points used
+        reports = []
+        for run in range(2):
+            if run == 0:
+                _homotopy_nodes.cache_clear()
+            path = tmp_path / f"exp-{run}.json"
+            main(["qham", "verify", "--space", "exp", "--group", group, "--samples", "3",
+                  "--seed", "7", "--out", str(path)])
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_homotopy_form_vanishes_at_origin(self, su2):
         assert np.linalg.norm(homotopy_two_form(su2, np.zeros(3))) < 1e-12

@@ -110,13 +110,13 @@ class TestLinearMaps:
     def test_pullback_grades_above_source_vanish(self, rng):
         form = Multivector(5, {(0, 1, 2, 3): 1.0, (1, 2, 3, 4): 2.0, (0,): 1.5})
         pulled = form.pullback(rng.standard_normal((5, 3)))
-        assert pulled.grades == {1}
+        assert {len(b) for b in pulled.terms} == {1}
 
     def test_pullback_of_exact_form_is_float(self, rng):
         exact = Multivector(3, {(): Fraction(1, 3), (1,): 3, (0, 2): Fraction(-2, 7)})
         a = rng.standard_normal((3, 4))
         pulled = exact.pullback(a)
-        assert pulled.terms == exact.to_float().pullback(a).terms
+        assert pulled.terms == exact.map_coeff(float).pullback(a).terms
         assert all(type(c) is float for c in pulled.terms.values())
 
     def test_identity_and_zero(self):
@@ -138,14 +138,3 @@ class TestConstruction:
         assert x.map_coeff(lambda c: c if c == 2 else 0).terms == {(): 2}
         assert (-x).terms == {(): -2, (0, 2): Fraction(-1, 2), (1,): 1.0}
         assert x.scale(0).terms == {} and x.scale(2).terms == {(): 4, (0, 2): 1, (1,): -2.0}
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        x = Multivector(3, {(): Fraction(1, 3), (0, 2): -2, (1,): 0.5})
-        back = Multivector.from_json(3, x.to_json())
-        assert back.terms == x.terms
-
-    def test_one_based_indices(self):
-        x = Multivector(3, {(0, 2): 1})
-        assert x.to_json() == [{"idx": [1, 3], "c": "1"}]

@@ -5,6 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import (
+    decompose_pure_spinor,
+    distance_from,
+    graph_two_form_of,
+    star_to_covariant,
+    swap_halves,
+    v_subspace,
+)
 from purespin import exact
 from purespin.bilinear import (
     BilinearSpace,
@@ -18,23 +26,28 @@ from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
     chevalley_pairing,
-    covariant_spinor_of_lagrangian,
-    decompose_pure_spinor,
     fixed_line_dimension,
     from_mask_vector,
-    graph_two_form_of,
     null_space,
     mask_vector,
-    null_space_covariant,
     rho_contravariant,
-    rho_covariant,
     rho_generators,
     rho_of_columns,
     rho_words,
     spinor_of_lagrangian,
-    star_to_covariant,
     transversality_by_pairing,
 )
+
+
+def _rho_covariant(doubled, w, chi):
+    """ρ(v ⊕ α)χ = ι(α)χ + v ∧ χ on Λ V: the contravariant ρ(α ⊕ v) on the same coefficients."""
+    return rho_contravariant(doubled, swap_halves(w), chi)
+
+
+def _covariant_null_space(doubled, chi):
+    """The covariant null space of χ ∈ Λ V and the purity flag."""
+    sub, pure = null_space(doubled, chi)
+    return Subspace(doubled.space, swap_halves(sub.basis), check_rank=False), pure
 
 
 def _random_lagrangian(doubled, rng):
@@ -57,8 +70,8 @@ class TestActions:
 
     def test_covariant_mirror(self):
         d = DoubledSpace(2)
-        assert rho_covariant(d, [0, 0, 1.0, 0], Multivector.scalar(2)).terms == {}
-        img = rho_covariant(d, [1.0, 2.0, 0, 0], Multivector.scalar(2))
+        assert _rho_covariant(d, [0, 0, 1.0, 0], Multivector.scalar(2)).terms == {}
+        img = _rho_covariant(d, [1.0, 2.0, 0, 0], Multivector.scalar(2))
         assert img.terms == {(0,): 1.0, (1,): 2.0}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -79,8 +92,8 @@ class TestActions:
         for _ in range(20):
             w1, w2 = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
             chi = Multivector(n, {(0,): 1.0, (1, 2): -0.3})
-            lhs = (rho_covariant(d, w1, rho_covariant(d, w2, chi))
-                   + rho_covariant(d, w2, rho_covariant(d, w1, chi)))
+            lhs = (_rho_covariant(d, w1, _rho_covariant(d, w2, chi))
+                   + _rho_covariant(d, w2, _rho_covariant(d, w1, chi)))
             assert (lhs - chi.scale(d.space.pairing(w1, w2))).norm() < 1e-12
 
 
@@ -200,7 +213,7 @@ class TestNullSpaces:
     def test_one_gives_v(self):
         d = DoubledSpace(3)
         sub, pure = null_space(d, Multivector.scalar(3))
-        assert pure and sub.distance(d.v_subspace()) < 1e-12
+        assert pure and sub.distance(v_subspace(d)) < 1e-12
 
     def test_volume_gives_v_star(self):
         d = DoubledSpace(3)
@@ -243,7 +256,7 @@ class TestNullSpaces:
 class TestSpinorOfLagrangian:
     def test_v_gives_one(self):
         d = DoubledSpace(3)
-        ps = spinor_of_lagrangian(d, d.v_subspace())
+        ps = spinor_of_lagrangian(d, v_subspace(d))
         assert ps.form.terms == {(): 1.0} or (ps.form - Multivector.scalar(3, -1.0)).norm() < 1e-12
 
     def test_graph_gives_exponential(self):
@@ -297,7 +310,7 @@ class TestSpinorOfLagrangian:
 class TestGraphTwoForm:
     def test_v_subspace(self):
         d = DoubledSpace(3)
-        s, omega, kernel = graph_two_form_of(d.v_subspace())
+        s, omega, kernel = graph_two_form_of(v_subspace(d))
         assert s.shape[1] == 3 and np.allclose(omega, 0) and kernel.shape[1] == 3
 
     def test_invertible_graph(self):
@@ -350,7 +363,7 @@ class TestGraphTwoForm:
         # ω_S(s_i, s_j) = α_i(s_j) for the lifts s_i ⊕ Ωᵀ s_i ∈ E
         assert np.linalg.norm(omega_s - s.T @ big_omega @ s) < 1e-12
         assert kernel.shape[1] == r - np.linalg.matrix_rank(w - w.T)
-        assert all(lag.contains(np.concatenate([k, np.zeros(3)])) for k in kernel.T)
+        assert all(distance_from(lag, np.concatenate([k, np.zeros(3)])) <= 1e-9 for k in kernel.T)
         assert ps.null.distance(lag) < 1e-9
         full = s2 @ omega2 @ s2.T
         rebuilt = (-Multivector.from_antisymmetric_matrix(full)).exp_wedge().wedge(mu)
@@ -442,8 +455,8 @@ class TestFunctoriality:
             alpha_p = rng.standard_normal(np_)
             w = np.concatenate([v, a.T @ alpha_p])
             w_p = np.concatenate([a @ v, alpha_p])
-            lhs = rho_covariant(d_, w_p, chi.pushforward(a))
-            rhs = rho_covariant(d, w, chi).pushforward(a)
+            lhs = _rho_covariant(d_, w_p, chi.pushforward(a))
+            rhs = _rho_covariant(d, w, chi).pushforward(a)
             assert (lhs - rhs).norm() < 1e-12
 
     def test_duality_adjunction(self, rng):
@@ -464,14 +477,16 @@ class TestCovariantAndStar:
         d = DoubledSpace(3)
         for _ in range(10):
             lag = _random_lagrangian(d, rng)
-            chi = covariant_spinor_of_lagrangian(d, lag)
-            sub, pure = null_space_covariant(d, chi)
+            # the covariant spinor of E: the contravariant one of E with its halves swapped
+            swapped = LagrangianSubspace(d.space, swap_halves(lag.basis), check=False)
+            chi = spinor_of_lagrangian(d, swapped).form
+            sub, pure = _covariant_null_space(d, chi)
             assert pure and sub.distance(lag) < 1e-8
 
     def test_star_swaps_distinguished_lines(self):
         d = DoubledSpace(3)
         chi = star_to_covariant(Multivector.top(3))
-        sub, pure = null_space_covariant(d, chi)
+        sub, pure = _covariant_null_space(d, chi)
         assert pure and sub.distance(d.v_star_subspace()) < 1e-12
 
     def test_decomposition_round_trip(self, rng):
