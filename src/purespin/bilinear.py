@@ -190,13 +190,8 @@ def transverse(E: Subspace, F: Subspace) -> bool:
     return bool(full_rank) and E.dim + F.dim == E.ambient.dim
 
 
-def random_orthogonal(n: int, rng: np.random.Generator, special: bool | None = None) -> np.ndarray:
+def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthogonal matrix from QR of a Gaussian matrix."""
     m = rng.standard_normal((n, n))
     q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if special is True and np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    elif special is False and np.linalg.det(q) > 0:
-        q[:, 0] = -q[:, 0]
-    return q
+    return q @ np.diag(np.sign(np.diag(r)))

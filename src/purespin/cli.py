@@ -278,7 +278,7 @@ def cmd_qham(args) -> int:
             p = exp_orbit_qham_point(model, model.random_algebra(rng, 0.8))
         residual = moment_condition_residual(p)
         md = minimal_degeneracy(p)
-        eq = strong_dirac_equivalence(p) if p.model is model else {"agree": True}
+        eq = strong_dirac_equivalence(p)
         entry = {
             "index": idx,
             "moment_residual": residual,

@@ -195,13 +195,12 @@ def _reflection_chain(vectors, B: BilinearSpace, seed: Multivector) -> Multivect
     return out
 
 
-def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
-                         method: str = "auto") -> OrthogonalLift:
+def spinor_of_orthogonal(A, B: BilinearSpace, method: str = "auto") -> OrthogonalLift:
     """Pure spinor ψ of an orthogonal map, with N_ψ = A^κ(V).
 
     The closed form |det((A+I)/2)|^{1/2} exp(two-form) is used away from
     det(A+I) = 0; otherwise ψ = ρ(Ã^κ) 1 through a reflection factorization.
-    The overall sign is lift-dependent: ``sign`` picks the branch explicitly.
+    The overall sign is lift-dependent; the closed form gives ψ(I) = 1.
     """
     a = np.asarray(A, dtype=float)
     n = a.shape[0]
@@ -214,9 +213,9 @@ def spinor_of_orthogonal(A, B: BilinearSpace, sign: int = 1,
             raise ValueError("det(A+I) too small for the closed form")
         m = _cayley_two_form(a, B.gram)
         scale = math.sqrt(abs(float(np.linalg.det((a + np.eye(n)) / 2))))
-        form = Multivector.from_antisymmetric_matrix(m).exp_wedge().scale(sign * scale)
+        form = Multivector.from_antisymmetric_matrix(m).exp_wedge().scale(scale)
     elif method == "reflections":
-        form = _reflection_chain(factor_into_reflections(a, B), B, Multivector.scalar(n, float(sign)))
+        form = _reflection_chain(factor_into_reflections(a, B), B, Multivector.scalar(n, 1.0))
     else:
         raise ValueError(f"unknown method {method!r}")
     if not form.has_pure_parity():

@@ -14,8 +14,8 @@ algebra.
 Provided models: su(2) (B = Id from the normalized trace form), so(3)
 (same Lie algebra, adjoint action not liftable through the double cover),
 su(3) (Gell-Mann basis), the semidirect product of rotations acting on the
-dual of their Lie algebra (split B given by the duality pairing), direct
-products, and the swap extension Z2 ⋉ (G × G) used to build double spaces.
+dual of their Lie algebra (split B given by the duality pairing), and direct
+products, the carrier of double spaces.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "su3_model",
     "coadjoint_semidirect_model",
     "product_model",
-    "swap_double_model",
     "get_model",
     "MODEL_BUILDERS",
 ]
@@ -515,35 +514,6 @@ class _ProductModel(GroupModel):
 
 def product_model(m1: GroupModel, m2: GroupModel) -> GroupModel:
     return _ProductModel(m1, m2)
-
-
-class SwapDoubleModel(_ProductModel):
-    """Z2 ⋉ (G × G): pairs with an optional swap, as block matrices.
-
-    (1, (g1, g2)) -> [[g1, 0], [0, g2]]; (σ, (g1, g2)) -> [[0, g1], [g2, 0]].
-    The group law of the semidirect product is plain matrix multiplication;
-    the Lie algebra, B and logarithm are those of G × G.
-    """
-
-    def __init__(self, base: GroupModel):
-        super().__init__(base, base)
-        self.name = f"z2wr-{base.name}"
-        self.base = base
-
-    def pair(self, g1, g2, swap: bool = False) -> np.ndarray:
-        r = self.base.rep_dim
-        out = np.zeros((2 * r, 2 * r), dtype=complex)
-        if swap:
-            out[:r, r:] = g1
-            out[r:, :r] = g2
-        else:
-            out[:r, :r] = g1
-            out[r:, r:] = g2
-        return out
-
-
-def swap_double_model(base: GroupModel) -> SwapDoubleModel:
-    return SwapDoubleModel(base)
 
 
 MODEL_BUILDERS = {

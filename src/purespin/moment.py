@@ -6,9 +6,10 @@ on the frame, the moment value Φ(x), the left-trivialized moment
 differential, and the action map sending Lie algebra elements to frame
 coordinates of their generating vectors.  Every axiom checked here is linear
 algebra at the point plus first derivatives, so no atlas machinery is
-needed; model spaces (conjugacy classes, the double and fused double built
-by fusion from the swap extension, exponentials of coadjoint orbits) are
-provided as closures producing such records at arbitrary points.
+needed; model spaces (conjugacy classes, the double D(G) from its defining
+formula and the fused double as its internal fusion, exponentials of
+coadjoint orbits) are provided as closures producing such records at
+arbitrary points.
 """
 
 from __future__ import annotations
@@ -35,18 +36,16 @@ from .geometry import (
     eta_multivector,
     ghjw_matrix,
 )
-from .groups import GroupModel, SwapDoubleModel, expm, product_model, swap_double_model
+from .groups import GroupModel, expm, product_model
 from .multivector import Multivector
 from .spinor import DoubledSpace
 
 __all__ = [
     "QHamPoint",
-    "FusionData",
     "moment_condition_residual",
     "minimal_degeneracy",
     "strong_dirac_equivalence",
     "conjugacy_qham_point",
-    "symmetric_space_record",
     "DoubleFactory",
     "fuse",
     "tau_matrix",
@@ -78,31 +77,6 @@ class QHamPoint:
     @property
     def frame_dim(self) -> int:
         return self.omega.shape[0]
-
-    def change_frame(self, s: np.ndarray) -> "QHamPoint":
-        """Data in the frame u'_i = Σ_j s[j, i] u_j."""
-        s = np.asarray(s, dtype=float)
-        return QHamPoint(
-            self.model,
-            s.T @ self.omega @ s,
-            self.phi,
-            s.T @ self.dphi,
-            np.linalg.solve(s, np.eye(s.shape[0])) @ self.action,
-        )
-
-
-@dataclass
-class FusionData:
-    """Two moment components over one frame, ready to be fused."""
-
-    model: GroupModel
-    omega: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-    dphi1: np.ndarray
-    dphi2: np.ndarray
-    action1: np.ndarray
-    action2: np.ndarray
 
 
 # --------------------------------------------------------------------------- #
@@ -176,91 +150,54 @@ def conjugacy_qham_point(model: GroupModel, g) -> QHamPoint:
     return QHamPoint(model, omega, np.asarray(g), u.T, action)
 
 
-def symmetric_space_record(wreath: SwapDoubleModel, c, c_inv=None) -> QHamPoint:
-    """The base group as a zero-2-form moment space over the swap extension.
+def fuse(p: QHamPoint) -> QHamPoint:
+    """Internal fusion of a point over G × G into one over G.
 
-    Points are group elements c; the moment is c -> (swap, (c, c^{-1})),
-    whose image is the conjugacy class of the swap element.  The frame is
-    the left-trivialized chart on c, the 2-form vanishes identically.
-    ``c_inv``, when the caller holds c^{-1} already, saves the inversion.
+    With Φ = (Φ1, Φ2) and dΦ, the action split by the two factors:
+    Φ = Φ1 Φ2, ω += ½ B(dΦ1, Ad_Φ2 dΦ2) antisymmetrized (the pullback of the
+    twist 2-form), dΦ = Ad_Φ2⁻¹ dΦ1 + dΦ2 and the diagonal action.
     """
-    base = wreath.base
-    db = base.dim
-    if c_inv is None:
-        c_inv = base.inv(c)
-    ad_c = base.Ad(c, c_inv)
-    phi = wreath.pair(c, c_inv, swap=True)
-    dphi = np.hstack([(-ad_c).T, np.eye(db)])  # row i = (-Ad_c e_i, e_i)
-    action = np.hstack([base.Ad_inverse(ad_c), -np.eye(db)])
-    return QHamPoint(wreath, np.zeros((db, db)), phi, dphi, action)
-
-
-def fuse(data: FusionData) -> QHamPoint:
-    """Fusion: Φ = Φ1 Φ2, ω += pullback of the twist 2-form, diagonal action."""
-    model = data.model
-    ad2 = model.Ad(data.phi2)
-    cross = 0.5 * data.dphi1 @ model.B @ ad2 @ data.dphi2.T
-    omega = data.omega + (cross - cross.T)
-    phi = model.mul(data.phi1, data.phi2)
-    dphi = data.dphi1 @ model.Ad_inverse(ad2).T + data.dphi2
-    action = data.action1 + data.action2
-    return QHamPoint(model, omega, phi, dphi, action)
+    model, second = getattr(p.model, "factors", (p.model, None))
+    if second is None or model.name != second.name:
+        raise ValueError(f"fusion takes a point over G x G, not over {p.model.name!r}")
+    d, r = model.dim, model.rep_dim
+    phi1, phi2 = p.phi[:r, :r], p.phi[r:, r:]
+    dphi1, dphi2 = p.dphi[:, :d], p.dphi[:, d:]
+    ad2 = model.Ad(phi2)
+    cross = 0.5 * dphi1 @ model.B @ ad2 @ dphi2.T
+    return QHamPoint(model, p.omega + (cross - cross.T), model.mul(phi1, phi2),
+                     dphi1 @ model.Ad_inverse(ad2).T + dphi2,
+                     p.action[:, :d] + p.action[:, d:])
 
 
 class DoubleFactory:
-    """Builds double and fused-double points of a base group by iterated fusion.
+    """Double and fused-double points of a base group G.
 
-    The pipeline starts from two copies of the symmetric-space record over
-    the swap extension, fuses their diagonal to obtain the double (a moment
-    space over G × G with moment (ab, a^{-1}b^{-1}) after reparametrizing the
-    second slot), and fuses once more to the commutator moment a b a^{-1} b^{-1}.
+    The double D(G) = G × G carries the moment (ab, a⁻¹b⁻¹) into G × G and
+    the 2-form ω = ½ B(a*θ^L, b*θ^R) + ½ B(a*θ^R, b*θ^L); the fused double
+    is its internal fusion, with moment the commutator a b a⁻¹ b⁻¹.
     """
 
     def __init__(self, base: GroupModel):
         self.base = base
-        self.wreath = swap_double_model(base)
         self.product = product_model(base, base)
 
     def double_point(self, a, b) -> QHamPoint:
-        base, wreath = self.base, self.wreath
-        db = base.dim
-        b_inv = base.inv(b)  # moment (a c^{-1}, a^{-1} c) at c = b^{-1} gives (ab, a^{-1}b^{-1})
-        rec1 = symmetric_space_record(wreath, a)
-        rec2 = symmetric_space_record(wreath, b_inv, b)
-        fusion = FusionData(
-            wreath,
-            np.zeros((2 * db, 2 * db)),
-            rec1.phi, rec2.phi,
-            np.vstack([rec1.dphi, np.zeros_like(rec2.dphi)]),
-            np.vstack([np.zeros_like(rec1.dphi), rec2.dphi]),
-            np.vstack([rec1.action, np.zeros((db, 2 * db))]),
-            np.vstack([np.zeros((db, 2 * db)), rec2.action]),
-        )
-        fused = fuse(fusion)
-        # identity component of the swap extension is the product group
-        point = QHamPoint(self.product, fused.omega, fused.phi, fused.dphi, fused.action)
-        transport = np.zeros((2 * db, 2 * db))
-        transport[:db, :db] = np.eye(db)
-        transport[db:, db:] = -base.Ad(b, b_inv)
-        return point.change_frame(transport)
+        """D(G) at (a, b) in the left-trivialized frame (e_i, 0), (0, e_i) of its two factors."""
+        base = self.base
+        eye = np.eye(base.dim)
+        a_inv, b_inv = base.inv(a), base.inv(b)
+        ad_a, ad_b = base.Ad(a, a_inv), base.Ad(b, b_inv)
+        ad_a_inv, ad_b_inv = base.Ad_inverse(ad_a), base.Ad_inverse(ad_b)
+        k = 0.5 * (base.B @ ad_b + ad_a.T @ base.B)
+        omega = np.block([[np.zeros_like(k), k], [-k.T, np.zeros_like(k)]])
+        dphi = np.block([[ad_b_inv.T, -(ad_b @ ad_a).T], [eye, -ad_b.T]])
+        action = np.block([[ad_a_inv, -eye], [-eye, ad_b_inv]])
+        phi = _prod_pair(base, base.mul(a, b), base.mul(a_inv, b_inv))
+        return QHamPoint(self.product, omega, phi, dphi, action)
 
     def fused_double_point(self, a, b) -> QHamPoint:
-        base = self.base
-        db = base.dim
-        d_pt = self.double_point(a, b)
-        prod = self.product
-        r = base.rep_dim
-        phi_mat = np.asarray(d_pt.phi)
-        phi1 = phi_mat[:r, :r]
-        phi2 = phi_mat[r:, r:]
-        fusion = FusionData(
-            base,
-            d_pt.omega,
-            phi1, phi2,
-            d_pt.dphi[:, :db], d_pt.dphi[:, db:],
-            d_pt.action[:, :db], d_pt.action[:, db:],
-        )
-        return fuse(fusion)
+        return fuse(self.double_point(a, b))
 
 
 # --------------------------------------------------------------------------- #

@@ -293,16 +293,15 @@ def _annihilator_volume(ann: np.ndarray) -> Multivector:
     return mu
 
 
-def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace,
-                         orientation: Multivector | None = None) -> PureSpinor:
+def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace) -> PureSpinor:
     """Contravariant pure spinor e^{-ω_S} ∧ μ with null space E.
 
-    μ is a volume element on the annihilator of ran(E); ``orientation`` may
-    supply it (a form of top degree on ann(ran E)), otherwise an orthonormal
-    choice is made.  The result depends on that choice only by scale.
+    μ is the volume element of an orthonormal basis of the annihilator of
+    ran(E), read from the basis of E.  The result depends on that choice
+    only by scale.
     """
     s_basis, ann, omega_s = _range_data(E)
-    mu = _annihilator_volume(ann) if orientation is None else orientation
+    mu = _annihilator_volume(ann)
     # S is orthonormal, so ω_S extends to V as S ω_S Sᵀ
     two_form = Multivector.from_antisymmetric_matrix(s_basis @ omega_s @ s_basis.T)
     form = (-two_form).exp_wedge().wedge(mu)

@@ -25,7 +25,7 @@ from purespin.clifford import HALF, CliffordAlgebra, NotInCliffordGroup, PinElem
 from purespin.dirac import _reflection_chain, dirac_image, is_strong_dirac, kappa_embed
 from purespin.forms import FD_STEP, fd_exterior_derivative
 from purespin.geometry import _trivector, section_matrix
-from purespin.groups import GroupModel
+from purespin.groups import GroupModel, _ProductModel, product_model
 from purespin.moment import QHamPoint, minimal_degeneracy
 from purespin.multivector import Multivector
 from purespin.spinor import (
@@ -323,3 +323,88 @@ def regular_value_report(p: QHamPoint) -> dict:
         "dphi_kernel_dim": p.frame_dim - rank,
         "omega_kernel_dim": minimal_degeneracy(p)["kernel_dim"],
     }
+
+
+def change_frame(p: QHamPoint, s) -> QHamPoint:
+    """The data of p in the frame u'_i = Σ_j s[j, i] u_j."""
+    s = np.asarray(s, dtype=float)
+    return QHamPoint(p.model, s.T @ p.omega @ s, p.phi, s.T @ p.dphi, np.linalg.solve(s, p.action))
+
+
+# --------------------------------------------------------------------------- #
+# the double through the swap extension
+
+class SwapDoubleModel(_ProductModel):
+    """Z2 ⋉ (G × G): pairs with an optional swap, as block matrices.
+
+    (1, (g1, g2)) -> [[g1, 0], [0, g2]]; (σ, (g1, g2)) -> [[0, g1], [g2, 0]].
+    The group law of the semidirect product is plain matrix multiplication;
+    the Lie algebra, B and logarithm are those of G × G.
+    """
+
+    def __init__(self, base: GroupModel):
+        super().__init__(base, base)
+        self.name = f"z2wr-{base.name}"
+        self.base = base
+
+    def pair(self, g1, g2, swap: bool = False) -> np.ndarray:
+        r = self.base.rep_dim
+        out = np.zeros((2 * r, 2 * r), dtype=complex)
+        if swap:
+            out[:r, r:] = g1
+            out[r:, :r] = g2
+        else:
+            out[:r, :r] = g1
+            out[r:, r:] = g2
+        return out
+
+
+def symmetric_space_record(wreath: SwapDoubleModel, c) -> QHamPoint:
+    """The base group as a zero-2-form moment space over the swap extension.
+
+    Points are group elements c; the moment is c -> (σ, (c, c⁻¹)), whose
+    image is the conjugacy class of the swap element.  The frame is the
+    left-trivialized chart on c; the 2-form vanishes identically.
+    """
+    base = wreath.base
+    db = base.dim
+    c_inv = base.inv(c)
+    ad_c = base.Ad(c, c_inv)
+    dphi = np.hstack([(-ad_c).T, np.eye(db)])  # row i = (-Ad_c e_i, e_i)
+    action = np.hstack([base.Ad_inverse(ad_c), -np.eye(db)])
+    return QHamPoint(wreath, np.zeros((db, db)), wreath.pair(c, c_inv, swap=True), dphi, action)
+
+
+def fuse_records(rec1: QHamPoint, rec2: QHamPoint) -> QHamPoint:
+    """Fusion of two spaces over one group on the direct sum of their frames:
+    Φ = Φ1 Φ2, ω = ω1 ⊕ ω2 + ½ B(dΦ1, Ad_Φ2 dΦ2) antisymmetrized, diagonal action."""
+    model = rec1.model
+    m1, m2 = rec1.frame_dim, rec2.frame_dim
+    dphi1 = np.vstack([rec1.dphi, np.zeros((m2, model.dim))])
+    dphi2 = np.vstack([np.zeros((m1, model.dim)), rec2.dphi])
+    ad2 = model.Ad(rec2.phi)
+    cross = 0.5 * dphi1 @ model.B @ ad2 @ dphi2.T
+    omega = np.zeros((m1 + m2, m1 + m2))
+    omega[:m1, :m1], omega[m1:, m1:] = rec1.omega, rec2.omega
+    return QHamPoint(model, omega + (cross - cross.T), model.mul(rec1.phi, rec2.phi),
+                     dphi1 @ model.Ad_inverse(ad2).T + dphi2,
+                     np.vstack([rec1.action, rec2.action]))
+
+
+def double_by_swap_extension(base: GroupModel, a, b) -> QHamPoint:
+    """D(G) at (a, b) as the fusion of the records of a and c = b⁻¹ over Z2 ⋉ (G × G).
+
+    Their fused moment (σ, (a, a⁻¹))·(σ, (c, c⁻¹)) = (1, (a c⁻¹, a⁻¹ c)) is
+    (ab, a⁻¹b⁻¹) on the identity component G × G.  The frame moves from the
+    chart on c to the left-trivialized chart on b = c⁻¹, whose vector e_i is
+    -Ad_b e_i on c.
+    """
+    wreath = SwapDoubleModel(base)
+    fused = fuse_records(symmetric_space_record(wreath, a),
+                         symmetric_space_record(wreath, base.inv(b)))
+    d = base.dim
+    transport = np.zeros((2 * d, 2 * d))
+    transport[:d, :d] = np.eye(d)
+    transport[d:, d:] = -base.Ad(b)
+    return change_frame(QHamPoint(product_model(base, base), fused.omega, fused.phi, fused.dphi,
+                                  fused.action), transport)

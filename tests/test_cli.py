@@ -77,6 +77,17 @@ class TestSubcommands:
                 "--samples", "2", "--seed", "9"])
             assert code == 0 and report["passed"], space
 
+    @pytest.mark.parametrize("space", ["class", "double", "fused-double", "exp"])
+    def test_qham_equivalence_decides_every_space(self, capsys, monkeypatch, space):
+        # a disagreeing equivalence check fails the entry, over G × G too
+        monkeypatch.setattr("purespin.cli.strong_dirac_equivalence",
+                            lambda p: {"axioms": True, "dirac": False, "agree": False})
+        code, report = run_cli(capsys, [
+            "qham", "verify", "--space", space, "--group", "su2", "--samples", "1", "--seed", "9"])
+        assert code == 1 and not report["passed"]
+        check = report["checks"][0]
+        assert check["equivalence_agrees"] is False and check["passed"] is False
+
     def test_qham_su3_fused_double(self, capsys):
         code, report = run_cli(capsys, [
             "qham", "verify", "--space", "fused-double", "--group", "su3",

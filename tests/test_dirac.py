@@ -266,12 +266,6 @@ class TestOrthogonalSpinor:
         lift = spinor_of_orthogonal(np.eye(3), b)
         assert (lift.psi.form - Multivector.scalar(3, 1.0)).norm() < 1e-12
 
-    def test_sign_parameter(self):
-        b = BilinearSpace(np.eye(3))
-        plus = spinor_of_orthogonal(np.eye(3), b, sign=1)
-        minus = spinor_of_orthogonal(np.eye(3), b, sign=-1)
-        assert (plus.psi.form + minus.psi.form).norm() < 1e-12
-
     def test_reflection_route_carries_pin_lift(self, rng):
         # the reflection route's factorization lifts to the Clifford group over Cl(V)
         from purespin.clifford import (

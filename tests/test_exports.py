@@ -11,13 +11,18 @@ A parameter with a default must be passed, by keyword or by position, at one
 or more call sites in ``src/``, ``tests/`` or ``bench/``; otherwise it is a
 constant written as an option.  Calls are resolved by the called name alone
 (``f(...)`` and ``obj.f(...)`` both count for every function named ``f``), and
-a constructor call counts for the class's ``__init__``.
+a constructor call counts for the class's ``__init__``.  The defaults that
+only ``tests/`` set must be those ``TEST_ONLY_DEFAULTS`` names, each with its
+reason.
 
 A name listed in ``__all__`` must be referenced, as an ``ast.Name`` or
 ``ast.Attribute``, in some ``src/purespin`` module outside its own top-level
 definition, or be named in ``bench/`` (as an identifier, or as a word of a
 ``layertrace.TRACED`` string); ``EXPORT_ALLOWLIST`` names the exceptions, each
-with its reason.  Code that only tests run belongs in ``tests/oracles.py``.
+with its reason.  Likewise a public method of a ``src/purespin`` class must be
+referenced by its name in ``src/purespin`` outside its own body, or be named in
+``bench/``; ``METHOD_ALLOWLIST`` names the exceptions.  Code that only tests
+run belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -172,13 +177,35 @@ def _unset(defaulted, calls) -> list[str]:
     return out
 
 
+def _set_only_by(defaulted, program_trees, test_trees) -> list[str]:
+    """The defaults that calls in ``test_trees`` override and no call in ``program_trees`` does."""
+    unset = set(_unset(defaulted, _passed(program_trees + test_trees)))
+    return sorted(set(_unset(defaulted, _passed(program_trees))) - unset)
+
+
+# Defaults that only tests set, with the reason each option stays.
+TEST_ONLY_DEFAULTS = {
+    "fd_exterior_derivative(h)": "the stencil is the tests' oracle; its tests halve the step to show O(h²)",
+    "fd_exterior_derivative_flat(h)": "the stencil is the tests' oracle; its tests halve the step to show O(h²)",
+    "null_space(diagnostics)": "the rank margins of the purity decision, for the run trace (ROADMAP item 10)",
+    "random_element(scale)": "the spread of the draw; tests sample near the identity and past the half turn",
+    "top(value)": "a top form of given coefficient, the unit of the tests' volume forms",
+}
+
+
 def test_every_default_is_set_by_a_caller():
     defaulted = [d for path in sorted((ROOT / "src" / "purespin").glob("*.py"))
                  for d in _defaulted(_parse(path))]
-    calls = _passed(_parse(path) for part in ("src", "tests", "bench")
-                    for path in sorted((ROOT / part).rglob("*.py")))
-    unset = _unset(defaulted, calls)
+    trees = {part: [_parse(path) for path in sorted((ROOT / part).rglob("*.py"))]
+             for part in ("src", "tests", "bench")}
+    unset = _unset(defaulted, _passed(trees["src"] + trees["tests"] + trees["bench"]))
     assert not unset, f"parameters whose default no call overrides: {unset}"
+    test_only = _set_only_by(defaulted, trees["src"] + trees["bench"], trees["tests"])
+    assert test_only == sorted(TEST_ONLY_DEFAULTS), (
+        f"defaults only tests set (drop the option, or give the reason it stays): "
+        f"{sorted(set(test_only) - set(TEST_ONLY_DEFAULTS))}; "
+        f"listed defaults that a program call sets or that are gone: "
+        f"{sorted(set(TEST_ONLY_DEFAULTS) - set(test_only))}")
 
 
 def test_default_check_catches_defects():
@@ -191,6 +218,12 @@ def test_default_check_catches_defects():
         "    def s(u, v=0): pass\n")
     calls = _passed([ast.parse("f(1, 2)\nK(x=3)\nk.m(4)\nK.s(5)\n")])
     assert _unset(_defaulted(source), calls) == ["f(c)", "m(z)", "s(v)"]
+
+
+def test_test_only_default_check_catches_defects():
+    source = ast.parse("def f(a, b=1, c=2, d=3): pass\n")
+    program, tests = [ast.parse("f(1, 2)\n")], [ast.parse("f(1, c=3)\nf(0, b=1)\n")]
+    assert _set_only_by(_defaulted(source), program, tests) == ["f(c)"]
 
 
 def _unresolved_traced(traced: dict[str, list[str]]) -> list[str]:
@@ -296,3 +329,58 @@ def test_export_check_catches_defects():
     }
     bench = _bench_words([ast.parse("from a import cited\n")], {"a": ["Kind.m", "traced"]})
     assert _callerless(modules, bench) == ["a.recursive", "a.lonely"]
+
+
+# Public methods that no command, no benchmark round and no other method runs, with the reason each stays.
+METHOD_ALLOWLIST = {
+    "multivector.Multivector.grade":
+        "the grade-k part, the exterior algebra's projection; the tests' degree checks read it",
+    "multivector.Multivector.pushforward":
+        "A_*, the dual of pullback on Λ V; the tests state the covariant module's naturality through it",
+}
+
+
+def _unreferenced_methods(modules: dict[str, ast.Module], bench: set[str]) -> list[str]:
+    """``module.Class.method`` of each public method whose name no ``ast.Name`` or ``ast.Attribute``
+    outside its own body references, and that the benchmark does not name."""
+    refs = [(getattr(node, "id", None) or getattr(node, "attr", None), id(node))
+            for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    out = []
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
+                    continue
+                inside = {id(node) for node in ast.walk(fn)}
+                if fn.name not in bench and not any(
+                        name == fn.name and node not in inside for name, node in refs):
+                    out.append(f"{module}.{cls.name}.{fn.name}")
+    return out
+
+
+def test_every_public_method_has_a_caller():
+    modules = {path.stem: _parse(path) for path in sorted((ROOT / "src" / "purespin").glob("*.py"))}
+    bench = _bench_words((_parse(path) for path in sorted((ROOT / "bench").glob("*.py"))), _traced())
+    unreferenced = _unreferenced_methods(modules, bench)
+    assert sorted(unreferenced) == sorted(METHOD_ALLOWLIST), (
+        f"public methods only tests reach (delete them, or move them to tests/oracles.py): "
+        f"{sorted(set(unreferenced) - set(METHOD_ALLOWLIST))}; "
+        f"allowlisted methods that now have a caller: {sorted(set(METHOD_ALLOWLIST) - set(unreferenced))}")
+
+
+def test_method_check_catches_defects():
+    modules = {
+        "a": ast.parse("class K:\n"
+                       "    def used(self): return self.helper()\n"
+                       "    def helper(self): pass\n"
+                       "    def recursive(self): return self.recursive()\n"
+                       "    def traced(self): pass\n"
+                       "    def lonely(self): pass\n"
+                       "    def _private(self): pass\n"),
+        "b": ast.parse("def f(k): return k.used()\n"),
+    }
+    bench = _bench_words([], {"a": ["K.traced"]})
+    assert _unreferenced_methods(modules, bench) == ["a.K.recursive", "a.K.lonely"]

@@ -1,4 +1,5 @@
-"""Group models: invariant forms, adjoint data, exponentials, extensions."""
+"""Group models: invariant forms, adjoint data, exponentials, extensions (the swap
+extension Z2 ⋉ (G × G) from the oracles)."""
 
 import math
 
@@ -6,16 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import SwapDoubleModel
 from purespin.geometry import PinLift
 from purespin.groups import (
-    SwapDoubleModel,
     _rotation_log,
     _traceless_log,
     expm,
     get_model,
     product_model,
     so3_model,
-    swap_double_model,
 )
 
 
@@ -70,7 +70,7 @@ class TestModelAxioms:
         assert np.linalg.norm(model.Ad(model.exp(x)) - scipy.linalg.expm(model.ad(x))) < 1e-9
 
     def test_Ad_is_the_conjugation_of_each_basis_element(self, model, rng):
-        for m in (model, product_model(model, model), swap_double_model(model)):
+        for m in (model, product_model(model, model), SwapDoubleModel(model)):
             elements = [m.random_element(rng)]
             if isinstance(m, SwapDoubleModel):
                 elements.append(m.pair(model.random_element(rng), model.random_element(rng),
@@ -101,7 +101,7 @@ class TestModelAxioms:
 
     def test_structure_constants_hold_no_roundoff(self, model):
         # the least-squares coordinates leave ~1e-16 where c_ij^k vanishes
-        for m in (model, product_model(model, model), swap_double_model(model)):
+        for m in (model, product_model(model, model), SwapDoubleModel(model)):
             c = np.abs(m.structure)
             assert not np.any((c > 0) & (c <= 1e-12 * c.max())), m.name
 
@@ -129,7 +129,7 @@ class TestModelAxioms:
 
     def test_products_take_the_logarithm_factor_by_factor(self, model, rng):
         wrapped = WRAPPED_ELEMENTS[model.name](model, rng)[0]
-        for m in (product_model(model, model), swap_double_model(model)):
+        for m in (product_model(model, model), SwapDoubleModel(model)):
             r = model.rep_dim
             block = np.zeros((2 * r, 2 * r), dtype=complex)
             block[:r, :r], block[r:, r:] = model.random_element(rng), wrapped
@@ -137,7 +137,7 @@ class TestModelAxioms:
                 assert np.linalg.norm(m.exp(m.log(g)) - g) < 1e-12, m.name
 
     def test_swap_has_no_logarithm(self, model):
-        wr = swap_double_model(model)
+        wr = SwapDoubleModel(model)
         with pytest.raises(ValueError, match="no logarithm"):
             wr.log(wr.pair(model.identity(), model.identity(), swap=True))
 
@@ -208,7 +208,7 @@ class TestExtensions:
         assert np.linalg.norm(ad.T @ prod.B @ ad - prod.B) < 1e-10
 
     def test_swap_double_group_law(self, su2, rng):
-        wr = swap_double_model(su2)
+        wr = SwapDoubleModel(su2)
         g1, g2 = su2.random_element(rng), su2.random_element(rng)
         h1, h2 = su2.random_element(rng), su2.random_element(rng)
         # (σ, (g1,g2)) (σ, (h1,h2)) = (1, (g1 h2, g2 h1))
@@ -217,7 +217,7 @@ class TestExtensions:
         assert np.linalg.norm(prod - expect) < 1e-12
 
     def test_swap_adjoint_exchanges_factors(self, su2, rng):
-        wr = swap_double_model(su2)
+        wr = SwapDoubleModel(su2)
         sigma = wr.pair(np.eye(2), np.eye(2), swap=True)
         ad = wr.Ad(sigma)
         x = wr.random_algebra(rng)
@@ -225,7 +225,7 @@ class TestExtensions:
         assert np.linalg.norm(ad @ x - swapped) < 1e-12
 
     def test_blocks_round_trip(self, su2, rng):
-        wr = swap_double_model(su2)
+        wr = SwapDoubleModel(su2)
         g1, g2 = su2.random_element(rng), su2.random_element(rng)
         for swap in (False, True):
             g = wr.pair(g1, g2, swap=swap)

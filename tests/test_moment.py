@@ -5,7 +5,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import infinitesimal_invariance_residual, regular_value_report, structure_trivector
+from oracles import (
+    SwapDoubleModel,
+    change_frame,
+    double_by_swap_extension,
+    infinitesimal_invariance_residual,
+    regular_value_report,
+    structure_trivector,
+    symmetric_space_record,
+)
 from purespin.geometry import (
     _FRAME_CUT,
     _PIVOT_TIE,
@@ -21,14 +29,13 @@ from purespin.geometry import (
     su2_class_from_trace,
 )
 from purespin.cli import main
-from purespin.groups import GroupModel, get_model, product_model, swap_double_model
+from purespin.groups import GroupModel, get_model, product_model
 from purespin.moment import (
     _dexp_frame_jets,
     _homotopy_nodes,
     _homotopy_partials,
     _tau_partials,
     DoubleFactory,
-    FusionData,
     QHamPoint,
     conjugacy_qham_point,
     exp_dirac_report,
@@ -42,7 +49,6 @@ from purespin.moment import (
     mult_eta_identity_residual,
     qham_volume_top,
     strong_dirac_equivalence,
-    symmetric_space_record,
     tau_matrix,
 )
 
@@ -114,6 +120,20 @@ class TestEquivalence:
             rep = strong_dirac_equivalence(noisy)
             assert not rep["axioms"] and not rep["dirac"] and rep["agree"]
 
+    @pytest.mark.parametrize("name", ["su2", "so3", "su3", "coadjoint-semidirect"])
+    def test_double_points_over_the_product(self, name, rng):
+        # D(G) is q-Hamiltonian over G × G: valid points agree positively, noisy ones negatively
+        model = get_model(name)
+        factory = DoubleFactory(model)
+        for _ in range(3):
+            p = factory.double_point(model.random_element(rng), model.random_element(rng))
+            rep = strong_dirac_equivalence(p)
+            assert rep["axioms"] and rep["dirac"] and rep["agree"]
+            noise = 1e-3 * rng.standard_normal(p.omega.shape)
+            noisy = QHamPoint(p.model, p.omega + (noise - noise.T), p.phi, p.dphi, p.action)
+            rep = strong_dirac_equivalence(noisy)
+            assert not rep["axioms"] and not rep["dirac"] and rep["agree"]
+
     def test_perturbed_moment_differential_detected(self, su2, rng):
         p = conjugacy_qham_point(
             su2, random_class_point(su2, su2_class_from_trace(0.6), rng).g)
@@ -136,16 +156,30 @@ class TestFusion:
         t = tau_matrix(su2, g2)
         assert np.linalg.norm(t + t.T) < 1e-12
 
-    def test_fusing_with_trivial_factor_changes_nothing(self, su2, rng):
+    def test_fusing_with_trivial_factor_changes_nothing(self, su2, factory, rng):
+        # a class point ⊕ the one-point space at the identity, over G × G
         pt = random_class_point(su2, su2_class_from_trace(0.4), rng)
         p = conjugacy_qham_point(su2, pt.g)
-        m = p.frame_dim
-        data = FusionData(su2, p.omega, p.phi, su2.identity(),
-                          p.dphi, np.zeros((m, 3)), p.action, np.zeros((m, 3)))
-        fused = fuse(data)
+        zeros = np.zeros((p.frame_dim, 3))
+        phi = np.zeros((4, 4), dtype=complex)
+        phi[:2, :2], phi[2:, 2:] = p.phi, su2.identity()
+        fused = fuse(QHamPoint(factory.product, p.omega, phi, np.hstack([p.dphi, zeros]),
+                               np.hstack([p.action, zeros])))
+        assert fused.model is su2
         assert np.linalg.norm(fused.omega - p.omega) < 1e-12
         assert np.linalg.norm(fused.phi - p.phi) < 1e-12
         assert np.linalg.norm(fused.dphi - p.dphi) < 1e-12
+        assert np.linalg.norm(fused.action - p.action) < 1e-12
+
+    def test_fuse_refuses_other_models(self, su2, rng):
+        # G × H with H ≠ G, and a point over G itself
+        mixed = product_model(su2, get_model("so3"))
+        g = mixed.random_element(rng)
+        p = QHamPoint(mixed, np.zeros((6, 6)), g, np.eye(6), np.eye(6))
+        with pytest.raises(ValueError, match="fusion takes a point over G x G"):
+            fuse(p)
+        with pytest.raises(ValueError, match="fusion takes a point over G x G"):
+            fuse(QHamPoint(su2, np.zeros((0, 0)), su2.identity(), np.zeros((0, 3)), np.zeros((0, 3))))
 
     def test_mult_eta_identity(self, su2, factory, rng):
         for _ in range(3):
@@ -162,17 +196,29 @@ class TestFusion:
 
 class TestDoubles:
     def test_symmetric_record_axioms(self, su2, rng):
-        wr = swap_double_model(su2)
+        wr = SwapDoubleModel(su2)
         rec = symmetric_space_record(wr, su2.random_element(rng))
         assert moment_condition_residual(rec) < 1e-12
         md = minimal_degeneracy(rec)
         assert md["original"] and md["elegant"]
 
     def test_symmetric_record_moment_squares_central(self, su2, rng):
-        wr = swap_double_model(su2)
+        wr = SwapDoubleModel(su2)
         rec = symmetric_space_record(wr, su2.random_element(rng))
         sq = rec.phi @ rec.phi
         assert np.linalg.norm(sq - np.eye(4)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["su2", "so3", "su3", "coadjoint-semidirect"])
+    def test_closed_form_is_the_fusion_of_records(self, name, rng):
+        # ω, Φ, dΦ and the action against the swap-extension derivation of the oracles
+        model = get_model(name)
+        factory = DoubleFactory(model)
+        for _ in range(5):
+            a, b = model.random_element(rng), model.random_element(rng)
+            p, q = factory.double_point(a, b), double_by_swap_extension(model, a, b)
+            assert p.model is factory.product
+            for field in ("omega", "phi", "dphi", "action"):
+                assert np.abs(getattr(p, field) - getattr(q, field)).max() <= 1e-13, field
 
     def test_double_moment_components(self, su2, factory, rng):
         a, b = su2.random_element(rng), su2.random_element(rng)
@@ -222,8 +268,8 @@ class TestDoubles:
 
     @pytest.mark.parametrize("name", ["su2", "su3"])
     def test_b_is_inverted_once(self, name, request, rng, monkeypatch):
-        # a, b and the swap-extension moment of the inner fusion, plus the
-        # product moment of the outer fusion for a fused double
+        # a and b for the double, plus the second moment component in the
+        # fusion for a fused double
         model = request.getfixturevalue(name)
         factory = DoubleFactory(model)
         a, b = model.random_element(rng), model.random_element(rng)
@@ -231,10 +277,10 @@ class TestDoubles:
         inv = GroupModel.inv
         monkeypatch.setattr(GroupModel, "inv", lambda self, g: calls.append(1) or inv(self, g))
         factory.double_point(a, b)
-        assert len(calls) == 3
+        assert len(calls) == 2
         calls.clear()
         factory.fused_double_point(a, b)
-        assert len(calls) == 4
+        assert len(calls) == 3
 
 
 class TestFrameIndependence:
@@ -243,7 +289,7 @@ class TestFrameIndependence:
         s = rng.standard_normal((6, 6))
         while abs(np.linalg.det(s)) < 0.05:
             s = rng.standard_normal((6, 6))
-        q = p.change_frame(s)
+        q = change_frame(p, s)
         assert moment_condition_residual(q) < 1e-6
         md_p, md_q = minimal_degeneracy(p), minimal_degeneracy(q)
         assert md_p["original"] == md_q["original"]
@@ -255,7 +301,7 @@ class TestFrameIndependence:
         while abs(np.linalg.det(s)) < 0.05:
             s = rng.standard_normal((6, 6))
         d1 = qham_volume_top(p, su2_pin)
-        d2 = qham_volume_top(p.change_frame(s), su2_pin)
+        d2 = qham_volume_top(change_frame(p, s), su2_pin)
         assert abs(d2 - d1 * np.linalg.det(s)) < 1e-8 * max(1.0, abs(d1 * np.linalg.det(s)))
 
     def test_su3_fused_double_density_transforms_by_determinant(self, su3, rng):
@@ -266,7 +312,7 @@ class TestFrameIndependence:
         det = np.linalg.det(s)
         assert abs(det) > 0.05
         d1 = qham_volume_top(p, pin)
-        d2 = qham_volume_top(p.change_frame(s), pin)
+        d2 = qham_volume_top(change_frame(p, s), pin)
         assert abs(abs(d1) - 1.0) < 1e-8
         assert abs(d2 - d1 * det) < 1e-8 * max(1.0, abs(d1 * det))
 

@@ -278,11 +278,20 @@ class TestSpinorOfLagrangian:
                 assert ps.null.distance(lag) < 1e-9
 
     def test_orientation_changes_scale_only(self, rng):
-        d = DoubledSpace(3)
-        lag = LagrangianSubspace(d.space, d.v_star_subspace().basis, check=False)
-        ps1 = spinor_of_lagrangian(d, lag)
-        ps2 = spinor_of_lagrangian(d, lag, orientation=Multivector.top(3, 2.5))
-        assert (ps2.form - ps1.form.scale(2.5)).norm() < 1e-12
+        # one Lagrangian given by two bases (basis · an invertible matrix): proportional spinors
+        for n in (1, 2, 3, 4):
+            d = DoubledSpace(n)
+            for lag in [LagrangianSubspace(d.space, d.v_star_subspace().basis, check=False)] + [
+                    _random_lagrangian(d, rng) for _ in range(5)]:
+                mix = rng.standard_normal((n, n))
+                while abs(np.linalg.det(mix)) < 0.1:
+                    mix = rng.standard_normal((n, n))
+                other = LagrangianSubspace(d.space, lag.basis @ mix, check=False)
+                ps1, ps2 = spinor_of_lagrangian(d, lag).form, spinor_of_lagrangian(d, other).form
+                blade = max(ps1.terms, key=lambda k: abs(ps1.terms[k]))
+                ratio = ps2.terms[blade] / ps1.terms[blade]
+                assert abs(abs(ratio) - 1.0) < 1e-9  # both μ come from orthonormal bases
+                assert (ps2 - ps1.scale(ratio)).norm() < 1e-9 * ps1.norm()
 
     def test_fixed_line_is_one_dimensional(self, rng):
         for n in (1, 2, 3):
