@@ -27,10 +27,13 @@ __all__ = [
     "LagrangianSubspace",
     "make_split_space",
     "transverse",
+    "transverse_spans",
+    "haar_orthogonal",
     "random_orthogonal",
     "nullspace_basis",
     "column_space_basis",
     "subspace_distance",
+    "projector_distances",
 ]
 
 
@@ -70,6 +73,22 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Operator-norm distance between the orthogonal projectors of two spans."""
     diff = _projector(np.atleast_2d(a)) - _projector(np.atleast_2d(b))
     return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
+
+
+def _projectors(bases: np.ndarray) -> np.ndarray:
+    """Orthogonal projectors onto the column spans of a stack of nonzero bases (N, m, k).
+
+    Each span is cut at ``DEFAULT_TOL`` like ``column_space_basis``: the left
+    singular vectors past the cut get weight zero.
+    """
+    u, s, _ = np.linalg.svd(bases, full_matrices=False)
+    q = u * (s > DEFAULT_TOL * s[:, :1])[:, None, :]
+    return q @ q.transpose(0, 2, 1)
+
+
+def projector_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``subspace_distance`` of each pair of a stack: the bases a[i] and b[i], shapes (N, m, k) and (N, m, l)."""
+    return np.linalg.norm(_projectors(a) - _projectors(b), 2, axis=(1, 2))
 
 
 class BilinearSpace:
@@ -182,16 +201,28 @@ def make_split_space(n: int) -> BilinearSpace:
 
 
 def transverse(E: Subspace, F: Subspace) -> bool:
-    if E.dim + F.dim < E.ambient.dim:
-        return False
-    stacked = np.hstack([E.basis, F.basis])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    full_rank = s[min(E.ambient.dim, E.dim + F.dim) - 1] > DEFAULT_TOL * s[0]
-    return bool(full_rank) and E.dim + F.dim == E.ambient.dim
+    return bool(transverse_spans(E.basis, F.basis))
+
+
+def transverse_spans(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether span(a[i]) ⊕ span(b[i]) is the whole space, for stacks of bases (..., m, k) and (..., m, l).
+
+    The dimensions must add up to m, and [a b] must have full rank at the cut
+    ``DEFAULT_TOL``·s_max.
+    """
+    if a.shape[-1] + b.shape[-1] != a.shape[-2]:
+        return np.zeros(a.shape[:-2], dtype=bool)
+    s = np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False)
+    return s[..., -1] > DEFAULT_TOL * s[..., 0]
+
+
+def haar_orthogonal(gaussians: np.ndarray) -> np.ndarray:
+    """The orthogonal factors of QR of a stack of square matrices (..., n, n), signed so that R has a
+    positive diagonal: Haar-ish random orthogonal matrices for Gaussian draws."""
+    q, r = np.linalg.qr(gaussians)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthogonal matrix from QR of a Gaussian matrix."""
-    m = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(m)
-    return q @ np.diag(np.sign(np.diag(r)))
+    return haar_orthogonal(rng.standard_normal((n, n)))

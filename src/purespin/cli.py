@@ -25,12 +25,12 @@ import numpy as np
 
 from . import __version__
 from .bilinear import (
-    BilinearSpace,
     LagrangianSubspace,
+    haar_orthogonal,
     make_split_space,
     nullspace_basis,
-    random_orthogonal,
-    transverse,
+    projector_distances,
+    transverse_spans,
 )
 from .clifford import (
     CliffordAlgebra,
@@ -38,7 +38,7 @@ from .clifford import (
     pin_lift_from_reflections,
     reflection_matrix,
 )
-from .dirac import dirac_image, dirac_preimage, is_strong_dirac, kappa_embed
+from .dirac import dirac_image, dirac_preimage, is_strong_dirac, kappa_lagrangians
 from .geometry import (
     PinLift,
     cartan_dirac_integrability,
@@ -59,7 +59,7 @@ from .moment import (
     strong_dirac_equivalence,
 )
 from .multivector import Multivector, _scalar_str
-from .spinor import DoubledSpace, spinor_of_lagrangian, transversality_by_pairing
+from .spinor import DoubledSpace, spinors_of_lagrangians, transversality_by_pairing
 from .suites import TOLERANCES, run_all
 
 SCHEMA = "purespin-report/1"
@@ -158,20 +158,15 @@ def _split_orthogonal(space, rng):
 def cmd_spinor(args) -> int:
     _require_at_least(args.samples, "--samples")
     _require_at_least(args.n, "--n")
+    n, count = args.n, args.samples
     rng = np.random.default_rng(args.seed)
-    doubled = DoubledSpace(args.n)
-    b_eye = BilinearSpace(np.eye(args.n))
-    worst = 0.0
-    agree = True
-    for _ in range(args.samples):
-        k1 = kappa_embed(random_orthogonal(args.n, rng), b_eye)
-        k2 = kappa_embed(random_orthogonal(args.n, rng), b_eye)
-        lag1 = LagrangianSubspace(doubled.space, k1[:, :args.n], check=False)
-        lag2 = LagrangianSubspace(doubled.space, k2[:, args.n:], check=False)
-        ps1 = spinor_of_lagrangian(doubled, lag1)
-        ps2 = spinor_of_lagrangian(doubled, lag2)
-        worst = max(worst, ps1.null.distance(lag1), ps2.null.distance(lag2))
-        agree = agree and transversality_by_pairing(ps1, ps2) == transverse(lag1, lag2)
+    # each sample draws the map of A^κ(V), then the map of A^κ(V*)
+    gaussians = np.array([rng.standard_normal((n, n)) for _ in range(2 * count)])
+    lags = kappa_lagrangians(haar_orthogonal(gaussians), np.arange(2 * count) % 2 == 0)
+    forms, nulls = spinors_of_lagrangians(DoubledSpace(n), lags)
+    worst = float(projector_distances(nulls, lags).max())
+    agree = bool(np.all(transversality_by_pairing(forms[0::2], forms[1::2])
+                        == transverse_spans(lags[0::2], lags[1::2])))
     checks = [
         {"name": "purity-round-trip", "passed": worst < TOLERANCES["purity-round-trip"],
          "max_distance": worst},

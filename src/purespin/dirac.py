@@ -33,14 +33,19 @@ from .bilinear import (
     Subspace,
     column_space_basis,
     nullspace_basis,
+    projector_distances,
 )
 from .clifford import factor_into_reflections
 from .multivector import Multivector
 from .spinor import (
     DoubledSpace,
     PureSpinor,
-    pure_spinor,
+    _one,
+    has_pure_parity,
+    mask_vector,
+    pure_null_spaces,
     rho_contravariant,
+    wedge_exp,
 )
 
 LinearDirac = LagrangianSubspace
@@ -54,6 +59,8 @@ __all__ = [
     "dirac_preimage",
     "is_strong_dirac",
     "kappa_embed",
+    "kappa_lagrangians",
+    "spinors_of_orthogonal",
     "spinor_of_orthogonal",
 ]
 
@@ -153,11 +160,12 @@ def is_strong_dirac(A, E: LinearDirac) -> bool:
 # the orthogonal-map family of Lagrangians and spinors
 
 def kappa_embed(A, B: BilinearSpace) -> np.ndarray:
-    """Block matrix of A^κ on V ⊕ V* for A orthogonal with respect to B."""
+    """Block matrix of A^κ on V ⊕ V* for A orthogonal with respect to B; a stack (..., n, n) of maps
+    gives the stack of their blocks."""
     a = np.asarray(A, dtype=float)
-    n = a.shape[0]
+    n = a.shape[-1]
     g = B.gram
-    defect = np.linalg.norm(a.T @ g @ a - g)
+    defect = float(np.max(np.linalg.norm(a.swapaxes(-1, -2) @ g @ a - g, axis=(-2, -1))))
     if defect > 1e-6 * max(1.0, np.linalg.norm(g)):
         raise ValueError(f"matrix is not B-orthogonal (defect {defect:.2e})")
     g_inv = np.linalg.inv(g)
@@ -165,6 +173,14 @@ def kappa_embed(A, B: BilinearSpace) -> np.ndarray:
         [(a + np.eye(n)) / 2, (a - np.eye(n)) @ g_inv],
         [g @ (a - np.eye(n)) / 4, g @ (a + np.eye(n)) @ g_inv / 2],
     ])
+
+
+def kappa_lagrangians(maps: np.ndarray, v_columns: np.ndarray) -> np.ndarray:
+    """Bases (N, 2n, n) of A^κ(V) where ``v_columns`` is true, else of A^κ(V*), for a stack of
+    orthogonal maps (N, n, n) with B = I."""
+    n = maps.shape[-1]
+    k = kappa_embed(maps, BilinearSpace(np.eye(n)))
+    return np.where(v_columns[:, None, None], k[..., :n], k[..., n:])
 
 
 @dataclass
@@ -176,11 +192,11 @@ class OrthogonalLift:
 
 
 def _cayley_two_form(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Matrix of the 2-form x,y -> B((I-A)(I+A)^{-1} x, y)/2 (exponent of ψ)."""
-    n = a.shape[0]
-    c = np.linalg.solve((np.eye(n) + a).T, (np.eye(n) - a).T).T  # (I-A)(I+A)^{-1}
-    m = -0.5 * g @ c
-    return 0.5 * (m - m.T)
+    """Matrices of the 2-forms x,y -> B((I-A)(I+A)^{-1} x, y)/2 (exponent of ψ) for a stack of maps A."""
+    eye = np.eye(a.shape[-1])
+    c = np.linalg.solve((eye + a).transpose(0, 2, 1), (eye - a).transpose(0, 2, 1)).transpose(0, 2, 1)
+    m = -0.5 * g @ c  # c = (I-A)(I+A)^{-1}
+    return 0.5 * (m - m.transpose(0, 2, 1))
 
 
 def _reflection_chain(vectors, B: BilinearSpace, seed: Multivector) -> Multivector:
@@ -195,8 +211,36 @@ def _reflection_chain(vectors, B: BilinearSpace, seed: Multivector) -> Multivect
     return out
 
 
-def spinor_of_orthogonal(A, B: BilinearSpace, method: str = "auto") -> OrthogonalLift:
-    """Pure spinor ψ of an orthogonal map, with N_ψ = A^κ(V).
+def spinors_of_orthogonal(a: np.ndarray, B: BilinearSpace, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Pure spinors ψ of a stack of orthogonal maps (N, n, n), with N_ψ = A^κ(V) checked for each.
+
+    "closed": |det((A+I)/2)|^{1/2} exp(two-form), refused if any det(A+I)
+    is too small; "reflections": ρ(Ã^κ) 1 along a reflection factorization
+    of each map, one map at a time.  Returns the dense forms (N, 2^n) and
+    orthonormal bases of their null spaces (N, 2n, n).
+    """
+    n = a.shape[-1]
+    eye = np.eye(n)
+    if method == "closed":
+        if np.any(np.abs(np.linalg.det(a + eye)) <= 1e3 * DEFAULT_TOL):
+            raise ValueError("det(A+I) too small for the closed form")
+        scale = np.sqrt(np.abs(np.linalg.det((a + eye) / 2)))
+        forms = wedge_exp(_cayley_two_form(a, B.gram), _one(len(a), n)) * scale[:, None]
+    elif method == "reflections":
+        forms = np.array([mask_vector(_reflection_chain(factor_into_reflections(x, B), B,
+                                                        Multivector.scalar(n, 1.0))) for x in a])
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if not has_pure_parity(forms).all():
+        raise AssertionError("orthogonal-map spinor has mixed parity")
+    nulls = pure_null_spaces(DoubledSpace(n), forms)
+    if np.any(projector_distances(nulls, kappa_embed(a, B)[..., :n]) > 1e-6):
+        raise AssertionError("null space of ψ does not match A^κ(V)")
+    return forms, nulls
+
+
+def spinor_of_orthogonal(A, B: BilinearSpace) -> OrthogonalLift:
+    """Pure spinor ψ of an orthogonal map, with N_ψ = A^κ(V): ``spinors_of_orthogonal`` of one.
 
     The closed form |det((A+I)/2)|^{1/2} exp(two-form) is used away from
     det(A+I) = 0; otherwise ψ = ρ(Ã^κ) 1 through a reflection factorization.
@@ -204,24 +248,9 @@ def spinor_of_orthogonal(A, B: BilinearSpace, method: str = "auto") -> Orthogona
     """
     a = np.asarray(A, dtype=float)
     n = a.shape[0]
-    det_gate = abs(float(np.linalg.det(a + np.eye(n))))
-    if method == "auto":
-        method = "closed" if det_gate > 1e3 * DEFAULT_TOL else "reflections"
+    closed = abs(float(np.linalg.det(a + np.eye(n)))) > 1e3 * DEFAULT_TOL
+    method = "closed" if closed else "reflections"
+    forms, nulls = spinors_of_orthogonal(a[None], B, method)
     doubled = DoubledSpace(n)
-    if method == "closed":
-        if det_gate <= 1e3 * DEFAULT_TOL:
-            raise ValueError("det(A+I) too small for the closed form")
-        m = _cayley_two_form(a, B.gram)
-        scale = math.sqrt(abs(float(np.linalg.det((a + np.eye(n)) / 2))))
-        form = Multivector.from_antisymmetric_matrix(m).exp_wedge().scale(scale)
-    elif method == "reflections":
-        form = _reflection_chain(factor_into_reflections(a, B), B, Multivector.scalar(n, 1.0))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if not form.has_pure_parity():
-        raise AssertionError("orthogonal-map spinor has mixed parity")
-    psi = pure_spinor(doubled, form)
-    expected = Subspace(doubled.space, kappa_embed(a, B)[:, :n], check_rank=False)
-    if psi.null.distance(expected) > 1e-6:
-        raise AssertionError("null space of ψ does not match A^κ(V)")
-    return OrthogonalLift(psi, method)
+    return OrthogonalLift(
+        PureSpinor(doubled, forms[0], LagrangianSubspace(doubled.space, nulls[0], check=False)), method)

@@ -129,15 +129,8 @@ class Multivector:
     def grade(self, k: int) -> "Multivector":
         return Multivector(self.dim, {b: c for b, c in self.terms.items() if len(b) == k})
 
-    def has_pure_parity(self) -> bool:
-        parities = {len(b) % 2 for b in self.terms}
-        return len(parities) <= 1
-
     def scalar_part(self) -> Scalar:
         return self.terms.get((), 0)
-
-    def top_coefficient(self) -> Scalar:
-        return self.terms.get(tuple(range(self.dim)), 0)
 
     # ------------------------------------------------------------------ #
     # arithmetic
@@ -232,13 +225,6 @@ class Multivector:
         res = Multivector.zero(self.dim)
         res.terms = out
         return res
-
-    def transpose_sign(self) -> "Multivector":
-        """Degree-k part multiplied by (-1)^{k(k-1)/2} (reversal on wedge blades)."""
-        return Multivector(
-            self.dim,
-            {b: (c if (len(b) * (len(b) - 1) // 2) % 2 == 0 else -c) for b, c in self.terms.items()},
-        )
 
     def parity_sign(self) -> "Multivector":
         return Multivector(

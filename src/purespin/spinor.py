@@ -23,6 +23,18 @@ of the spinor representation, d_CE (``GroupModel.chevalley_eilenberg_triples``)
 and the spin generators of ``geometry.PinLift``.  ``rho_contravariant`` stays
 the sparse route for applying ρ(w) to a form, and the tests' oracle for the
 table.
+
+Pure spinors.  ``PureSpinor.form`` is a dense float vector over the blade
+masks, and the production route is stacked: ``spinors_of_lagrangians`` builds
+the spinors e^{-ω_S} ∧ μ of a stack of Lagrangians from one batched SVD of
+their V-blocks, applying μ = a_1 ∧ ... ∧ a_k and e^{-ω_S} as wedge operators
+read off the ρ table (``wedge_exp``), and ``pure_null_spaces`` takes the null
+spaces of a stack of spinors from one batched SVD of their action matrices,
+asserting purity and isotropy for every row.  ``spinor_of_lagrangian`` and the
+float path of ``null_space`` are the stack of one.  The Chevalley pairing is a
+signed dot product of dense forms.  ``null_space`` keeps an exact path for a
+``Multivector`` with int/Fraction coefficients (``exact.nullspace``), and
+``from_mask_vector`` is the exit where a ``Multivector`` is still needed.
 """
 
 from __future__ import annotations
@@ -48,7 +60,9 @@ __all__ = [
     "PAIRING_CUT",
     "DoubledSpace",
     "PureSpinor",
-    "pure_spinor",
+    "has_pure_parity",
+    "pure_null_spaces",
+    "wedge_exp",
     "rho_generators",
     "rho_words",
     "rho_of_columns",
@@ -56,6 +70,7 @@ __all__ = [
     "from_mask_vector",
     "rho_contravariant",
     "null_space",
+    "spinors_of_lagrangians",
     "spinor_of_lagrangian",
     "chevalley_pairing",
     "transversality_by_pairing",
@@ -142,14 +157,23 @@ def rho_words(n: int, words, masks) -> tuple[np.ndarray, np.ndarray]:
     return target, np.where(target >= 0, sign, 0)
 
 
-def _rho_each(x: np.ndarray) -> np.ndarray:
-    """P_k x for each of the 2n generators: x is (..., 2^n) over the blade masks, the result (2n, ..., 2^n)."""
-    n = x.shape[-1].bit_length() - 1
+@lru_cache(maxsize=None)
+def _rho_gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ρ table as gathers (read-only (source, weight), shape (2n, 2^n)): (P_k x)[t] = weight[k, t] x[source[k, t]].
+
+    P_k is the transpose of P_k' for k' = (k + n) mod 2n, so P_k x gathers
+    through the table row of k'.  A blade that P_k does not reach has weight 0.
+    """
     target, sign = rho_generators(n)
-    # P_k is the transpose of P_k' for k' = (k + n) mod 2n, so P_k x gathers
-    # through the table row of k': (P_k x)[t] = sign[k', t] x[target[k', t]]
     source = np.roll(target, n, axis=0)
     weight = np.roll(np.where(target >= 0, sign, 0), n, axis=0)
+    source.flags.writeable = weight.flags.writeable = False
+    return source, weight
+
+
+def _rho_each(x: np.ndarray) -> np.ndarray:
+    """P_k x for each of the 2n generators: x is (..., 2^n) over the blade masks, the result (2n, ..., 2^n)."""
+    source, weight = _rho_gathers(x.shape[-1].bit_length() - 1)
     return np.moveaxis(x[..., source] * weight, -2, 0)
 
 
@@ -205,122 +229,239 @@ def rho_contravariant(doubled: DoubledSpace, w, phi: Multivector) -> Multivector
 
 @dataclass
 class PureSpinor:
-    """A spinor with Lagrangian null space, cached."""
+    """A spinor, dense over the blade masks, with its Lagrangian null space cached."""
 
     doubled: DoubledSpace
-    form: Multivector
+    form: np.ndarray
     null: LagrangianSubspace
 
 
-def _spinor_action_matrix(doubled: DoubledSpace, phi: Multivector):
-    """Columns ρ(w_k) φ over the generator basis of the doubled space, stacked.
+@lru_cache(maxsize=None)
+def _parities(n: int) -> np.ndarray:
+    """Grade mod 2 of every blade mask below 2^n (read-only)."""
+    out = np.bitwise_count(np.arange(1 << n)) % 2
+    out.flags.writeable = False
+    return out
 
-    Exact coefficients give an integer matrix proportional to the exact one
-    (the same null space).
+
+def has_pure_parity(forms: np.ndarray) -> np.ndarray:
+    """Per row of dense forms (N, 2^n): whether every nonzero coefficient has one parity of grade."""
+    nonzero = forms != 0
+    odd = nonzero @ _parities(forms.shape[-1].bit_length() - 1)
+    return (odd == 0) | (odd == nonzero.sum(axis=1))
+
+
+@lru_cache(maxsize=None)
+def _action_gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gathers of ``_rho_gathers`` on the rows of an action matrix, the blade masks by grade
+    (``_grade_masks``): row k, read-only, gives ρ(w_k)φ on those blades."""
+    source, weight = _rho_gathers(n)
+    masks = _grade_masks(n)
+    source, weight = source[:, masks], weight[:, masks]
+    source.flags.writeable = weight.flags.writeable = False
+    return source, weight
+
+
+def _null_spaces(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float null spaces {w : ρ(w)φ = 0} of dense forms (N, 2^n), asserted isotropic.
+
+    One batched SVD of the action matrices, whose rows are the blades by grade
+    and whose columns are ρ(w_k)φ over the generators.  Returns the singular
+    values (N, 2n), the right singular vectors vh (N, 2n, 2n) and the ranks
+    at the cut ``DEFAULT_TOL``·s_max: the null space of row i is spanned by
+    vh[i, rank[i]:].
     """
-    exact_ok = all(isinstance(c, (int, Fraction)) for c in phi.terms.values())
-    cols = _rho_each(mask_vector(phi, exact_ok))[:, _grade_masks(doubled.n)]
-    if exact_ok:
-        return cols.T.tolist(), True
+    if not forms.any(axis=1).all():
+        raise ValueError("null space of the zero spinor is undefined")
+    n = forms.shape[-1].bit_length() - 1
+    source, weight = _action_gathers(n)
     # structural zeros as +0.0: LAPACK picks reflector signs by the sign of zeros too
-    return cols.T + 0.0, False
+    m = (forms[:, source] * weight).transpose(0, 2, 1) + 0.0
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    rank = (s > DEFAULT_TOL * s[:, :1]).sum(axis=1)
+    # the pairing on the rows of vh, where both lie in the null space: vh G vhᵀ with G = [[0, I], [I, 0]]
+    cross = vh[:, :, :n] @ vh[:, :, n:].transpose(0, 2, 1)
+    null = np.arange(2 * n) >= rank[:, None]
+    gram = np.abs(cross + cross.transpose(0, 2, 1)) * (null[:, :, None] & null[:, None, :])
+    # the basis is orthonormal, so the scale of Subspace.is_isotropic is 1
+    if (gram > 1e-7).any():
+        raise AssertionError("null space of a nonzero spinor must be isotropic")
+    return s, vh, rank
 
 
-def null_space(doubled: DoubledSpace, phi: Multivector, diagnostics: bool = False):
+def pure_null_spaces(doubled: DoubledSpace, forms: np.ndarray) -> np.ndarray:
+    """Null spaces of constructed spinors (N, 2^n) at the rank cut ``DEFAULT_TOL``, asserted pure.
+
+    Returns orthonormal bases (N, 2n, n); a stack with any spinor that is not
+    pure is refused.
+    """
+    _, vh, rank = _null_spaces(forms)
+    if (rank != doubled.n).any():
+        raise AssertionError("constructed spinor is not pure")
+    return vh[:, doubled.n:].transpose(0, 2, 1)
+
+
+def null_space(doubled: DoubledSpace, phi, diagnostics: bool = False):
     """Null space {w : ρ(w)φ = 0} of a contravariant spinor and a purity flag.
 
-    With ``diagnostics`` the spectral-gap report backing the float-path
-    dimension decision is returned as a third value.
+    φ is a dense float vector over the blade masks or a ``Multivector``; one
+    with int/Fraction coefficients takes the exact path.  With
+    ``diagnostics`` the spectral-gap report backing the float-path dimension
+    decision is returned as a third value.
     """
-    if not phi:
-        raise ValueError("null space of the zero spinor is undefined")
-    m, exact_path = _spinor_action_matrix(doubled, phi)
+    exact_path = isinstance(phi, Multivector) and all(
+        isinstance(c, (int, Fraction)) for c in phi.terms.values())
     diag = {"exact": exact_path, "gap_ratio": math.inf, "gap_ok": True}
     if exact_path:
-        basis_vecs = exact.nullspace(m)
+        if not phi:
+            raise ValueError("null space of the zero spinor is undefined")
+        source, weight = _action_gathers(doubled.n)
+        basis_vecs = exact.nullspace((mask_vector(phi, exact_ints=True)[source] * weight).T.tolist())
         basis = (
             np.array([[float(x) for x in vec] for vec in basis_vecs]).T
             if basis_vecs else np.zeros((2 * doubled.n, 0))
         )
+        sub = Subspace(doubled.space, basis, check_rank=False)
+        if sub.dim and not sub.is_isotropic(1e-7):
+            raise AssertionError("null space of a nonzero spinor must be isotropic")
     else:
-        u, s, vh = np.linalg.svd(m) if m.size else (None, np.zeros(0), None)
-        cut = DEFAULT_TOL * (s[0] if s.size else 1.0)
-        r = int(np.sum(s > cut))
+        vec = mask_vector(phi) if isinstance(phi, Multivector) else phi
+        s, vh, rank = _null_spaces(vec[None])
+        s, r = s[0], int(rank[0])
         # the dimension decision is trusted when retained and discarded
         # singular values are separated by a spectral gap of more than 1e6
         if 0 < r < len(s):
             diag["gap_ratio"] = float(s[r - 1] / max(s[r], 1e-300))
             diag["gap_ok"] = diag["gap_ratio"] > 1e6
-        basis = vh[r:].T
-    sub = Subspace(doubled.space, basis, check_rank=False)
+        sub = Subspace(doubled.space, vh[0, r:].T, check_rank=False)
     is_pure = sub.dim == doubled.n
-    if sub.dim and not sub.is_isotropic(1e-7):
-        raise AssertionError("null space of a nonzero spinor must be isotropic")
     if diagnostics:
         return sub, is_pure, diag
     return sub, is_pure
 
 
-def pure_spinor(doubled: DoubledSpace, form: Multivector) -> PureSpinor:
-    """A constructed spinor with its null space at the rank cut ``DEFAULT_TOL``, asserted pure."""
-    null, pure = null_space(doubled, form)
-    if not pure:
-        raise AssertionError("constructed spinor is not pure")
-    return PureSpinor(doubled, form, LagrangianSubspace(doubled.space, null.basis, check=False))
+def _range_data(bases: np.ndarray):
+    """(rows, S, ann, ω_S) for each rank r of the V-blocks of Lagrangian bases (N, 2n, n).
 
-
-def _range_data(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, ann, ω_S) of a Lagrangian E ⊂ V ⊕ V* from one SVD top = U Σ Vᵀ of its V-block.
-
-    At the rank cut ``DEFAULT_TOL``·s_max, S = U_r spans ran E and ann = U_{r:}
-    is its annihilator (the orthogonal complement: V* pairs with V by the dot
+    One batched SVD top = U Σ Vᵀ of the V-blocks.  At the rank cut
+    ``DEFAULT_TOL``·s_max, S = U_r spans ran E and ann = U_{r:} is its
+    annihilator (the orthogonal complement: V* pairs with V by the dot
     product).  E's basis times V_r Σ_r⁻¹ lifts each s_i to s_i ⊕ α_i ∈ E, so
     ω_S(s_i, s_j) = α_i(s_j) is (bottom V_r Σ_r⁻¹)ᵀ U_r, antisymmetrized.
+    Yields the indices of the rows of rank r with their stacks (M, n, r),
+    (M, n, n - r) and (M, r, r).
     """
-    n = E.ambient.dim // 2
-    u, s, vh = np.linalg.svd(E.basis[:n])
-    r = int(np.sum(s > DEFAULT_TOL * s[0]))
-    alpha = E.basis[n:] @ (vh[:r].T / s[:r])
-    omega = alpha.T @ u[:, :r]
-    return u[:, :r], u[:, r:], 0.5 * (omega - omega.T)  # kill numerical symmetric residue
+    n = bases.shape[-1]
+    u, s, vh = np.linalg.svd(bases[:, :n])
+    ranks = (s > DEFAULT_TOL * s[:, :1]).sum(axis=1)
+    for r in sorted(set(ranks.tolist())):
+        rows = np.flatnonzero(ranks == r)
+        s_basis = u[rows, :, :r]
+        alpha = bases[rows, n:] @ (vh[rows, :r].transpose(0, 2, 1) / s[rows, None, :r])
+        omega = alpha.transpose(0, 2, 1) @ s_basis
+        # kill numerical symmetric residue
+        yield rows, s_basis, u[rows, :, r:], 0.5 * (omega - omega.transpose(0, 2, 1))
 
 
-def _annihilator_volume(ann: np.ndarray) -> Multivector:
-    """μ = a_1 ∧ ... ∧ a_k over the columns of ``ann`` (the scalar 1 when k = 0)."""
-    mu = Multivector.scalar(ann.shape[0])
-    for col in ann.T:
-        mu = mu.wedge(Multivector.from_vector(col))
-    return mu
+def _wedge_images(x: np.ndarray) -> np.ndarray:
+    """ε^i ∧ x for each i < n: x is (N, 2^n) over the blade masks, the result (N, n, 2^n)."""
+    n = x.shape[-1].bit_length() - 1
+    source, weight = _rho_gathers(n)
+    return x[:, source[n:]] * weight[n:]
+
+
+def _one(count: int, n: int) -> np.ndarray:
+    """``count`` copies of the form 1, dense over the blade masks."""
+    out = np.zeros((count, 1 << n))
+    out[:, 0] = 1.0
+    return out
+
+
+@lru_cache(maxsize=None)
+def _upper(n: int) -> np.ndarray:
+    """1 above the diagonal of an n × n matrix, else 0 (read-only)."""
+    out = np.triu(np.ones((n, n)), 1)
+    out.flags.writeable = False
+    return out
+
+
+def wedge_exp(omega: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """e^ω ∧ x for each row: ω a stack (N, n, n) of antisymmetric matrices, read above the diagonal
+    as Σ_{i<j} ω_ij ε^i ∧ ε^j, and x dense forms (N, 2^n).
+
+    ω ∧ y = Σ_i ε^i ∧ (Σ_{j>i} ω_ij ε^j ∧ y), read off the ρ table; ω has at
+    most ⌊n/2⌋ nonzero powers.
+    """
+    n = omega.shape[-1]
+    source, weight = _rho_gathers(n)
+    upper = omega * _upper(n)
+    rows = np.arange(n)[:, None]
+    out = term = x
+    for p in range(1, n // 2 + 1):
+        inner = upper @ _wedge_images(term)
+        term = (inner[:, rows, source[n:]] * weight[n:]).sum(axis=1) / p
+        out = out + term
+    return out
+
+
+def spinors_of_lagrangians(doubled: DoubledSpace, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contravariant pure spinors e^{-ω_S} ∧ μ of Lagrangians E (bases (N, 2n, n)), with their null spaces.
+
+    μ = a_1 ∧ ... ∧ a_k is the volume element of an orthonormal basis of the
+    annihilator of ran(E), read from the basis of E; a spinor depends on that
+    choice only by scale.  Returns the dense forms (N, 2^n) and orthonormal
+    bases of their null spaces (N, 2n, n), every one asserted pure.
+    """
+    forms = np.empty((len(bases), 1 << doubled.n))
+    for rows, s_basis, ann, omega_s in _range_data(bases):
+        mu = _one(len(rows), doubled.n)
+        for j in reversed(range(ann.shape[-1])):  # a_j ∧ (a_{j+1} ∧ ... ∧ a_k)
+            mu = np.einsum("Ni,Nik->Nk", ann[:, :, j], _wedge_images(mu))
+        # S is orthonormal, so ω_S extends to V as S ω_S Sᵀ
+        forms[rows] = wedge_exp(-(s_basis @ omega_s @ s_basis.transpose(0, 2, 1)), mu)
+    if not has_pure_parity(forms).all():
+        raise AssertionError("constructed spinor has mixed parity")
+    return forms, pure_null_spaces(doubled, forms)
 
 
 def spinor_of_lagrangian(doubled: DoubledSpace, E: LagrangianSubspace) -> PureSpinor:
-    """Contravariant pure spinor e^{-ω_S} ∧ μ with null space E.
+    """Contravariant pure spinor e^{-ω_S} ∧ μ with null space E: ``spinors_of_lagrangians`` of one."""
+    forms, nulls = spinors_of_lagrangians(doubled, E.basis[None])
+    return PureSpinor(doubled, forms[0], LagrangianSubspace(doubled.space, nulls[0], check=False))
 
-    μ is the volume element of an orthonormal basis of the annihilator of
-    ran(E), read from the basis of E.  The result depends on that choice
-    only by scale.
+
+@lru_cache(maxsize=None)
+def _pairing_signs(n: int) -> np.ndarray:
+    """By the mask of I: (-1)^{k(k-1)/2} for k = |I| (the transpose φ^T) times the sign of
+    e_I ∧ e_{I^c} against e_0 ∧ ... ∧ e_{n-1} (read-only)."""
+    masks = np.arange(1 << n)
+    k = np.bitwise_count(masks).astype(np.int64)
+    # each index i of I passes the i - |I ∩ [0, i)| indices of I^c below it
+    swaps = sum((masks >> i & 1) * (i - np.bitwise_count(masks & ((1 << i) - 1)).astype(np.int64))
+                for i in range(n))
+    out = np.where((k * (k - 1) // 2 + swaps) % 2, -1.0, 1.0)
+    out.flags.writeable = False
+    return out
+
+
+def chevalley_pairing(phi: np.ndarray, psi: np.ndarray):
+    """(φ, ψ): top coefficient of φ^T ∧ ψ in the standard trivialization of the pairing line.
+
+    φ and ψ are dense forms (..., 2^n) over the blade masks; the result has
+    shape (...).  The top blade of e_I ∧ e_J needs J = I^c, whose mask is
+    2^n - 1 - mask(I): ψ read backwards.
     """
-    s_basis, ann, omega_s = _range_data(E)
-    mu = _annihilator_volume(ann)
-    # S is orthonormal, so ω_S extends to V as S ω_S Sᵀ
-    two_form = Multivector.from_antisymmetric_matrix(s_basis @ omega_s @ s_basis.T)
-    form = (-two_form).exp_wedge().wedge(mu)
-    if not form.has_pure_parity():
-        raise AssertionError("constructed spinor has mixed parity")
-    return pure_spinor(doubled, form)
-
-
-def chevalley_pairing(phi: Multivector, psi: Multivector):
-    """Top coefficient of φ^T ∧ ψ in the standard trivialization of the pairing line."""
-    return phi.transpose_sign().wedge(psi).top_coefficient()
+    n = phi.shape[-1].bit_length() - 1
+    return np.sum(phi * _pairing_signs(n) * psi[..., ::-1], axis=-1)
 
 
 # Two pure spinors are transverse when |(φ, ψ)| exceeds this cut.
 PAIRING_CUT = 1e-8
 
 
-def transversality_by_pairing(phi: PureSpinor, psi: PureSpinor) -> bool:
-    return abs(float(chevalley_pairing(phi.form, psi.form))) > PAIRING_CUT
+def transversality_by_pairing(phi: np.ndarray, psi: np.ndarray):
+    """|(φ, ψ)| > ``PAIRING_CUT`` for dense forms (..., 2^n)."""
+    return np.abs(chevalley_pairing(phi, psi)) > PAIRING_CUT
 
 
 def fixed_line_dimension(doubled: DoubledSpace, E: LagrangianSubspace,

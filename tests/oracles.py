@@ -31,11 +31,12 @@ from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
     PureSpinor,
-    _annihilator_volume,
     _range_data,
     chevalley_pairing,
+    from_mask_vector,
+    mask_vector,
     null_space,
-    pure_spinor,
+    pure_null_spaces,
     spinor_of_lagrangian,
 )
 
@@ -126,8 +127,49 @@ def graph_two_form_of(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np
     and kernel an orthonormal basis of {v : (v, 0) ∈ E}.  Lifts differ by
     0 ⊕ ann(S) ⊂ E, so the kernel is S·ker ω_S, cut at ``DEFAULT_TOL``·max(s_max, 1).
     """
-    s_basis, _, omega_s = _range_data(E)
+    s_basis, _, omega_s = _one_range(E)
     return s_basis, omega_s, s_basis @ nullspace_basis(omega_s, scale=1.0)
+
+
+def _one_range(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, ann, ω_S) of one Lagrangian: the stacked range data of a stack of one."""
+    (_, s_basis, ann, omega_s), = _range_data(E.basis[None])
+    return s_basis[0], ann[0], omega_s[0]
+
+
+def annihilator_volume(ann: np.ndarray) -> Multivector:
+    """μ = a_1 ∧ ... ∧ a_k over the columns of ``ann`` (the scalar 1 when k = 0)."""
+    mu = Multivector.scalar(ann.shape[0])
+    for col in ann.T:
+        mu = mu.wedge(Multivector.from_vector(col))
+    return mu
+
+
+def spinor_of_lagrangian_by_wedges(E: LagrangianSubspace) -> Multivector:
+    """e^{-ω_S} ∧ μ of a Lagrangian as sparse ``Multivector`` wedges: the oracle of the dense route."""
+    s_basis, ann, omega_s = _one_range(E)
+    two_form = Multivector.from_antisymmetric_matrix(s_basis @ omega_s @ s_basis.T)
+    return (-two_form).exp_wedge().wedge(annihilator_volume(ann))
+
+
+def transpose_sign(phi: Multivector) -> Multivector:
+    """Degree-k part multiplied by (-1)^{k(k-1)/2} (reversal on wedge blades)."""
+    return Multivector(
+        phi.dim,
+        {b: (c if (len(b) * (len(b) - 1) // 2) % 2 == 0 else -c) for b, c in phi.terms.items()},
+    )
+
+
+def chevalley_pairing_by_wedges(phi: Multivector, psi: Multivector):
+    """Top coefficient of φ^T ∧ ψ through a ``Multivector`` wedge: the oracle of the dense pairing."""
+    return transpose_sign(phi).wedge(psi).terms.get(tuple(range(phi.dim)), 0)
+
+
+def pure_spinor(doubled: DoubledSpace, form: Multivector) -> PureSpinor:
+    """A constructed spinor, dense, with its null space at the rank cut ``DEFAULT_TOL``, asserted pure."""
+    vec = mask_vector(form)
+    null = pure_null_spaces(doubled, vec[None])[0]
+    return PureSpinor(doubled, vec, LagrangianSubspace(doubled.space, null, check=False))
 
 
 def decompose_pure_spinor(doubled: DoubledSpace,
@@ -141,8 +183,8 @@ def decompose_pure_spinor(doubled: DoubledSpace,
     null, pure = null_space(doubled, phi)
     if not pure:
         raise ValueError("spinor is not pure")
-    s_basis, ann, omega_s = _range_data(LagrangianSubspace(doubled.space, null.basis, check=False))
-    mu = _annihilator_volume(ann)
+    s_basis, ann, omega_s = _one_range(LagrangianSubspace(doubled.space, null.basis, check=False))
+    mu = annihilator_volume(ann)
     # the lowest-degree part of e^{-ω} ∧ μ is μ itself: match scale on its largest coefficient
     blade = max(mu.terms, key=lambda k: abs(mu.terms[k]))
     return s_basis, omega_s, mu.scale(phi.terms.get(blade, 0) / mu.terms[blade])
@@ -238,12 +280,12 @@ def pullback_transversality(A, E: LagrangianSubspace, E_target: LagrangianSubspa
     if not (image.dim == E_target.dim and image.distance(E_target) <= 1e-8
             and is_strong_dirac(a, E)):
         raise ValueError("map is not a strong Dirac map for (E, E')")
-    psi = psi_target.form.pullback(a)
+    psi = from_mask_vector(psi_target.form).pullback(a)
     if psi.norm() <= 1e-12:
         raise AssertionError("pullback of the transverse spinor vanished")
     pulled = pure_spinor(doubled_source, psi)
     phi_e = spinor_of_lagrangian(doubled_source, E)
-    if abs(float(chevalley_pairing(phi_e.form, psi))) <= 1e-12:
+    if abs(float(chevalley_pairing(phi_e.form, pulled.form))) <= 1e-12:
         raise AssertionError("pullback spinor is not transverse to E")
     return pulled
 

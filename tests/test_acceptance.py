@@ -9,8 +9,12 @@ fixture); each test reads its criterion from that report.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from purespin import suites
+from purespin.bilinear import BilinearSpace, random_orthogonal
+from purespin.dirac import kappa_embed
 from purespin.suites import ALL_CRITERIA
 
 SEED = 7
@@ -46,3 +50,75 @@ def test_report_passes_the_benchmark_check(verify_all_run):
     assert set(volume["details"]) == {"min_abs_density", "max_oracle_error", "classes",
                                       "points_per_class"}
 
+
+
+def _sequential_lagrangians(seed: int, pairs: int) -> dict:
+    """The Lagrangians of criteria 3 (pairs = 1) and 4 (pairs = 2), drawn one trial at a time."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for _ in range(500):
+        n = int(rng.integers(1, 5))
+        for _ in range(pairs):
+            k = kappa_embed(random_orthogonal(n, rng), BilinearSpace(np.eye(n)))
+            out.setdefault(n, []).append(k[:, :n] if rng.integers(2) else k[:, n:])
+    return out
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_stacked_lagrangian_draws_equal_sequential_draws(pairs):
+    stacked = suites._lagrangian_draws(np.random.default_rng(SEED), pairs)
+    sequential = _sequential_lagrangians(SEED, pairs)
+    assert sorted(stacked) == sorted(sequential) == [1, 2, 3, 4]
+    for n, lags in stacked.items():
+        assert np.array_equal(lags, sequential[n])
+
+
+def test_stacked_orthogonal_draws_equal_sequential_draws():
+    rng = np.random.default_rng(SEED)
+    sequential = {}
+    done = 0
+    while done < 200:
+        n = int(rng.integers(1, 6))
+        a = random_orthogonal(n, rng)
+        if abs(np.linalg.det(a + np.eye(n))) <= 1e-3:
+            continue
+        sequential.setdefault(n, []).append(a)
+        done += 1
+    stacked = suites._orthogonal_draws(np.random.default_rng(SEED))
+    assert sorted(stacked) == sorted(sequential)
+    for n, maps in stacked.items():
+        assert np.array_equal(maps, sequential[n])
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_criterion_4_fails_when_the_subspace_test_is_constant(constant, monkeypatch):
+    monkeypatch.setattr(suites, "transverse_spans", lambda a, b: np.full(len(a), constant))
+    assert not suites.criterion_4(SEED)["passed"]
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_criterion_4_cannot_pass_vacuously(constant, monkeypatch):
+    # both routes constant and agreeing: no disagreement, but only one outcome occurs
+    monkeypatch.setattr(suites, "transverse_spans", lambda a, b: np.full(len(a), constant))
+    monkeypatch.setattr(suites, "transversality_by_pairing", lambda p, q: np.full(len(p), constant))
+    report = suites.criterion_4(SEED)
+    assert report["details"]["disagreements"] == 0
+    assert report["details"]["transverse_pairs"] == (500 if constant else 0)
+    assert not report["passed"]
+
+
+def test_criterion_9_noise_has_a_fixed_norm():
+    rng = np.random.default_rng(0)
+    for m in (2, 6):
+        for _ in range(50):
+            noise = suites._noise(rng, m, 1e-3)
+            assert np.array_equal(noise, -noise.T)
+            assert abs(np.linalg.norm(noise) - 1e-3) <= 1e-15
+    assert np.array_equal(suites._noise(rng, 1, 1e-3), np.zeros((1, 1)))
+
+
+def test_criterion_9_passes_where_a_drawn_noise_was_too_small():
+    # a drawn noise norm left one noisy 2 × 2 class point with a moment residual of 7e-8:
+    # failed by the axioms (1e-8), passed by the Dirac route (1e-7)
+    report = suites.criterion_9(358322326)
+    assert report["passed"] and report["details"]["equivalence_disagreements"] == 0

@@ -8,10 +8,13 @@ from purespin.bilinear import (
     BilinearSpace,
     LagrangianSubspace,
     Subspace,
+    haar_orthogonal,
     make_split_space,
+    projector_distances,
     random_orthogonal,
     subspace_distance,
     transverse,
+    transverse_spans,
 )
 
 
@@ -101,6 +104,20 @@ class TestTransverse:
             # E_A ∩ E_B ≠ 0 iff (A - B) v = 0 for some v ≠ 0
             assert transverse(ea, eb) == (abs(np.linalg.det(a - b)) > 1e-9)
 
+    def test_spans_of_a_stack_match_single_calls(self, rng):
+        w = make_split_space(3)
+        maps = [random_orthogonal(3, rng) for _ in range(12)]
+        maps[3] = maps[2] @ np.diag([1.0, 1.0, -1.0])
+        e = np.array([lagrangian_from_orthogonal(a).basis for a in maps])
+        f = e[::-1].copy()
+        f[3] = e[2]  # E_A ∩ E_B is a plane: not transverse
+        f[4] = e[4]
+        got = transverse_spans(e, f)
+        expect = [transverse(Subspace(w, x), Subspace(w, y)) for x, y in zip(e, f)]
+        assert got.tolist() == expect and not all(expect) and any(expect)
+        # the dimensions must add up to that of the space
+        assert transverse_spans(e, f[:, :, :2]).tolist() == [False] * 12
+
 
 class TestSameComponent:
     def test_equal_even(self, rng):
@@ -140,6 +157,24 @@ class TestSubspaceMachinery:
         sub2 = Subspace(w, basis @ rng.standard_normal((2, 2)) + 0.0)
         if sub2.dim == 2:
             assert sub1.dim == sub2.dim and sub1.distance(sub2) <= 1e-9
+
+    def test_projector_distances_of_a_stack_match_single_calls(self, rng):
+        w = make_split_space(2)
+        a = rng.standard_normal((6, 4, 2))
+        b = rng.standard_normal((6, 4, 2))
+        b[0] = a[0] @ rng.standard_normal((2, 2))
+        b[1, :, 1] = 2.0 * b[1, :, 0]  # rank 1 at the cut, as column_space_basis reads it
+        got = projector_distances(a, b)
+        for d, x, y in zip(got, a, b):
+            assert abs(d - subspace_distance(x, y)) <= 1e-14
+            assert abs(d - Subspace(w, x).distance(Subspace(w, y, check_rank=False))) <= 1e-14
+        assert got[0] <= 1e-9 and got[1] > 0.5
+
+    def test_haar_stack_draws_like_random_orthogonal(self):
+        stacked = haar_orthogonal(np.random.default_rng(3).standard_normal((20, 4, 4)))
+        rng = np.random.default_rng(3)
+        assert np.array_equal(stacked, [random_orthogonal(4, rng) for _ in range(20)])
+        assert np.allclose(stacked @ stacked.transpose(0, 2, 1), np.eye(4), rtol=0, atol=1e-14)
 
     def test_intersection_dimension(self, rng):
         w = make_split_space(2)

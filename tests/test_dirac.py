@@ -20,6 +20,7 @@ from purespin.bilinear import (
     subspace_distance,
 )
 from purespin.dirac import (
+    _cayley_two_form,
     dirac_image,
     dirac_preimage,
     gauge_transform,
@@ -27,12 +28,16 @@ from purespin.dirac import (
     graph_of_two_form,
     is_strong_dirac,
     kappa_embed,
+    kappa_lagrangians,
     spinor_of_orthogonal,
+    spinors_of_orthogonal,
 )
 from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
     chevalley_pairing,
+    from_mask_vector,
+    mask_vector,
     null_space,
     spinor_of_lagrangian,
 )
@@ -54,7 +59,7 @@ class TestBivectorGraphs:
     def test_zero_bivector_gives_volume(self):
         d = DoubledSpace(3)
         ps = graph_of_bivector(d, np.zeros((3, 3)))
-        assert ps.form.terms == {(0, 1, 2): 1.0}
+        assert from_mask_vector(ps.form).terms == {(0, 1, 2): 1.0}
         assert ps.null.distance(d.v_star_subspace()) < 1e-12
 
     def test_n2_scalar_shift(self):
@@ -62,7 +67,7 @@ class TestBivectorGraphs:
         c = 1.8
         pi = np.array([[0.0, c], [-c, 0.0]])
         ps = graph_of_bivector(d, pi)
-        assert (ps.form - Multivector(2, {(0, 1): 1.0, (): -c})).norm() < 1e-12
+        assert (from_mask_vector(ps.form) - Multivector(2, {(0, 1): 1.0, (): -c})).norm() < 1e-12
         assert ps.null.distance(graph_of_bivector_subspace(d, pi)) < 1e-10
 
     def test_invertible_bivector_transverse_to_v_star(self, rng):
@@ -70,7 +75,7 @@ class TestBivectorGraphs:
         for c in (0.0, 2.0):
             pi = np.array([[0.0, c], [-c, 0.0]])
             ps = graph_of_bivector(d, pi)
-            pairing = chevalley_pairing(Multivector.top(2), ps.form)
+            pairing = chevalley_pairing(mask_vector(Multivector.top(2)), ps.form)
             is_transverse = abs(float(pairing)) > 1e-8
             assert is_transverse == (abs(np.linalg.det(pi)) > 1e-12)
 
@@ -92,7 +97,7 @@ class TestGauge:
         for _ in range(20):
             lag = _random_lagrangian(d, rng)
             tau = _antisym(rng, 3)
-            phi = spinor_of_lagrangian(d, lag).form
+            phi = from_mask_vector(spinor_of_lagrangian(d, lag).form)
             transformed = gauge_transform_spinor(phi, tau)
             sub, pure = null_space(d, transformed)
             assert pure
@@ -137,7 +142,7 @@ class TestDiracImages:
             assert image.is_lagrangian(1e-7)
             # the covariant spinor of E: the contravariant one of E with its halves swapped
             swapped = LagrangianSubspace(d.space, swap_halves(lag.basis), check=False)
-            chi = spinor_of_lagrangian(d, swapped).form
+            chi = from_mask_vector(spinor_of_lagrangian(d, swapped).form)
             pushed = chi.pushforward(a)
             if pushed.norm() > 1e-9:
                 assert strong
@@ -154,7 +159,7 @@ class TestDiracImages:
             lag = _random_lagrangian(d_out, rng)
             pre, nonzero = dirac_preimage(a, lag, d)
             assert pre.is_lagrangian(1e-7)
-            phi = spinor_of_lagrangian(d_out, lag).form
+            phi = from_mask_vector(spinor_of_lagrangian(d_out, lag).form)
             pulled = phi.pullback(a)
             if pulled.norm() > 1e-9:
                 assert nonzero
@@ -247,6 +252,20 @@ class TestKappa:
         g = DoubledSpace(3).space.gram
         assert np.linalg.norm(k.T @ g @ k - g) < 1e-10
 
+    def test_stack_of_maps(self, rng):
+        b = BilinearSpace(np.eye(3))
+        maps = np.array([random_orthogonal(3, rng) for _ in range(6)])
+        stacked = kappa_embed(maps, b)
+        assert all(np.array_equal(k, kappa_embed(a, b)) for k, a in zip(stacked, maps))
+        v_columns = np.array([True, False] * 3)
+        lags = kappa_lagrangians(maps, v_columns)
+        for lag, k, v in zip(lags, stacked, v_columns):
+            assert np.array_equal(lag, k[:, :3] if v else k[:, 3:])
+        bad = maps.copy()
+        bad[4] *= 1.5
+        with pytest.raises(ValueError, match="not B-orthogonal"):
+            kappa_embed(bad, b)
+
     def test_injective_on_lagrangians(self, rng):
         for _ in range(500):
             n = int(rng.integers(1, 5))
@@ -264,7 +283,47 @@ class TestOrthogonalSpinor:
     def test_identity_gives_one(self):
         b = BilinearSpace(np.eye(3))
         lift = spinor_of_orthogonal(np.eye(3), b)
-        assert (lift.psi.form - Multivector.scalar(3, 1.0)).norm() < 1e-12
+        assert (from_mask_vector(lift.psi.form) - Multivector.scalar(3, 1.0)).norm() < 1e-12
+
+    @staticmethod
+    def _special_orthogonal(n, count, rng):
+        """Random maps with det A = +1, so det(A + I) is generically nonzero."""
+        maps = np.array([random_orthogonal(n, rng) for _ in range(count)])
+        maps[np.linalg.det(maps) < 0, :, 0] *= -1
+        return maps
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closed_form_matches_the_wedge_oracle(self, n, rng):
+        b = BilinearSpace(np.eye(n))
+        maps = self._special_orthogonal(n, 6, rng)
+        forms, _ = spinors_of_orthogonal(maps, b, "closed")
+        for form, a in zip(forms, maps):
+            scale = np.sqrt(abs(np.linalg.det((a + np.eye(n)) / 2)))
+            two_form = Multivector.from_antisymmetric_matrix(_cayley_two_form(a[None], b.gram)[0])
+            expect = mask_vector(two_form.exp_wedge().scale(scale))
+            assert np.abs(form - expect).max() <= 1e-12 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("method", ["closed", "reflections"])
+    def test_stack_equals_its_single_calls(self, method, rng):
+        b = BilinearSpace(np.eye(3))
+        maps = self._special_orthogonal(3, 6, rng)
+        if method == "reflections":
+            maps[:, :, 0] *= -1  # det A = -1: the reflection route of spinor_of_orthogonal
+        forms, nulls = spinors_of_orthogonal(maps, b, method)
+        for form, null, a in zip(forms, nulls, maps):
+            lift = spinor_of_orthogonal(a, b)
+            assert lift.method == method
+            assert np.array_equal(lift.psi.form, form)
+            assert np.array_equal(lift.psi.null.basis, null)
+
+    def test_routes_refused(self, rng):
+        b = BilinearSpace(np.eye(3))
+        maps = self._special_orthogonal(3, 3, rng)
+        maps[1] = -np.eye(3)
+        with pytest.raises(ValueError, match="too small for the closed form"):
+            spinors_of_orthogonal(maps, b, "closed")
+        with pytest.raises(ValueError, match="unknown method"):
+            spinors_of_orthogonal(maps, b, "other")
 
     def test_reflection_route_carries_pin_lift(self, rng):
         # the reflection route's factorization lifts to the Clifford group over Cl(V)
@@ -275,7 +334,8 @@ class TestOrthogonalSpinor:
         )
         b = BilinearSpace(np.eye(3))
         a = random_orthogonal(3, rng)
-        assert spinor_of_orthogonal(a, b, method="reflections").method == "reflections"
+        a[:, 0] *= -1  # det A = -1: A has the eigenvalue -1, so det(A + I) = 0
+        assert spinor_of_orthogonal(a, b).method == "reflections"
         pin = pin_lift_from_reflections(CliffordAlgebra(b), factor_into_reflections(a, b))
         assert pin is not None
         member, induced = CliffordAlgebra(b).group_action(pin.g.mv)

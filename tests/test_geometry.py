@@ -13,7 +13,7 @@ from oracles import (
     structure_trivector,
 )
 from purespin.bilinear import BilinearSpace, LagrangianSubspace, subspace_distance, transverse
-from purespin.dirac import kappa_embed, spinor_of_orthogonal
+from purespin.dirac import kappa_embed, spinors_of_orthogonal
 from purespin.forms import fd_exterior_derivative, fd_exterior_derivative_flat
 from purespin.geometry import (
     PinLift,
@@ -44,6 +44,7 @@ from purespin.groups import get_model
 from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
+    from_mask_vector,
     mask_vector,
     null_space,
     rho_contravariant,
@@ -244,7 +245,7 @@ class TestPinLiftForms:
                 continue
             psi, _ = su2_pin.forms_at(g)
             a = section_matrix(su2, g)
-            closed = spinor_of_orthogonal(a, BilinearSpace(su2.B), method="closed").psi.form
+            closed = from_mask_vector(spinors_of_orthogonal(a[None], BilinearSpace(su2.B), "closed")[0][0])
             assert min((psi - closed).norm(), (psi + closed).norm()) < 1e-9
 
     def test_singular_locus_top_degree_dominant(self, su2, su2_pin):
@@ -332,8 +333,8 @@ class TestSpinLiftExponential:
     def _pin_route(model, g):
         a = section_matrix(model, g)
         b = BilinearSpace(model.B)
-        psi = spinor_of_orthogonal(a, b, method="reflections").psi.form
-        return psi, phi_of_orthogonal(a, b).form
+        psi = spinors_of_orthogonal(a[None], b, "reflections")[0][0]
+        return from_mask_vector(psi), from_mask_vector(phi_of_orthogonal(a, b).form)
 
     def test_su3_matches_pin_route(self, su3, rng):
         pin = PinLift(su3)
@@ -489,7 +490,7 @@ class TestVolume:
         pt = random_class_point(su2, su2_class_from_trace(0.5), rng)
         psi = su2_pin.forms_at(pt.g)[0].pullback(pt.frame)
         e_minus = (-Multivector.from_antisymmetric_matrix(ghjw_matrix(pt))).exp_wedge()
-        pairing = float(chevalley_pairing(e_minus, psi))
+        pairing = float(chevalley_pairing(mask_vector(e_minus), mask_vector(psi)))
         assert abs(pairing - conjugacy_volume_top(pt, su2_pin)) < 1e-12
 
     def test_density_scales_with_frame_determinant(self, su2, su2_pin, rng):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    chevalley_pairing_by_wedges,
     decompose_pure_spinor,
     distance_from,
     graph_two_form_of,
+    pure_spinor,
+    spinor_of_lagrangian_by_wedges,
     star_to_covariant,
     swap_halves,
     v_subspace,
@@ -21,21 +24,29 @@ from purespin.bilinear import (
     random_orthogonal,
     transverse,
 )
-from purespin.dirac import kappa_embed
+from purespin.dirac import kappa_embed, kappa_lagrangians
 from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
+    _action_gathers,
+    _pairing_signs,
+    _range_data,
+    _rho_gathers,
     chevalley_pairing,
     fixed_line_dimension,
     from_mask_vector,
+    has_pure_parity,
     null_space,
     mask_vector,
+    pure_null_spaces,
     rho_contravariant,
     rho_generators,
     rho_of_columns,
     rho_words,
     spinor_of_lagrangian,
+    spinors_of_lagrangians,
     transversality_by_pairing,
+    wedge_exp,
 )
 
 
@@ -130,6 +141,16 @@ class TestRhoTable:
         _, sign = rho_generators(2)
         with pytest.raises(ValueError):
             sign[0, 0] = -sign[0, 0]
+
+    @pytest.mark.parametrize("table", [_rho_gathers, _action_gathers])
+    def test_gather_tables_are_cached_and_read_only(self, table):
+        source, weight = table(3)
+        assert table(3)[0] is source
+        for array in (source, weight):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+        with pytest.raises(ValueError):
+            _pairing_signs(3)[0] = 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_word_matrix_composes_left_to_right(self, n, rng):
@@ -256,18 +277,18 @@ class TestNullSpaces:
 class TestSpinorOfLagrangian:
     def test_v_gives_one(self):
         d = DoubledSpace(3)
-        ps = spinor_of_lagrangian(d, v_subspace(d))
-        assert ps.form.terms == {(): 1.0} or (ps.form - Multivector.scalar(3, -1.0)).norm() < 1e-12
+        form = from_mask_vector(spinor_of_lagrangian(d, v_subspace(d)).form)
+        assert form.terms == {(): 1.0} or (form - Multivector.scalar(3, -1.0)).norm() < 1e-12
 
     def test_graph_gives_exponential(self):
         d = DoubledSpace(2)
         omega = np.array([[0.0, 1.7], [-1.7, 0.0]])
         basis = np.vstack([np.eye(2), omega.T])
         lag = LagrangianSubspace(d.space, basis)
-        ps = spinor_of_lagrangian(d, lag)
+        form = from_mask_vector(spinor_of_lagrangian(d, lag).form)
         expect = Multivector(2, {(): 1.0, (0, 1): -1.7})
-        scale = ps.form.coeff(()) / expect.coeff(())
-        assert (ps.form - expect.scale(scale)).norm() < 1e-9
+        scale = form.coeff(()) / expect.coeff(())
+        assert (form - expect.scale(scale)).norm() < 1e-9
 
     def test_round_trip_random(self, rng):
         for n in (1, 2, 3, 4):
@@ -287,7 +308,7 @@ class TestSpinorOfLagrangian:
                 while abs(np.linalg.det(mix)) < 0.1:
                     mix = rng.standard_normal((n, n))
                 other = LagrangianSubspace(d.space, lag.basis @ mix, check=False)
-                ps1, ps2 = spinor_of_lagrangian(d, lag).form, spinor_of_lagrangian(d, other).form
+                ps1, ps2 = (from_mask_vector(spinor_of_lagrangian(d, e).form) for e in (lag, other))
                 blade = max(ps1.terms, key=lambda k: abs(ps1.terms[k]))
                 ratio = ps2.terms[blade] / ps1.terms[blade]
                 assert abs(abs(ratio) - 1.0) < 1e-9  # both μ come from orthonormal bases
@@ -367,7 +388,8 @@ class TestGraphTwoForm:
             s, omega_s, kernel = graph_two_form_of(lag)
             ps = spinor_of_lagrangian(d, lag)
             scale = 1.0 + abs(float(rng.standard_normal()))
-            s2, omega2, mu = decompose_pure_spinor(d, ps.form.scale(scale))
+            form = from_mask_vector(ps.form)
+            s2, omega2, mu = decompose_pure_spinor(d, form.scale(scale))
         assert s.shape[1] == r and np.linalg.norm(s.T @ s - np.eye(r)) < 1e-12
         # ω_S(s_i, s_j) = α_i(s_j) for the lifts s_i ⊕ Ωᵀ s_i ∈ E
         assert np.linalg.norm(omega_s - s.T @ big_omega @ s) < 1e-12
@@ -376,22 +398,22 @@ class TestGraphTwoForm:
         assert ps.null.distance(lag) < 1e-9
         full = s2 @ omega2 @ s2.T
         rebuilt = (-Multivector.from_antisymmetric_matrix(full)).exp_wedge().wedge(mu)
-        assert (rebuilt - ps.form.scale(scale)).norm() < 1e-9 * scale
+        assert (rebuilt - form.scale(scale)).norm() < 1e-9 * scale
 
 
 class TestChevalley:
     def test_n1_transverse_pair(self):
-        assert chevalley_pairing(Multivector.scalar(1), Multivector.top(1)) == 1
+        assert chevalley_pairing(mask_vector(Multivector.scalar(1)), mask_vector(Multivector.top(1))) == 1
 
     def test_coincident_pair_vanishes(self):
-        assert chevalley_pairing(Multivector.scalar(1), Multivector.scalar(1)) == 0
+        assert chevalley_pairing(mask_vector(Multivector.scalar(1)), mask_vector(Multivector.scalar(1))) == 0
 
     def test_two_graphs(self):
         # (e^{-ω}, e^{-ω'}) picks out the top part of ω - ω' in two dimensions
         a, b = 1.3, -0.4
         phi = Multivector(2, {(): 1.0, (0, 1): -a})
         psi = Multivector(2, {(): 1.0, (0, 1): -b})
-        assert abs(chevalley_pairing(phi, psi) - (a - b)) < 1e-12
+        assert abs(chevalley_pairing(mask_vector(phi), mask_vector(psi)) - (a - b)) < 1e-12
 
     def test_adjoint_property(self, rng):
         d = DoubledSpace(3)
@@ -399,8 +421,8 @@ class TestChevalley:
             w = rng.standard_normal(6)
             phi = Multivector(3, {(0,): 1.0, (1, 2): 0.5, (): -0.2})
             psi = Multivector(3, {(): 0.7, (0, 2): 1.1})
-            lhs = chevalley_pairing(phi, rho_contravariant(d, w, psi))
-            rhs = chevalley_pairing(rho_contravariant(d, w, phi), psi)  # w^T = w
+            lhs = chevalley_pairing(mask_vector(phi), mask_vector(rho_contravariant(d, w, psi)))
+            rhs = chevalley_pairing(mask_vector(rho_contravariant(d, w, phi)), mask_vector(psi))  # w^T = w
             assert abs(lhs - rhs) < 1e-12
 
     def test_pin_equivariance_up_to_sign(self, rng):
@@ -418,8 +440,8 @@ class TestChevalley:
         for w in reversed(ws):
             acted_phi = rho_contravariant(d, w, acted_phi)
             acted_psi = rho_contravariant(d, w, acted_psi)
-        before = chevalley_pairing(phi, psi)
-        after = chevalley_pairing(acted_phi, acted_psi)
+        before = chevalley_pairing(mask_vector(phi), mask_vector(psi))
+        after = chevalley_pairing(mask_vector(acted_phi), mask_vector(acted_psi))
         assert min(abs(after - before), abs(after + before)) < 1e-10
 
     def test_transversality_equivalence(self, rng):
@@ -428,7 +450,7 @@ class TestChevalley:
         for _ in range(100):
             l1, l2 = _random_lagrangian(d, rng), _random_lagrangian(d, rng)
             p1, p2 = spinor_of_lagrangian(d, l1), spinor_of_lagrangian(d, l2)
-            if transversality_by_pairing(p1, p2) == transverse(l1, l2):
+            if transversality_by_pairing(p1.form, p2.form) == transverse(l1, l2):
                 agree += 1
         assert agree == 100
 
@@ -503,7 +525,7 @@ class TestCovariantAndStar:
         for _ in range(200):
             lag = _random_lagrangian(d, rng)
             scale = float(rng.standard_normal()) or 1.0
-            phi = spinor_of_lagrangian(d, lag).form.scale(scale)
+            phi = from_mask_vector(spinor_of_lagrangian(d, lag).form).scale(scale)
             s, omega_s, mu = decompose_pure_spinor(d, phi)
             # rebuild e^{-ω} μ with the returned pieces and compare
             if s.shape[1]:
@@ -524,8 +546,94 @@ class TestCovariantAndStar:
             big_omega = s0 @ (w - w.T) @ s0.T
             basis = np.block([[s0, np.zeros((3, 1))], [big_omega.T @ s0, a0]])
             lag = LagrangianSubspace(d.space, basis @ rng.standard_normal((3, 3)))
-            phi = spinor_of_lagrangian(d, lag).form
+            phi = from_mask_vector(spinor_of_lagrangian(d, lag).form)
             s, omega_s, mu = decompose_pure_spinor(d, phi)
             full = s @ omega_s @ s.T
             rebuilt = (-Multivector.from_antisymmetric_matrix(full)).exp_wedge().wedge(mu)
             assert (rebuilt - phi).norm() < 1e-9 * phi.norm()
+
+
+def _mixed_rank_lagrangians(n, rng):
+    """A^κ(V) of I, -I and diag(1, ..., -1, ...) (V-blocks of every rank n, 0, ..., n - 1),
+    then eight random A^κ(V) or A^κ(V*): a stack that ``_range_data`` splits by rank."""
+    maps = [np.eye(n), -np.eye(n)] + [np.diag([1.0] * r + [-1.0] * (n - r)) for r in range(1, n)]
+    maps += [random_orthogonal(n, rng) for _ in range(8)]
+    v_columns = np.array([True] * (n + 1) + [bool(b) for b in rng.integers(0, 2, 8)])
+    return kappa_lagrangians(np.array(maps), v_columns)
+
+
+class TestStackedRoute:
+    """The stacked dense route: against the sparse ``Multivector`` oracle, and row by row
+    against its stacks of one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_spinors_match_the_wedge_oracle(self, n, rng):
+        d = DoubledSpace(n)
+        lags = _mixed_rank_lagrangians(n, rng)
+        forms, _ = spinors_of_lagrangians(d, lags)
+        for got, basis in zip(forms, lags):
+            expect = mask_vector(spinor_of_lagrangian_by_wedges(LagrangianSubspace(d.space, basis)))
+            err = min(np.abs(got - expect).max(), np.abs(got + expect).max())
+            assert err <= 1e-12 * np.linalg.norm(expect)
+        for phi, psi in zip(forms, forms[::-1]):
+            wedge = chevalley_pairing_by_wedges(from_mask_vector(phi), from_mask_vector(psi))
+            assert abs(chevalley_pairing(phi, psi) - wedge) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_pairing_of_any_forms_matches_the_wedge_oracle(self, n, rng):
+        phi, psi = rng.standard_normal((2, 10, 1 << n))
+        got = chevalley_pairing(phi, psi)
+        assert got.shape == (10,)
+        for k in range(10):
+            wedge = chevalley_pairing_by_wedges(from_mask_vector(phi[k]), from_mask_vector(psi[k]))
+            assert abs(got[k] - wedge) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_wedge_exp_matches_exp_wedge(self, n, rng):
+        w = rng.standard_normal((6, n, n))
+        omega = w - w.transpose(0, 2, 1)
+        x = rng.standard_normal((6, 1 << n))
+        got = wedge_exp(omega, x)
+        for k in range(6):
+            two_form = Multivector.from_antisymmetric_matrix(omega[k])
+            expect = mask_vector(two_form.exp_wedge().wedge(from_mask_vector(x[k])))
+            assert np.abs(got[k] - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_equals_its_single_calls(self, n, rng):
+        d = DoubledSpace(n)
+        lags = _mixed_rank_lagrangians(n, rng)
+        ranks = [s_basis.shape[-1] for _, s_basis, _, _ in _range_data(lags)]
+        assert ranks == list(range(n + 1))
+        forms, nulls = spinors_of_lagrangians(d, lags)
+        for form, null, basis in zip(forms, nulls, lags):
+            one = spinor_of_lagrangian(d, LagrangianSubspace(d.space, basis, check=False))
+            assert np.array_equal(one.form, form)
+            assert np.array_equal(one.null.basis, null)
+            assert one.null.distance(LagrangianSubspace(d.space, basis)) < 1e-9
+
+    def test_stack_with_a_non_pure_row_is_refused(self, rng):
+        d = DoubledSpace(3)
+        forms, _ = spinors_of_lagrangians(d, _mixed_rank_lagrangians(3, rng))
+        corrupted = Multivector(3, {(): 1.0, (0, 1, 2): 1.0})  # not pure: its null space has dim < 3
+        forms[5] = mask_vector(corrupted)
+        with pytest.raises(AssertionError, match="^constructed spinor is not pure$"):
+            pure_null_spaces(d, forms)
+        with pytest.raises(AssertionError, match="^constructed spinor is not pure$"):
+            pure_spinor(d, corrupted)
+        forms[5] = 0.0
+        with pytest.raises(ValueError, match="^null space of the zero spinor is undefined$"):
+            pure_null_spaces(d, forms)
+
+    def test_parity_of_each_row(self):
+        forms = np.array([[1.0, 0, 0, 2.0], [0, 1.0, -3.0, 0], [1.0, 1.0, 0, 0], [0.0, 0, 0, 0]])
+        assert has_pure_parity(forms).tolist() == [True, True, False, True]
+
+    def test_transversality_of_each_pair(self, rng):
+        d = DoubledSpace(3)
+        lags = _mixed_rank_lagrangians(3, rng)
+        forms, _ = spinors_of_lagrangians(d, lags)
+        flags = transversality_by_pairing(forms, forms[::-1])
+        for flag, e, f in zip(flags, lags, lags[::-1]):
+            assert flag == transverse(LagrangianSubspace(d.space, e), LagrangianSubspace(d.space, f))
+        assert 0 < flags.sum() < len(flags)
