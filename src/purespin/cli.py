@@ -175,6 +175,17 @@ def cmd_spinor(args) -> int:
     return emit_report("spinor", vars(args), checks, args.out)
 
 
+def _finite_matrix(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as a float matrix, refused unless it is non-empty, 2-D and finite."""
+    try:
+        a = np.array(payload[key], dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.ndim != 2 or not a.size or not np.isfinite(a).all():
+        raise ValueError(f'"{key}" must be a non-empty 2-D array of finite numbers')
+    return a
+
+
 def cmd_dirac(args) -> int:
     if args.input:
         with open(args.input) as handle:
@@ -183,13 +194,16 @@ def cmd_dirac(args) -> int:
         payload = json.loads(sys.stdin.read())
     if not isinstance(payload, dict) or not {"matrix", "dirac_basis"} <= payload.keys():
         raise ValueError('input JSON needs "matrix" and "dirac_basis"')
-    a = np.array(payload["matrix"], dtype=float)
+    a = _finite_matrix(payload, "matrix")
     n_out, n_in = a.shape
     doubled_in = DoubledSpace(n_in)
     doubled_out = DoubledSpace(n_out)
-    basis = np.array(payload["dirac_basis"], dtype=float)
-    lag = LagrangianSubspace(doubled_in.space if args.op != "preimage" else doubled_out.space,
-                             basis)
+    side = doubled_out if args.op == "preimage" else doubled_in  # the space the basis lives in
+    basis = _finite_matrix(payload, "dirac_basis")
+    if basis.shape != (2 * side.n, side.n):
+        raise ValueError(f'"dirac_basis" must have shape (2n, n) = ({2 * side.n}, {side.n}) '
+                         f"for {args.op}, not {basis.shape}")
+    lag = LagrangianSubspace(side.space, basis)
     checks = []
     if args.op == "image":
         image, strong = dirac_image(a, lag, doubled_out)

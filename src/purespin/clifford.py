@@ -281,20 +281,8 @@ class CliffordElement:
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return CliffordElement(self.algebra, self.mv - other.mv)
 
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.algebra, -self.mv)
-
-    def __rmul__(self, scalar) -> "CliffordElement":
-        return CliffordElement(self.algebra, self.mv.scale(scalar))
-
     def transpose(self) -> "CliffordElement":
         return CliffordElement(self.algebra, self.algebra.transpose(self.mv))
-
-    def parity(self) -> "CliffordElement":
-        return CliffordElement(self.algebra, self.algebra.parity(self.mv))
-
-    def inverse(self) -> "CliffordElement":
-        return CliffordElement(self.algebra, self.algebra.inverse(self.mv))
 
 
 @dataclass

@@ -15,7 +15,6 @@ arbitrary points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -294,29 +293,24 @@ def kirillov_poisson_matrix(model: GroupModel, x) -> np.ndarray:
 def homotopy_two_form(model: GroupModel, x) -> np.ndarray:
     """Radial homotopy of the pulled-back 3-form: ϖ_x(u,v) = ∫₀¹ t² (exp*η)_{tx}(x,u,v) dt.
 
-    With F = dexp_frame(t x), (exp*η)_{tx}(x, ·, ·) is the matrix
-    -½ Fᵀ (Fx·T) F, where T is the invariant tensor and (y·T)_{bc} =
-    Σ_a y_a T_{abc}; the integral is a 32-node Gauss-Legendre sum over t,
-    with the 32 frames from one stacked ``dexp_frame``.
+    In closed form (Alekseev–Malkin–Meinrenken) ϖ_x = B·F(ad_x) with
+    F(z) = (sinh z − z)/z², antisymmetrized; F(ad_x) is one ``_sinh_quotient``.
     """
-    x = np.asarray(x, dtype=float)
-    ts, weights = _homotopy_nodes()
-    frames = model.dexp_frame(ts[:, None] * x)
-    out = np.tensordot(weights, _eta_between(model, frames, frames @ x, frames), 1)
+    out = model.B @ _sinh_quotient(model.ad(np.asarray(x, dtype=float)))
     return 0.5 * (out - out.T)
 
 
-@lru_cache(maxsize=None)
-def _homotopy_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """The 32 Gauss-Legendre nodes t of [0, 1] and the weights w·t² of the homotopy integral.
-
-    Built on first use, not at import; the arrays are cached, so they are made read-only.
-    """
-    ts, ws = np.polynomial.legendre.leggauss(32)
-    ts = 0.5 * (ts + 1.0)
-    weights = 0.5 * ws * ts * ts
-    ts.flags.writeable = weights.flags.writeable = False
-    return ts, weights
+def _sinh_quotient(a: np.ndarray) -> np.ndarray:
+    """F(A) = (sinh A − A)/A² = ½(φ₂(A) − φ₂(−A)) for each matrix of a stack (..., n, n), where
+    φ₂(A) = (e^A − 1 − A)/A² is the (1, 3) block of exp [[A, I, 0], [0, 0, I], [0, 0, 0]]; both
+    signs go through one ``groups.expm``."""
+    n = a.shape[-1]
+    block = np.zeros((2,) + a.shape[:-2] + (3 * n, 3 * n))
+    block[0, ..., :n, :n] = a
+    block[1, ..., :n, :n] = -a
+    block[..., :n, n:2 * n] = block[..., n:2 * n, 2 * n:] = np.eye(n)
+    phi2 = expm(block)[..., :n, 2 * n:]
+    return 0.5 * (phi2[0] - phi2[1])
 
 
 def _eta_between(model: GroupModel, left, moved, right) -> np.ndarray:
@@ -324,27 +318,14 @@ def _eta_between(model: GroupModel, left, moved, right) -> np.ndarray:
     return left.mT @ np.tensordot(moved, -0.5 * model.invariant_tensor, 1) @ right
 
 
-def _dexp_frame_jets(model: GroupModel, ts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F = dexp_frame(t x) (n, 1, d, d) and G_j = ∂_j[F(t x)] (n, d, d, d) for the n scales t of ts:
-    the (2, 3) and (1, 3) blocks of exp [[-ad_{tx}, -t·ad(e_j), 0], [0, -ad_{tx}, I], [0, 0, 0]]
-    (Mathias 1996), the n × d blocks in one ``groups.expm``."""
-    d = model.dim
-    block = np.zeros((len(ts), d, 3 * d, 3 * d))
-    block[..., :d, :d] = block[..., d:2 * d, d:2 * d] = -model.ad(ts[:, None] * x)[:, None]
-    block[..., :d, d:2 * d] = -ts[:, None, None, None] * model.ad(np.eye(d))
-    block[..., d:2 * d, 2 * d:] = np.eye(d)
-    blocks = expm(block)
-    return blocks[:, :1, d:2 * d, 2 * d:], blocks[..., :d, 2 * d:]
-
-
 def _homotopy_partials(model: GroupModel, x: np.ndarray) -> np.ndarray:
-    """∂_jϖ(x) as (d, d, d), ∂_j of Fᵀ(Fx·η)F being G_jᵀ(Fx·η)F + Fᵀ(Fx·η)G_j + Fᵀ((G_j x + F e_j)·η)F."""
-    ts, weights = _homotopy_nodes()
-    frames, derivs = _dexp_frame_jets(model, ts, x)
-    moved = frames @ x
-    terms = (_eta_between(model, derivs, moved, frames) + _eta_between(model, frames, moved, derivs)
-             + _eta_between(model, frames, derivs @ x + frames[:, 0].mT, frames))  # F e_j: row j of Fᵀ
-    out = np.tensordot(weights, terms, 1)
+    """∂_jϖ(x) as (d, d, d): B·∂_jF(ad_x), antisymmetrized, where ∂_jF(ad_x) is the upper-right
+    block of F([[ad_x, ad(e_j)], [0, ad_x]]) (Mathias 1996), the d blocks in one ``_sinh_quotient``."""
+    d = model.dim
+    block = np.zeros((d, 2 * d, 2 * d))
+    block[:, :d, :d] = block[:, d:, d:] = model.ad(x)
+    block[:, :d, d:] = model.ad(np.eye(d))
+    out = model.B @ _sinh_quotient(block)[:, :d, d:]
     return 0.5 * (out - out.mT)
 
 

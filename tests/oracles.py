@@ -25,8 +25,8 @@ from purespin.clifford import HALF, CliffordAlgebra, NotInCliffordGroup, PinElem
 from purespin.dirac import _reflection_chain, dirac_image, is_strong_dirac, kappa_embed
 from purespin.forms import FD_STEP, fd_exterior_derivative
 from purespin.geometry import _trivector, section_matrix
-from purespin.groups import GroupModel, _ProductModel, product_model
-from purespin.moment import QHamPoint, minimal_degeneracy
+from purespin.groups import GroupModel, _ProductModel, expm, product_model
+from purespin.moment import QHamPoint, _eta_between, minimal_degeneracy
 from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
@@ -330,6 +330,37 @@ def lie_derivative_residual(model: GroupModel, field, g, vector_field) -> float:
 
     term2 = fd_exterior_derivative(model, contracted, g)
     return (term1 + term2).norm()
+
+
+# --------------------------------------------------------------------------- #
+# the homotopy 2-form as an integral
+
+def dexp_frame_jets(model: GroupModel, ts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F = dexp_frame(t x) (n, 1, d, d) and G_j = ∂_j[F(t x)] (n, d, d, d) for the n scales t of ts:
+    the (2, 3) and (1, 3) blocks of exp [[-ad_{tx}, -t·ad(e_j), 0], [0, -ad_{tx}, I], [0, 0, 0]]
+    (Mathias 1996), the n × d blocks in one ``groups.expm``."""
+    d = model.dim
+    block = np.zeros((len(ts), d, 3 * d, 3 * d))
+    block[..., :d, :d] = block[..., d:2 * d, d:2 * d] = -model.ad(ts[:, None] * x)[:, None]
+    block[..., :d, d:2 * d] = -ts[:, None, None, None] * model.ad(np.eye(d))
+    block[..., d:2 * d, 2 * d:] = np.eye(d)
+    blocks = expm(block)
+    return blocks[:, :1, d:2 * d, 2 * d:], blocks[..., :d, 2 * d:]
+
+
+def homotopy_partials_by_quadrature(model: GroupModel, x) -> np.ndarray:
+    """∂_jϖ(x) as (d, d, d) from ϖ_x = ∫₀¹ t² Fᵀ(Fx·η)F dt, F = dexp_frame(t x), antisymmetrized:
+    a 32-node Gauss-Legendre sum of the product rule
+    ∂_j[Fᵀ(Fx·η)F] = G_jᵀ(Fx·η)F + Fᵀ(Fx·η)G_j + Fᵀ((G_j x + F e_j)·η)F."""
+    x = np.asarray(x, dtype=float)
+    ts, ws = np.polynomial.legendre.leggauss(32)
+    ts = 0.5 * (ts + 1.0)
+    frames, derivs = dexp_frame_jets(model, ts, x)
+    moved = frames @ x
+    terms = (_eta_between(model, derivs, moved, frames) + _eta_between(model, frames, moved, derivs)
+             + _eta_between(model, frames, derivs @ x + frames[:, 0].mT, frames))  # F e_j: row j of Fᵀ
+    out = np.tensordot(0.5 * ws * ts * ts, terms, 1)
+    return 0.5 * (out - out.mT)
 
 
 # --------------------------------------------------------------------------- #

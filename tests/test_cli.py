@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, report schema, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,6 +156,29 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as exc:
             main(["dirac", "image", "--input", str(path)])
         assert exc.value.code == 'error: input JSON needs "matrix" and "dirac_basis"'
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("op, payload, field", [
+        # an infinite entry once gave a passing report with "strong": false
+        ("strong-check", {"matrix": [[math.inf, 0]], "dirac_basis": [[1, 0], [0, 1], [0, 0], [0, 0]]},
+         "matrix"),
+        # a NaN once failed inside the SVD
+        ("image", {"matrix": [[1, 0], [0, 1]], "dirac_basis": [[math.nan, 0], [0, 1], [0, 0], [0, 0]]},
+         "dirac_basis"),
+        # a 1-D matrix once failed to unpack its shape
+        ("image", {"matrix": [1, 0], "dirac_basis": [[1, 0], [0, 1], [0, 0], [0, 0]]}, "matrix"),
+        ("image", {"matrix": [[1, 0], [0]], "dirac_basis": [[1, 0], [0, 1], [0, 0], [0, 0]]}, "matrix"),
+        # preimage reads a basis of the target's doubled space: (2, 1) here, not the source's (4, 2)
+        ("preimage", {"matrix": [[1, 0]], "dirac_basis": [[1, 0], [0, 1], [0, 0], [0, 0]]},
+         "dirac_basis"),
+    ], ids=["infinite-matrix", "nan-basis", "1d-matrix", "ragged-matrix", "preimage-basis-shape"])
+    def test_dirac_input_is_finite_and_shaped(self, capsys, tmp_path, op, payload, field):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))  # json writes Infinity and NaN, and reads them back
+        with pytest.raises(SystemExit) as exc:
+            main(["dirac", op, "--input", str(path)])
+        message = str(exc.value.code)
+        assert message.startswith(f'error: "{field}" must ') and "\n" not in message
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [

@@ -8,7 +8,9 @@ import pytest
 from oracles import (
     SwapDoubleModel,
     change_frame,
+    dexp_frame_jets,
     double_by_swap_extension,
+    homotopy_partials_by_quadrature,
     infinitesimal_invariance_residual,
     regular_value_report,
     structure_trivector,
@@ -31,8 +33,6 @@ from purespin.geometry import (
 from purespin.cli import main
 from purespin.groups import GroupModel, get_model, product_model
 from purespin.moment import (
-    _dexp_frame_jets,
-    _homotopy_nodes,
     _homotopy_partials,
     _tau_partials,
     DoubleFactory,
@@ -374,27 +374,24 @@ class TestRegularValue:
         assert rep["dphi_rank"] == 3 and rep["omega_kernel_dim"] == 0
 
 
+HOMOTOPY_MODELS = ["su2", "so3", "su3", "coadjoint-semidirect", "torus3"]
+HOMOTOPY_SCALES = (0.1, 0.7, 1.5, 3.0)
+
+
+def _homotopy_model(name: str, request) -> GroupModel:
+    # torus3, the abelian control where ϖ = 0, is a test fixture, not a registered model
+    return request.getfixturevalue(name) if name == "torus3" else get_model(name)
+
+
 class TestExponential:
     def test_kirillov_matrix_antisymmetric(self, su2, rng):
         p = kirillov_poisson_matrix(su2, su2.random_algebra(rng))
         assert np.linalg.norm(p + p.T) < 1e-12
 
-    def test_homotopy_nodes_are_built_once(self):
-        ts, weights = _homotopy_nodes()
-        again = _homotopy_nodes()
-        assert again[0] is ts and again[1] is weights
-        nodes, ws = np.polynomial.legendre.leggauss(32)
-        nodes = 0.5 * (nodes + 1.0)
-        assert np.array_equal(ts, nodes) and np.array_equal(weights, 0.5 * ws * nodes * nodes)
-        assert not ts.flags.writeable and not weights.flags.writeable
-
-    @pytest.mark.parametrize("group", ["su2", "su3"])
-    def test_cached_nodes_leave_exp_reports_unchanged(self, group, tmp_path):
-        # a report from freshly built nodes equals one from nodes that earlier points used
+    @pytest.mark.parametrize("group", ["su2", "so3", "su3", "coadjoint-semidirect"])
+    def test_exp_reports_are_byte_identical(self, group, tmp_path):
         reports = []
         for run in range(2):
-            if run == 0:
-                _homotopy_nodes.cache_clear()
             path = tmp_path / f"exp-{run}.json"
             main(["qham", "verify", "--space", "exp", "--group", group, "--samples", "3",
                   "--seed", "7", "--out", str(path)])
@@ -404,20 +401,25 @@ class TestExponential:
     def test_homotopy_form_vanishes_at_origin(self, su2):
         assert np.linalg.norm(homotopy_two_form(su2, np.zeros(3))) < 1e-12
 
-    @pytest.mark.parametrize("name", ["su2", "su3", "coadjoint-semidirect"])
-    def test_homotopy_form_matches_quadrature_of_eta(self, name, rng):
-        # ϖ_x(e_i, e_j) = ∫₀¹ t² η(F x, F e_i, F e_j) dt, F = dexp_frame(t x), same nodes
-        model = get_model(name)
+    @pytest.mark.parametrize("name", HOMOTOPY_MODELS)
+    def test_homotopy_form_matches_quadrature_of_eta(self, name, request, rng):
+        # ϖ_x(e_i, e_j) = ∫₀¹ t² η(F x, F e_i, F e_j) dt, F = dexp_frame(t x), by 32 Gauss-Legendre nodes
+        model = _homotopy_model(name, request)
         eta = eta_multivector(model)
-        x = model.random_algebra(rng, 0.8)
         ts, ws = np.polynomial.legendre.leggauss(32)
-        expect = np.zeros((model.dim, model.dim))
-        for t, w in zip(0.5 * (ts + 1.0), 0.5 * ws):
-            frame = model.dexp_frame(t * x)
-            for i in range(model.dim):
-                for j in range(model.dim):
-                    expect[i, j] += w * t * t * eta.evaluate([frame @ x, frame[:, i], frame[:, j]])
-        assert np.abs(homotopy_two_form(model, x) - expect).max() < 1e-12
+        for scale in HOMOTOPY_SCALES:
+            x = model.random_algebra(rng, scale)
+            expect = np.zeros((model.dim, model.dim))
+            for t, w in zip(0.5 * (ts + 1.0), 0.5 * ws):
+                frame = model.dexp_frame(t * x)
+                for i in range(model.dim):
+                    for j in range(model.dim):
+                        expect[i, j] += w * t * t * eta.evaluate([frame @ x, frame[:, i], frame[:, j]])
+            got = homotopy_two_form(model, x)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), scale
+            # the partials against the product rule summed over the same nodes
+            got, expect = _homotopy_partials(model, x), homotopy_partials_by_quadrature(model, x)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), scale
 
     def test_origin_conditions_exact(self, su2):
         rep = exp_dirac_report(su2, 1e-8 * np.ones(3))
@@ -602,7 +604,7 @@ class TestExactPartials:
         model = get_model(name)
         x = model.random_algebra(rng, 0.7)
         ts = np.array([0.25, 1.0])
-        frames, exact = _dexp_frame_jets(model, ts, x)
+        frames, exact = dexp_frame_jets(model, ts, x)
         assert np.abs(frames[:, 0] - model.dexp_frame(ts[:, None] * x)).max() <= 1e-14
 
         def quotient(h):
