@@ -1,4 +1,4 @@
-"""Clifford algebra engine over a bilinear space.
+"""Clifford algebra engine over a bilinear space with a diagonal Gram matrix.
 
 The defining relation used throughout is
 
@@ -9,22 +9,24 @@ of two here; every formula downstream (Pin normalization, the idempotent
 built from dual Lagrangian bases, the spinor actions) is written against
 this relation and a conformance test pins it.
 
-Products are computed by sort-and-contract on index sequences against the
-Gram matrix, so the working basis need not be orthogonal; cost is fine for
-the ambient dimensions used here (<= 16 generators, typically <= 8).
+Products are computed on blade bit masks (bit i of a mask is generator i,
+the table ``multivector._mask_blades``).  Over a diagonal Gram g a product of
+two blades is one blade,
 
-Each product runs in its operands' own number type.  The normal form of a
-generator word is cached once per algebra as integer numerators over one
-common denominator Q = D^dim, where D clears the denominators of every
-contraction factor <a, b> and <a, a>/2 (a word contracts at most dim times),
-together with the floats those numerators stand for.  With an exact Gram and
-int/Fraction operands, the operands are written as integers over their own
-common denominators, the product accumulates in Python ints and one Fraction
-is built per output blade, so coefficients stay exact.  Otherwise the product
-runs on float coefficients and the float normal form; ``float(k) * c`` is
-what ``Fraction.__rmul__`` computes, so float products do not depend on how
-the exact normal form is stored.  A float Gram's normal form is built in
-float arithmetic.
+    e_I e_J = (-1)^s Π_{k ∈ I ∩ J} (g_kk / 2) e_{I △ J},
+
+with s the number of pairs a ∈ I, b ∈ J with a > b: an XOR and a sign from
+bit counts, the bitmap representation of Dorst, Fontijne and Mann, *Geometric
+Algebra for Computer Science* (2007).  A non-diagonal Gram is refused; every
+space a command, criterion or benchmark builds is diagonal.
+
+Each product runs in its operands' own number type.  The blade factors are
+memoized per pair of masks as integers over one common denominator D^dim,
+D clearing every g_kk/2, with the floats they stand for.  With an exact Gram
+and int/Fraction operands the product accumulates in Python ints, and one
+Fraction is built per output blade.  Otherwise it runs on floats, with each
+float factor rounded as the generator-word recursion (the tests' oracle)
+rounds it, so float products are bit for bit those of the recursion.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import exact
 from .bilinear import DEFAULT_TOL, BilinearSpace
-from .multivector import Blade, Multivector
+from .multivector import Blade, Multivector, Scalar, _mask_blades
 
 HALF = Fraction(1, 2)
 
@@ -59,19 +61,24 @@ class NotInCliffordGroup(ValueError):
 
 
 class CliffordAlgebra:
-    """Clifford algebra Cl(W) of a bilinear space, with memoized blade products."""
+    """Clifford algebra Cl(W) of a bilinear space with a diagonal Gram, with memoized blade products."""
 
     def __init__(self, space: BilinearSpace):
+        gram = space.gram_exact
+        if any(gram[i][j] != 0 for i in range(space.dim) for j in range(space.dim) if i != j):
+            raise ValueError("the Clifford engine needs a diagonal Gram matrix")
         self.space = space
         self.dim = space.dim
         self._exact = space.is_exact()
-        self._den = 1
-        if self._exact:
-            factors = [Fraction(g) for row in space.gram_exact for g in row]
-            factors += [HALF * row[i] for i, row in enumerate(space.gram_exact)]
-            self._den = math.lcm(*(f.denominator for f in factors)) ** self.dim
-        # generator word -> (blades, numerators over _den, float values)
-        self._norm_cache: dict[tuple[int, ...], tuple[tuple, tuple, tuple]] = {}
+        squares = [HALF * gram[k][k] for k in range(self.dim)]  # e_k² = g_kk/2
+        # exact: D clears every e_k², the squares are kept as the integers D·e_k², and a blade
+        # factor Π e_k² over m contractions is D^(dim - m)·Π D·e_k² over _den = D^dim
+        self._root = math.lcm(*(f.denominator for f in squares)) if self._exact else 1
+        self._squares = [int(f * self._root) for f in squares] if self._exact else squares
+        self._den = self._root ** self.dim
+        # mask_i << dim | mask_j -> (mask of e_I e_J, its factor over _den, that factor as a float)
+        self._products: dict[int, tuple[int, int, float]] = {}
+        self._masks = {b: m for m, b in enumerate(_mask_blades(self.dim))}
         self.blades: list[Blade] = [
             b for k in range(self.dim + 1) for b in combinations(range(self.dim), k)
         ]
@@ -92,92 +99,68 @@ class CliffordAlgebra:
 
     # -- core product ---------------------------------------------------- #
 
-    def _normal_form(self, seq: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
-        """Expansion of the generator word e_{s0} e_{s1} ... in the blade basis.
+    def _blade_product(self, i: int, j: int) -> tuple[int, int, float]:
+        """e_I e_J for the blades of masks i and j: (mask of I △ J, factor over ``_den``, float factor).
 
-        Returns (blades, numerators, floats).  With an exact Gram the
-        numerators are ints over the common denominator ``_den`` and the
-        floats their correctly rounded quotients; with a float Gram both are
-        the float coefficients.
+        The sign counts the pairs a ∈ I, b ∈ J with a > b, one bit count per shift.  The factor
+        multiplies the squares e_k² over I ∩ J from the largest k down, the order in which the
+        generator-word recursion contracts them, so float factors keep its rounding.
         """
-        cached = self._norm_cache.get(seq)
-        if cached is not None:
-            return cached
-        bad = next((p for p in range(len(seq) - 1) if seq[p] >= seq[p + 1]), None)
-        if bad is None:
-            coeffs = {seq: self._den}
-        else:
-            a, b = seq[bad], seq[bad + 1]
-            gram = self.space.gram_exact
-            rest = seq[:bad] + seq[bad + 2:]
-            if a == b:
-                parts = [(HALF * gram[a][a], rest)]
-            else:
-                parts = [(-1, seq[:bad] + (b, a) + seq[bad + 2:]), (gram[a][b], rest)]
-            coeffs = {}
-            for g, sub in parts:
-                if g != 0:
-                    blades, nums, _ = self._normal_form(sub)
-                    for blade, c in zip(blades, nums):
-                        coeffs[blade] = coeffs.get(blade, 0) + g * c
-            # exact: each g * c is integral, since the word contracts at most dim times
-            coeffs = {blade: int(c) if self._exact else c
-                      for blade, c in coeffs.items() if c != 0}
-        blades, nums = tuple(coeffs), tuple(coeffs.values())
-        floats = tuple(k / self._den for k in nums) if self._exact else nums
-        result = self._norm_cache[seq] = (blades, nums, floats)
-        return result
+        common = i & j
+        factor = self._root ** (self.dim - common.bit_count())
+        for k in reversed(range(common.bit_length())):
+            if common >> k & 1:
+                factor = self._squares[k] * factor
+        swaps, shifted = 0, i >> 1
+        while shifted:
+            swaps += (shifted & j).bit_count()
+            shifted >>= 1
+        if swaps & 1:
+            factor = -factor
+        out = self._products[i << self.dim | j] = (i ^ j, factor, factor / self._den)
+        return out
+
+    def mul_masks(self, xs: dict[int, Scalar], ys: dict[int, Scalar], exact_ints: bool) -> dict:
+        """The product of two elements given as {blade mask: coefficient}.
+
+        With ``exact_ints`` the coefficients are ints and so is the product, over ``_den``
+        (bilinear: integer operands over any common scale compare exactly); otherwise the
+        coefficients are floats.  Pairs run in operand order and a vanishing sum drops its blade.
+        """
+        out: dict[int, Scalar] = {}
+        shift, products = self.dim, self._products
+        for i, a in xs.items():
+            for j, b in ys.items():
+                m, k, f = products.get(i << shift | j) or self._blade_product(i, j)
+                s = out.get(m, 0) + a * b * (k if exact_ints else f)
+                if s == 0:
+                    out.pop(m, None)
+                else:
+                    out[m] = s
+        return out
 
     def mul(self, x: Multivector, y: Multivector) -> Multivector:
-        if self._exact and _is_exact(x) and _is_exact(y):
-            out = self._mul_exact(x, y)
+        exact_ints = self._exact and _is_exact(x) and _is_exact(y)
+        if exact_ints:
+            (dx, xs), (dy, ys) = (exact.scale_to_integers(z.terms.values()) for z in (x, y))
         else:
-            out = self._mul_float(x, y)
+            xs, ys = ([float(c) for c in z.terms.values()] for z in (x, y))
+        masks, table = self._masks, _mask_blades(self.dim)
+        out = self.mul_masks(dict(zip(map(masks.get, x.terms), xs)),
+                             dict(zip(map(masks.get, y.terms), ys)), exact_ints)
         res = Multivector.zero(self.dim)
-        res.terms = out
+        if exact_ints:
+            den = dx * dy * self._den
+            res.terms = {table[m]: Fraction(v, den) for m, v in out.items()}
+        else:
+            res.terms = {table[m]: v for m, v in out.items()}
         return res
 
-    def _mul_exact(self, x: Multivector, y: Multivector) -> dict[Blade, Fraction]:
-        dx, xs = exact.scale_to_integers(x.terms.values())
-        dy, ys = exact.scale_to_integers(y.terms.values())
-        acc: dict[Blade, int] = {}
-        cache = self._norm_cache
-        for bi, ci in zip(x.terms, xs):
-            for bj, cj in zip(y.terms, ys):
-                c = ci * cj
-                blades, nums, _ = cache.get(bi + bj) or self._normal_form(bi + bj)
-                for blade, k in zip(blades, nums):
-                    acc[blade] = acc.get(blade, 0) + c * k
-        den = dx * dy * self._den
-        return {blade: Fraction(v, den) for blade, v in acc.items() if v}
-
-    def _mul_float(self, x: Multivector, y: Multivector) -> dict[Blade, float]:
-        xs = [(b, float(c)) for b, c in x.terms.items()]
-        ys = [(b, float(c)) for b, c in y.terms.items()]
-        out: dict[Blade, float] = {}
-        cache = self._norm_cache
-        for bi, ci in xs:
-            for bj, cj in ys:
-                c = ci * cj
-                blades, _, floats = cache.get(bi + bj) or self._normal_form(bi + bj)
-                for blade, k in zip(blades, floats):
-                    s = out.get(blade, 0) + c * k
-                    if s == 0:
-                        out.pop(blade, None)
-                    else:
-                        out[blade] = s
-        return out
-
     def transpose(self, x: Multivector) -> Multivector:
-        """Canonical anti-automorphism: reverse each generator word."""
-        out = Multivector.zero(self.dim)
-        for blade, c in x.terms.items():
-            blades, nums, floats = self._normal_form(tuple(reversed(blade)))
-            values = [Fraction(k, self._den) for k in nums] if self._exact else floats
-            rev = Multivector.zero(self.dim)
-            rev.terms = dict(zip(blades, values))
-            out = out + rev.scale(c)
-        return out
+        """Canonical anti-automorphism, reversing each generator word: (−1)^{k(k−1)/2} on grade k."""
+        res = Multivector.zero(self.dim)
+        res.terms = {b: -c if len(b) % 4 > 1 else c for b, c in x.terms.items()}
+        return res
 
     def parity(self, x: Multivector) -> Multivector:
         """Grading automorphism: +1 on even words, -1 on odd words."""

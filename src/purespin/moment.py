@@ -318,15 +318,17 @@ def _eta_between(model: GroupModel, left, moved, right) -> np.ndarray:
     return left.mT @ np.tensordot(moved, -0.5 * model.invariant_tensor, 1) @ right
 
 
-def _homotopy_partials(model: GroupModel, x: np.ndarray) -> np.ndarray:
-    """∂_jϖ(x) as (d, d, d): B·∂_jF(ad_x), antisymmetrized, where ∂_jF(ad_x) is the upper-right
-    block of F([[ad_x, ad(e_j)], [0, ad_x]]) (Mathias 1996), the d blocks in one ``_sinh_quotient``."""
+def _homotopy_partials(model: GroupModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ϖ(x) (d, d) and its partials ∂_jϖ(x) (d, d, d) from one ``_sinh_quotient`` of the d blocks
+    [[ad_x, ad(e_j)], [0, ad_x]]: the upper-right block of F of each is ∂_jF(ad_x) (Mathias 1996),
+    and its upper-left block is F(ad_x), read off the first.  Both are B·(·), antisymmetrized."""
     d = model.dim
     block = np.zeros((d, 2 * d, 2 * d))
     block[:, :d, :d] = block[:, d:, d:] = model.ad(x)
     block[:, :d, d:] = model.ad(np.eye(d))
-    out = model.B @ _sinh_quotient(block)[:, :d, d:]
-    return 0.5 * (out - out.mT)
+    quotients = _sinh_quotient(block)
+    w, partials = model.B @ quotients[0, :d, :d], model.B @ quotients[:, :d, d:]
+    return 0.5 * (w - w.T), 0.5 * (partials - partials.mT)
 
 
 def exp_orbit_qham_point(model: GroupModel, x) -> QHamPoint:
@@ -361,8 +363,8 @@ def exp_dirac_report(model: GroupModel, x) -> dict:
     jac = abs(float(np.linalg.det(t_frame)))
     if jac < 1e3 * DEFAULT_TOL:
         raise ValueError("point is outside the domain where exp is a local diffeomorphism")
-    w = homotopy_two_form(model, x)
-    d_w = two_form_derivative(None, w, _homotopy_partials(model, x))
+    w, partials = _homotopy_partials(model, x)
+    d_w = two_form_derivative(None, w, partials)
     exterior_residual = three_form_norm(d_w - _eta_between(model, t_frame, t_frame.T, t_frame))
 
     doubled = DoubledSpace(d)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -28,6 +29,13 @@ Blade = tuple[int, ...]
 Scalar = object  # Fraction | int | float
 
 __all__ = ["Multivector", "merge_blades"]
+
+
+@lru_cache(maxsize=None)
+def _mask_blades(n: int) -> tuple[Blade, ...]:
+    """The blade of every mask below 2^n, by mask: bit i is index i (a table: building the tuples
+    dominates on su3).  The one blade ↔ mask table of the Clifford and spinor modules."""
+    return tuple(tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n))
 
 
 def _is_zero(c) -> bool:

@@ -54,7 +54,7 @@ from .bilinear import (
     LagrangianSubspace,
     Subspace,
 )
-from .multivector import Multivector
+from .multivector import Multivector, _mask_blades
 
 __all__ = [
     "PAIRING_CUT",
@@ -200,12 +200,6 @@ def mask_vector(phi: Multivector, exact_ints: bool = False) -> np.ndarray:
     for blade, c in zip(phi.terms, coeffs):
         vec[sum(1 << i for i in blade)] = c
     return vec
-
-
-@lru_cache(maxsize=None)
-def _mask_blades(n: int) -> tuple[tuple[int, ...], ...]:
-    """The blade of every mask below 2^n, by mask (a table: building the tuples dominates on su3)."""
-    return tuple(tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n))
 
 
 def from_mask_vector(vec: np.ndarray) -> Multivector:

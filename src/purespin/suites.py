@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -87,13 +88,16 @@ TOLERANCES = {
 }
 
 
-def _random_sparse_exact(algebra: CliffordAlgebra, rng) -> Multivector:
-    out = {}
+def _sparse_integer_element(dim: int, rng) -> tuple[int, dict[int, int]]:
+    """Five draws of a blade and a coefficient p/q (p in [-9, 9], q in [1, 7]), as integers over
+    a common denominator: (the lcm of the q, {blade mask: integer}).  A later draw of a blade
+    overwrites an earlier one, and zero coefficients are dropped."""
+    drawn = {}
     for _ in range(5):
-        blade = tuple(sorted(rng.choice(algebra.dim, size=int(rng.integers(0, algebra.dim + 1)),
-                                        replace=False)))
-        out[blade] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
-    return Multivector(algebra.dim, out)
+        indices = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
+        drawn[sum(1 << i for i in indices.tolist())] = (int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+    scale = math.lcm(*(q for _, q in drawn.values()))
+    return scale, {m: p * (scale // q) for m, (p, q) in drawn.items() if p}
 
 
 # --------------------------------------------------------------------------- #
@@ -103,19 +107,17 @@ def criterion_1(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     assoc_failures = 0
     for n in (1, 2, 3):
-        algebra = CliffordAlgebra(make_split_space(n))
+        mul = CliffordAlgebra(make_split_space(n)).mul_masks
         for _ in range(200):
-            x, y, z = (_random_sparse_exact(algebra, rng) for _ in range(3))
-            left = algebra.mul(algebra.mul(x, y), z)
-            right = algebra.mul(x, algebra.mul(y, z))
-            if (left - right).terms:
+            # the product is bilinear, so integer operands compare (xy)z and x(yz) exactly
+            x, y, z = (_sparse_integer_element(2 * n, rng)[1] for _ in range(3))
+            if mul(mul(x, y, True), z, True) != mul(x, mul(y, z, True), True):
                 assoc_failures += 1
     ranks = {}
     for n in (1, 2, 3):
         doubled = DoubledSpace(n)
-        rows = []
-        for blade in CliffordAlgebra(doubled.space).blades:
-            rows.append(doubled.rho_word_matrix(blade).ravel().tolist())
+        rows = [doubled.rho_word_matrix(b).ravel().tolist()
+                for k in range(2 * n + 1) for b in combinations(range(2 * n), k)]
         ranks[n] = exact.rank(rows)
     rank_ok = all(ranks[n] == 4 ** n for n in (1, 2, 3))
     proj_ok = True

@@ -23,7 +23,7 @@ from purespin.bilinear import (
 )
 from purespin.clifford import HALF, CliffordAlgebra, NotInCliffordGroup, PinElement, factor_into_reflections
 from purespin.dirac import _reflection_chain, dirac_image, is_strong_dirac, kappa_embed
-from purespin.forms import FD_STEP, fd_exterior_derivative
+from purespin.forms import FD_STEP, fd_exterior_derivative, two_form_derivative
 from purespin.geometry import _trivector, section_matrix
 from purespin.groups import GroupModel, _ProductModel, expm, product_model
 from purespin.moment import QHamPoint, _eta_between, minimal_degeneracy
@@ -76,6 +76,17 @@ def _is_square(q: Fraction) -> bool:
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     return rn * rn == q.numerator and rd * rd == q.denominator
+
+
+def random_sparse_exact(algebra: CliffordAlgebra, rng) -> Multivector:
+    """Criterion 1's draw as a Multivector of Fractions: five blades and coefficients p/q, a later
+    blade overwriting an earlier one; the oracle of ``suites._sparse_integer_element``."""
+    out = {}
+    for _ in range(5):
+        blade = tuple(sorted(rng.choice(algebra.dim, size=int(rng.integers(0, algebra.dim + 1)),
+                                        replace=False)))
+        out[blade] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+    return Multivector(algebra.dim, out)
 
 
 def pin_normalize(algebra: CliffordAlgebra, g: Multivector) -> PinElement:
@@ -302,6 +313,18 @@ def structure_trivector(model: GroupModel) -> Multivector:
     b_inv = model.B_inv
     return _trivector(np.einsum("abc,ai,bj,ck->ijk", model.invariant_tensor, b_inv, b_inv, b_inv,
                                 optimize=True))
+
+
+def tensor_stencil_derivative(model: GroupModel, field, g, h: float) -> np.ndarray:
+    """dω (D, D, D) at g of a 2-form field whose values are antisymmetric (D, D) matrices.
+
+    The partials are the central quotients (ω(g e^{h e_i}) − ω(g e^{−h e_i})) / 2h of the
+    matrices, O(h²); ``two_form_derivative`` assembles them with the bracket terms.  Unlike
+    ``fd_exterior_derivative`` it builds no dense forms over the 2^D blade masks.
+    """
+    plus, minus = model.exp(h * np.eye(model.dim)), model.exp(-h * np.eye(model.dim))  # row i: exp(±h e_i)
+    rows = np.array([field(model.mul(g, p)) - field(model.mul(g, m)) for p, m in zip(plus, minus)])
+    return two_form_derivative(model, field(g), rows / (2.0 * h))
 
 
 def moment_covector(model: GroupModel, g, xi) -> np.ndarray:

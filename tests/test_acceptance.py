@@ -7,13 +7,16 @@ fixture); each test reads its criterion from that report.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import random_sparse_exact
 from purespin import suites
-from purespin.bilinear import BilinearSpace, random_orthogonal
+from purespin.bilinear import BilinearSpace, make_split_space, random_orthogonal
+from purespin.clifford import CliffordAlgebra
 from purespin.dirac import kappa_embed
 from purespin.suites import ALL_CRITERIA
 
@@ -50,6 +53,20 @@ def test_report_passes_the_benchmark_check(verify_all_run):
     assert set(volume["details"]) == {"min_abs_density", "max_oracle_error", "classes",
                                       "points_per_class"}
 
+
+
+@pytest.mark.parametrize("seed", [7, 11, 23])
+def test_criterion_1_draws_equal_the_fraction_draws(seed):
+    # the same rng calls in the same order: each mask draw is the Fraction draw, by mask and coefficient
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        algebra = CliffordAlgebra(make_split_space(n))
+        for _ in range(3 * 200):
+            scale, coeffs = suites._sparse_integer_element(2 * n, rng)
+            expect = random_sparse_exact(algebra, oracle_rng)
+            assert [(m, Fraction(c, scale)) for m, c in coeffs.items()] == [
+                (sum(1 << i for i in b), c) for b, c in expect.terms.items()]
+    assert rng.integers(1 << 62) == oracle_rng.integers(1 << 62)
 
 
 def _sequential_lagrangians(seed: int, pairs: int) -> dict:

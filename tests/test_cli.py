@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from purespin import cli
 from purespin.cli import main
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("an algebra was built for a refused --n")
 
 
 def run_cli(capsys, argv):
@@ -207,6 +212,16 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as exc:
             main(["clifford", "--n", n, "--samples", "1"])
         assert exc.value.code == "error: --n must be at least 1"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n", ["5", "8", "1000000"])
+    def test_clifford_dimension_is_capped(self, capsys, monkeypatch, n):
+        # at n = 8 the regular representation alone has 4·10⁹ entries; nothing is built first
+        monkeypatch.setattr(cli, "make_split_space", _refuse_to_build)
+        monkeypatch.setattr(cli, "CliffordAlgebra", _refuse_to_build)
+        with pytest.raises(SystemExit) as exc:
+            main(["clifford", "--n", n, "--samples", "1"])
+        assert exc.value.code == f"error: --n must be at most {cli.CLIFFORD_MAX_N}"
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [

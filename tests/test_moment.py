@@ -417,9 +417,12 @@ class TestExponential:
                         expect[i, j] += w * t * t * eta.evaluate([frame @ x, frame[:, i], frame[:, j]])
             got = homotopy_two_form(model, x)
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), scale
-            # the partials against the product rule summed over the same nodes
-            got, expect = _homotopy_partials(model, x), homotopy_partials_by_quadrature(model, x)
-            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), scale
+            # the ϖ the partials' blocks carry, and the partials against the product rule summed
+            # over the same nodes
+            w, partials = _homotopy_partials(model, x)
+            assert np.abs(w - expect).max() <= 1e-13 * np.abs(expect).max(), scale
+            expect = homotopy_partials_by_quadrature(model, x)
+            assert np.abs(partials - expect).max() <= 1e-13 * np.abs(expect).max(), scale
 
     def test_origin_conditions_exact(self, su2):
         rep = exp_dirac_report(su2, 1e-8 * np.ones(3))
@@ -618,7 +621,7 @@ class TestExactPartials:
     def test_homotopy_form_partials(self, name, rng):
         model = get_model(name)
         x = model.random_algebra(rng, 0.7)
-        exact = _homotopy_partials(model, x)
+        exact = _homotopy_partials(model, x)[1]
 
         def quotient(h):
             return np.array([(homotopy_two_form(model, x + s) - homotopy_two_form(model, x - s)) / (2 * h)
