@@ -27,12 +27,22 @@ and int/Fraction operands the product accumulates in Python ints, and one
 Fraction is built per output blade.  Otherwise it runs on floats, with each
 float factor rounded as the generator-word recursion (the tests' oracle)
 rounds it, so float products are bit for bit those of the recursion.
+
+The Clifford group acts on the spin module.  Over a split Gram (as many
+positive entries as negative ones) W is isometric to V ⊕ V*, and the spin
+representation ρ: Cl(W) → End(Λ V*) of ``spinor`` is an isomorphism, so
+``group_action`` works on 2^n × 2^n matrices: it reads ρ(g) and ρ(α(g)) off a
+table of ρ(e_I) over the blade masks, built on its first call, inverts ρ(g),
+and reads each α(g) e_j g⁻¹ back by the trace pairing.  A Gram that is not
+split is refused; the tests keep the regular representation, a 4^n × 4^n
+solve, as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -42,6 +52,7 @@ import numpy as np
 from . import exact
 from .bilinear import DEFAULT_TOL, BilinearSpace
 from .multivector import Blade, Multivector, Scalar, _mask_blades
+from .spinor import rho_of_columns
 
 HALF = Fraction(1, 2)
 
@@ -82,7 +93,6 @@ class CliffordAlgebra:
         self.blades: list[Blade] = [
             b for k in range(self.dim + 1) for b in combinations(range(self.dim), k)
         ]
-        self._blade_index = {b: i for i, b in enumerate(self.blades)}
 
     # -- elements -------------------------------------------------------- #
 
@@ -162,80 +172,63 @@ class CliffordAlgebra:
         res.terms = {b: -c if len(b) % 4 > 1 else c for b, c in x.terms.items()}
         return res
 
-    def parity(self, x: Multivector) -> Multivector:
-        """Grading automorphism: +1 on even words, -1 on odd words."""
-        return x.parity_sign()
+    # -- Clifford and Pin groups on the spin module ---------------------- #
 
-    # -- regular representation ------------------------------------------ #
+    @cached_property
+    def _spin_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """ρ(e_I) on Λ V* for every blade mask I (shape (4^n, 2^n, 2^n)), and tr(ρ(e_I)²) for each.
 
-    def left_multiplication_matrix(self, x: Multivector) -> exact.Mat:
-        """Matrix of y -> x y on the blade basis, as rows of the product's own coefficients.
-
-        Exact operands over an exact Gram give Fractions, all others floats.
+        A split Gram (as many positive entries as negative ones) makes W isometric to V ⊕ V*:
+        the i-th generator of each sign goes to √|g_kk|(e_i ± ½e^i), so ρ(e_k)² = g_kk/2 = e_k²
+        and ρ extends to an isomorphism Cl(W) → End(Λ V*).  Built on the first call.
         """
-        n = len(self.blades)
-        m = [[0] * n for _ in range(n)]
-        for j, blade in enumerate(self.blades):
-            for b, c in self.mul(x, Multivector(self.dim, {blade: 1})).terms.items():
-                m[self._blade_index[b]][j] = c
-        return m
-
-    def inverse(self, x: Multivector) -> Multivector:
-        """Inverse by linear solve in the regular representation."""
-        one = np.zeros(len(self.blades))
-        one[self._blade_index[()]] = 1.0
-        if self._exact and _is_exact(x):
-            sol = exact.solve(
-                self.left_multiplication_matrix(x),
-                [Fraction(int(v)) for v in one],
-            )
-            if sol is None:
-                raise NotInCliffordGroup("element is not invertible")
-            return Multivector(
-                self.dim,
-                {self.blades[i]: sol[i] for i in range(len(sol)) if sol[i] != 0},
-            )
-        m = np.array(self.left_multiplication_matrix(x), dtype=float)
-        try:
-            sol = np.linalg.solve(m, one)
-        except np.linalg.LinAlgError as err:
-            raise NotInCliffordGroup("element is not invertible") from err
-        if not np.all(np.isfinite(sol)):
-            raise NotInCliffordGroup("element is not invertible")
-        res = np.linalg.norm(m @ sol - one)
-        if res > 1e-6:
-            raise NotInCliffordGroup(f"element is not invertible (residual {res:.2e})")
-        return Multivector(
-            self.dim,
-            {self.blades[i]: sol[i] for i in range(len(sol)) if abs(sol[i]) > 0},
-        )
-
-    # -- Clifford and Pin groups ------------------------------------------ #
-
-    def twisted_conjugation(self, g: Multivector, y: Multivector,
-                            g_inv: Multivector | None = None) -> Multivector:
-        if g_inv is None:
-            g_inv = self.inverse(g)
-        return self.mul(self.mul(self.parity(g), y), g_inv)
+        diag = np.diag(self.space.gram)
+        pos, neg = np.flatnonzero(diag > 0), np.flatnonzero(diag < 0)
+        n = len(pos)
+        if len(neg) != n or 2 * n != self.dim:
+            raise ValueError("the spin module needs a split Gram: as many positive as negative entries")
+        ws = np.zeros((2 * n, self.dim))
+        for half, idx in ((0.5, pos), (-0.5, neg)):
+            root = np.sqrt(np.abs(diag[idx]))
+            ws[np.arange(n), idx] = root
+            ws[n + np.arange(n), idx] = half * root
+        size = 1 << n
+        gens = rho_of_columns(ws, np.eye(size)).transpose(0, 2, 1)  # ρ(e_k)
+        table = np.empty((1 << self.dim, size, size))
+        table[0] = np.eye(size)
+        for k in range(self.dim):  # e_I = e_{I \ k} e_k for k the largest index of I
+            table[1 << k:2 << k] = table[:1 << k] @ gens[k]
+        return table, np.einsum("iab,iba->i", table, table)
 
     def group_action(self, g: Multivector) -> tuple[bool, np.ndarray]:
-        """Membership in the Clifford group and the induced matrix on W.
+        """Membership in the Clifford group and the induced matrix on W, on the spin module.
 
-        Returns (is_member, A) where A has columns Π(g) e_j g^{-1}; membership
-        requires every column to be a pure vector, which forces A ∈ O(W).
+        Returns (is_member, A) where A has columns α(g) e_j g^{-1}, α the grading
+        automorphism; membership requires every column to be a pure vector, which
+        forces A ∈ O(W).  With G = ρ(g), each column is read off α(G) ρ(e_j) G⁻¹ by
+        the trace pairing: tr(ρ(e_I) ρ(e_J)) vanishes unless I = J.  A Gram that is
+        not split is refused.
         """
-        g_inv = self.inverse(g)
-        a = np.zeros((self.dim, self.dim))
-        ok = True
-        for j in range(self.dim):
-            y = self.twisted_conjugation(g, Multivector.basis_vector(self.dim, j), g_inv)
-            stray = sum(float(c) ** 2 for b, c in y.terms.items() if len(b) != 1)
-            scale = max(1.0, y.norm())
-            if math.sqrt(stray) > DEFAULT_TOL * scale * 100:
-                ok = False
-            for b, c in y.terms.items():
-                if len(b) == 1:
-                    a[b[0], j] = float(c)
+        table, squares = self._spin_table
+        coeffs = np.zeros(len(table))
+        coeffs[[self._masks[b] for b in g.terms]] = [float(c) for c in g.terms.values()]
+        big = np.tensordot(coeffs, table, 1)
+        odd = np.bitwise_count(np.arange(len(table))) & 1
+        twisted = np.tensordot(np.where(odd, -coeffs, coeffs), table, 1)  # ρ(α(g))
+        try:
+            inv = np.linalg.inv(big)
+        except np.linalg.LinAlgError as err:
+            raise NotInCliffordGroup("element is not invertible") from err
+        res = np.linalg.norm(big @ inv - np.eye(len(big)))
+        if not res <= 1e-6:  # a NaN residual too
+            raise NotInCliffordGroup(f"element is not invertible (residual {res:.2e})")
+        vectors = 1 << np.arange(self.dim)
+        ys = twisted @ table[vectors] @ inv
+        # row j: the coefficients of α(g) e_j g^{-1} on every blade
+        y = ys.transpose(0, 2, 1).reshape(self.dim, -1) @ table.reshape(len(table), -1).T / squares
+        a = y[:, vectors].T
+        stray = np.linalg.norm(np.delete(y, vectors, axis=1), axis=1)
+        ok = not np.any(stray > DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(y, axis=1)) * 100)
         if ok:
             gmat = self.space.gram
             ok = bool(np.linalg.norm(a.T @ gmat @ a - gmat) <= 1e-6 * max(1.0, np.linalg.norm(gmat)))

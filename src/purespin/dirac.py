@@ -15,8 +15,10 @@ orthogonal map A to
 acting on (vector, covector-coefficient) columns.  A^κ(V) is the graph of
 the 2-form  x, y -> -B((I-A)(I+A)^{-1} x, y)/2, which yields the closed-form
 pure spinor of an orthogonal map.  On the locus det(A + I) = 0 it is ρ(Ã^κ) 1
-along a reflection factorization of A, also the independent check of both
-the closed form and the spin lift of geometry.PinLift.
+along a reflection factorization of A, applied to the dense form 1 one
+reflection at a time through the ρ table (``spinor.rho_of_columns``): the Pin
+route, independent of the closed form, and the check of both the closed form
+and the spin lift of geometry.PinLift.
 """
 
 from __future__ import annotations
@@ -36,15 +38,13 @@ from .bilinear import (
     projector_distances,
 )
 from .clifford import factor_into_reflections
-from .multivector import Multivector
 from .spinor import (
     DoubledSpace,
     PureSpinor,
     _one,
     has_pure_parity,
-    mask_vector,
     pure_null_spaces,
-    rho_contravariant,
+    rho_of_columns,
     wedge_exp,
 )
 
@@ -199,15 +199,14 @@ def _cayley_two_form(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.transpose(0, 2, 1))
 
 
-def _reflection_chain(vectors, B: BilinearSpace, seed: Multivector) -> Multivector:
-    """Apply ρ(κ(w ⊕ 0)) for each Pin-normalized reflection vector, right to left."""
-    doubled = DoubledSpace(B.dim)
+def _reflection_chain(vectors, B: BilinearSpace, seed: np.ndarray) -> np.ndarray:
+    """Apply ρ(κ(w ⊕ 0)) for each Pin-normalized reflection vector, right to left, to a dense form."""
     out = seed
     for w in reversed(list(vectors)):
         w = np.asarray(w, dtype=float)
         c = 0.5 * B.pairing(w, w)
         w_hat = w / math.sqrt(abs(c))
-        out = rho_contravariant(doubled, np.concatenate([w_hat, 0.5 * (B.gram @ w_hat)]), out)
+        out = rho_of_columns(np.concatenate([w_hat, 0.5 * (B.gram @ w_hat)])[:, None], out)[0]
     return out
 
 
@@ -227,8 +226,7 @@ def spinors_of_orthogonal(a: np.ndarray, B: BilinearSpace, method: str) -> tuple
         scale = np.sqrt(np.abs(np.linalg.det((a + eye) / 2)))
         forms = wedge_exp(_cayley_two_form(a, B.gram), _one(len(a), n)) * scale[:, None]
     elif method == "reflections":
-        forms = np.array([mask_vector(_reflection_chain(factor_into_reflections(x, B), B,
-                                                        Multivector.scalar(n, 1.0))) for x in a])
+        forms = np.array([_reflection_chain(factor_into_reflections(x, B), B, _one(1, n)[0]) for x in a])
     else:
         raise ValueError(f"unknown method {method!r}")
     if not has_pure_parity(forms).all():

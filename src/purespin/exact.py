@@ -12,8 +12,8 @@ the previous pivot, each updated row is divided by the gcd of its entries,
 which keeps the integers small and leaves rows with a zero in the pivot column
 untouched.  Row scaling and these row operations leave the reduced row echelon
 form unchanged, so ``rank`` reads the pivots without building any Fraction,
-and ``rref``, ``nullspace``, ``solve`` and ``inverse`` divide by a pivot only
-for the entries they return.
+and ``rref``, ``nullspace`` and ``inverse`` divide by a pivot only for the
+entries they return.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "rref",
     "rank",
     "nullspace",
-    "solve",
     "inverse",
     "random_rational_orthogonal",
 ]
@@ -117,20 +116,6 @@ def nullspace(m: Mat) -> list[list[Fraction]]:
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
-
-
-def solve(a: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of a x = b, or None if inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [list(row) + [Fraction(b[i])] for i, row in enumerate(a)]
-    red, pivots = _integer_rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = Fraction(row[-1], row[pc])
-    return x
 
 
 def inverse(a: Mat) -> Mat:

@@ -101,10 +101,6 @@ class Multivector:
         return cls(dim, {(): value})
 
     @classmethod
-    def basis_vector(cls, dim: int, i: int) -> "Multivector":
-        return cls(dim, {(i,): 1})
-
-    @classmethod
     def from_vector(cls, coeffs: Sequence[Scalar]) -> "Multivector":
         coeffs = list(coeffs)
         return cls(len(coeffs), {(i,): c for i, c in enumerate(coeffs) if not _is_zero(c)})
@@ -233,11 +229,6 @@ class Multivector:
         res = Multivector.zero(self.dim)
         res.terms = out
         return res
-
-    def parity_sign(self) -> "Multivector":
-        return Multivector(
-            self.dim, {b: (c if len(b) % 2 == 0 else -c) for b, c in self.terms.items()}
-        )
 
     # ------------------------------------------------------------------ #
     # linear maps

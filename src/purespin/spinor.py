@@ -20,9 +20,10 @@ package is read off that one table: ρ(w) = Σ_k w_k P_k (``rho_of_columns``)
 and the action matrices behind null spaces and fixed lines; products of
 generators are composed only by ``rho_words``, which serves the word matrices
 of the spinor representation, d_CE (``GroupModel.chevalley_eilenberg_triples``)
-and the spin generators of ``geometry.PinLift``.  ``rho_contravariant`` stays
-the sparse route for applying ρ(w) to a form, and the tests' oracle for the
-table.
+and the spin generators of ``geometry.PinLift``.  ``rho_of_columns`` applies
+ρ(w) to dense forms: the reflection chain of ``dirac`` and the table of ρ(e_I)
+on which ``CliffordAlgebra.group_action`` acts.  ``rho_contravariant``, ρ(w) on
+a ``Multivector`` by contraction and wedge, is the tests' oracle for the table.
 
 Pure spinors.  ``PureSpinor.form`` is a dense float vector over the blade
 masks, and the production route is stacked: ``spinors_of_lagrangians`` builds
@@ -211,7 +212,7 @@ def from_mask_vector(vec: np.ndarray) -> Multivector:
 
 
 def rho_contravariant(doubled: DoubledSpace, w, phi: Multivector) -> Multivector:
-    """ρ(v ⊕ α) φ = ι(v) φ + α ∧ φ on forms φ ∈ Λ V*."""
+    """ρ(v ⊕ α) φ = ι(v) φ + α ∧ φ on forms φ ∈ Λ V*: the sparse route, the tests' oracle of the ρ table."""
     v = list(w[: doubled.n])
     a = list(w[doubled.n:])
     out = phi.contract(v)

@@ -106,6 +106,45 @@ def pin_normalize(algebra: CliffordAlgebra, g: Multivector) -> PinElement:
 
 
 # --------------------------------------------------------------------------- #
+# the Clifford group in the regular representation
+
+def parity(x: Multivector) -> Multivector:
+    """Grading automorphism α: +1 on even words, -1 on odd words."""
+    return Multivector(x.dim, {b: (c if len(b) % 2 == 0 else -c) for b, c in x.terms.items()})
+
+
+def regular_group_action(algebra: CliffordAlgebra, g: Multivector) -> tuple[bool, np.ndarray]:
+    """The oracle of ``CliffordAlgebra.group_action``: α(g) e_j g⁻¹ as Clifford products, with g⁻¹
+    from a float solve of the 4^n × 4^n matrix of y -> g y on the blade basis (n ≤ 3), under the same
+    membership rule; any diagonal Gram."""
+    index = {b: i for i, b in enumerate(algebra.blades)}
+    left = np.zeros((len(index), len(index)))
+    for j, blade in enumerate(algebra.blades):
+        for b, c in algebra.mul(g, Multivector(algebra.dim, {blade: 1})).terms.items():
+            left[index[b], j] = float(c)
+    one = np.zeros(len(index))
+    one[index[()]] = 1.0
+    try:
+        sol = np.linalg.solve(left, one)
+    except np.linalg.LinAlgError as err:
+        raise NotInCliffordGroup("element is not invertible") from err
+    if not np.linalg.norm(left @ sol - one) <= 1e-6:
+        raise NotInCliffordGroup("element is not invertible")
+    g_inv = Multivector(algebra.dim, {b: sol[i] for b, i in index.items() if sol[i] != 0})
+    a = np.zeros((algebra.dim, algebra.dim))
+    ok = True
+    for j in range(algebra.dim):
+        y = algebra.mul(algebra.mul(parity(g), Multivector(algebra.dim, {(j,): 1})), g_inv)
+        stray = math.sqrt(sum(float(c) ** 2 for b, c in y.terms.items() if len(b) != 1))
+        ok = ok and not stray > DEFAULT_TOL * max(1.0, y.norm()) * 100
+        for b, c in y.terms.items():
+            if len(b) == 1:
+                a[b[0], j] = float(c)
+    gmat = algebra.space.gram
+    return ok and bool(np.linalg.norm(a.T @ gmat @ a - gmat) <= 1e-6 * max(1.0, np.linalg.norm(gmat))), a
+
+
+# --------------------------------------------------------------------------- #
 # the doubled space V ⊕ V*
 
 def v_subspace(doubled: DoubledSpace) -> LagrangianSubspace:
@@ -176,9 +215,10 @@ def chevalley_pairing_by_wedges(phi: Multivector, psi: Multivector):
     return transpose_sign(phi).wedge(psi).terms.get(tuple(range(phi.dim)), 0)
 
 
-def pure_spinor(doubled: DoubledSpace, form: Multivector) -> PureSpinor:
-    """A constructed spinor, dense, with its null space at the rank cut ``DEFAULT_TOL``, asserted pure."""
-    vec = mask_vector(form)
+def pure_spinor(doubled: DoubledSpace, form) -> PureSpinor:
+    """A constructed spinor (a ``Multivector`` or a dense form), dense, with its null space at the rank
+    cut ``DEFAULT_TOL``, asserted pure."""
+    vec = mask_vector(form) if isinstance(form, Multivector) else form
     null = pure_null_spaces(doubled, vec[None])[0]
     return PureSpinor(doubled, vec, LagrangianSubspace(doubled.space, null, check=False))
 
@@ -269,7 +309,7 @@ def phi_of_orthogonal(A, B: BilinearSpace) -> PureSpinor:
     a = np.asarray(A, dtype=float)
     n = a.shape[0]
     doubled = DoubledSpace(n)
-    form = _reflection_chain(factor_into_reflections(a, B), B, b_volume_form(B))
+    form = _reflection_chain(factor_into_reflections(a, B), B, mask_vector(b_volume_form(B)))
     phi = pure_spinor(doubled, form)
     expected = Subspace(doubled.space, kappa_embed(a, B)[:, n:], check_rank=False)
     if phi.null.distance(expected) > 1e-6:

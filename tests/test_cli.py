@@ -29,6 +29,22 @@ class TestSubcommands:
         assert code == 0 and report["passed"]
         assert report["schema"] == "purespin-report/1"
 
+    def test_clifford_fails_a_wrong_factorization(self, capsys, monkeypatch):
+        # every product of non-isotropic vectors is in the Clifford group: the lift of a
+        # factorization with one vector perturbed must fail by the map it induces on W
+        factor = cli.factor_into_reflections
+
+        def perturbed(a, space):
+            vectors = factor(a, space)
+            vectors[0] = vectors[0] + 0.05
+            return vectors
+
+        monkeypatch.setattr(cli, "factor_into_reflections", perturbed)
+        code, report = run_cli(capsys, ["clifford", "--n", "2", "--samples", "5", "--seed", "3"])
+        entry = report["checks"][1]
+        assert code == 1 and entry["name"] == "pin-lift-membership" and not entry["passed"]
+        assert float(entry["max_induced_error"]) > 1e-3
+
     def test_spinor(self, capsys):
         code, report = run_cli(capsys, ["spinor", "--n", "2", "--samples", "5", "--seed", "3"])
         assert code == 0 and report["passed"]
@@ -216,7 +232,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("n", ["5", "8", "1000000"])
     def test_clifford_dimension_is_capped(self, capsys, monkeypatch, n):
-        # at n = 8 the regular representation alone has 4·10⁹ entries; nothing is built first
+        # at n = 8 the table of ρ(e_I) alone has 4·10⁹ entries; nothing is built first
         monkeypatch.setattr(cli, "make_split_space", _refuse_to_build)
         monkeypatch.setattr(cli, "CliffordAlgebra", _refuse_to_build)
         with pytest.raises(SystemExit) as exc:

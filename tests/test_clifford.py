@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pin_normalize
+from oracles import parity, pin_normalize, regular_group_action
+from purespin.cli import _split_orthogonal
 from purespin.bilinear import BilinearSpace, make_split_space, random_orthogonal
 from purespin.clifford import (
     CliffordAlgebra,
@@ -100,12 +101,36 @@ class TestTransposeAndParity:
         assert (lhs - rhs).terms == {}
 
     def test_parity(self, cl22, rng):
-        assert cl22.parity(Multivector.scalar(4, 5)).terms == {(): 5}
+        # the grading automorphism of the regular-representation oracle
+        assert parity(Multivector.scalar(4, 5)).terms == {(): 5}
         v = Multivector.from_vector([1, 2, 3, 4])
-        assert (cl22.parity(v) + v).terms == {}
+        assert (parity(v) + v).terms == {}
         x, y = _random_exact(cl22, rng), _random_exact(cl22, rng)
-        assert (cl22.parity(cl22.mul(x, y))
-                - cl22.mul(cl22.parity(x), cl22.parity(y))).terms == {}
+        assert (parity(cl22.mul(x, y)) - cl22.mul(parity(x), parity(y))).terms == {}
+
+
+def _non_isotropic(space, rng, count):
+    out = []
+    while len(out) < count:
+        w = rng.standard_normal(space.dim)
+        if abs(space.pairing(w, w)) > 0.2:
+            out.append(w)
+    return out
+
+
+def _product(algebra, vectors):
+    g = Multivector.scalar(algebra.dim, 1)
+    for w in vectors:
+        g = algebra.mul(g, Multivector.from_vector(w))
+    return g
+
+
+def _assert_matches_oracle(algebra, g):
+    member, a = algebra.group_action(g)
+    expect_member, expect = regular_group_action(algebra, g)
+    assert member == expect_member
+    assert np.linalg.norm(a - expect) <= 1e-12 * max(1.0, float(np.linalg.norm(expect)) ** 2)
+    return member, a
 
 
 class TestCliffordGroup:
@@ -114,34 +139,29 @@ class TestCliffordGroup:
         assert ok and np.allclose(a, np.eye(4))
 
     def test_vector_acts_as_reflection(self, rng):
-        space = BilinearSpace(np.eye(3))
+        space = make_split_space(2)
         cl = CliffordAlgebra(space)
-        w = rng.standard_normal(3)
-        ok, a = cl.group_action(Multivector.from_vector(w))
-        assert ok
-        assert np.allclose(a, reflection_matrix(w, space), atol=1e-9)
+        for w in _non_isotropic(space, rng, 5):
+            ok, a = cl.group_action(Multivector.from_vector(w))
+            assert ok
+            assert np.allclose(a, reflection_matrix(w, space), atol=1e-9)
 
     def test_two_vectors_give_rotation(self, rng):
-        space = BilinearSpace(np.eye(3))
+        space = make_split_space(2)
         cl = CliffordAlgebra(space)
-        w1, w2 = rng.standard_normal(3), rng.standard_normal(3)
-        g = cl.mul(Multivector.from_vector(w1), Multivector.from_vector(w2))
-        ok, a = cl.group_action(g)
-        assert ok and abs(np.linalg.det(a) - 1) < 1e-8
-        expect = reflection_matrix(w1, space) @ reflection_matrix(w2, space)
-        assert np.allclose(a, expect, atol=1e-8)
+        for _ in range(5):
+            w1, w2 = _non_isotropic(space, rng, 2)
+            ok, a = cl.group_action(_product(cl, [w1, w2]))
+            assert ok and abs(np.linalg.det(a) - 1) < 1e-8
+            expect = reflection_matrix(w1, space) @ reflection_matrix(w2, space)
+            assert np.allclose(a, expect, atol=1e-8)
 
     def test_action_is_homomorphism(self, rng):
         space = make_split_space(2)
         cl = CliffordAlgebra(space)
         for _ in range(100):
-            vs = []
-            while len(vs) < 4:
-                w = rng.standard_normal(4)
-                if abs(space.pairing(w, w)) > 0.2:
-                    vs.append(w)
-            g = cl.mul(Multivector.from_vector(vs[0]), Multivector.from_vector(vs[1]))
-            h = cl.mul(Multivector.from_vector(vs[2]), Multivector.from_vector(vs[3]))
+            vs = _non_isotropic(space, rng, 4)
+            g, h = _product(cl, vs[:2]), _product(cl, vs[2:])
             ok_g, ag = cl.group_action(g)
             ok_h, ah = cl.group_action(h)
             ok_gh, agh = cl.group_action(cl.mul(g, h))
@@ -153,7 +173,50 @@ class TestCliffordGroup:
         # e0 + e1 is isotropic, hence not invertible: (e0+e1)^2 = 0
         iso = Multivector.from_vector([1, 1])
         with pytest.raises(NotInCliffordGroup):
-            cl11.inverse(iso)
+            cl11.group_action(iso)
+        with pytest.raises(NotInCliffordGroup):
+            regular_group_action(cl11, iso)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_matches_the_regular_representation_on_sampler_lifts(self, n, seed):
+        # the lifts `purespin clifford` checks, from its own sampler
+        space = make_split_space(n)
+        cl = CliffordAlgebra(space)
+        rng = np.random.default_rng(seed)
+        members = 0
+        for _ in range(20):
+            a = _split_orthogonal(space, rng)
+            try:
+                vectors = factor_into_reflections(a, space)
+            except ValueError:
+                continue
+            member, _ = _assert_matches_oracle(cl, pin_lift_from_reflections(cl, vectors).g.mv)
+            members += member
+        assert members >= 15
+
+    @pytest.mark.parametrize("diag", [
+        [Fraction(2, 3), Fraction(-7, 2)],
+        [Fraction(-1, 3), 5, Fraction(2, 3), Fraction(-7, 2)],
+    ])
+    def test_matches_the_regular_representation_on_a_scaled_split_gram(self, diag, rng):
+        space = BilinearSpace(np.diag(diag).tolist())
+        cl = CliffordAlgebra(space)
+        for count in range(1, 5):
+            for _ in range(5):
+                vectors = _non_isotropic(space, rng, count)
+                member, a = _assert_matches_oracle(cl, _product(cl, vectors))
+                expect = np.eye(space.dim)
+                for w in vectors:
+                    expect = expect @ reflection_matrix(w, space)
+                assert member and np.allclose(a, expect, atol=1e-8)
+
+    @pytest.mark.parametrize("gram", [np.eye(3), 2 * np.eye(2)], ids=["R3", "2I2"])
+    def test_non_split_gram_refused(self, gram):
+        cl = CliffordAlgebra(BilinearSpace(gram))
+        with pytest.raises(ValueError, match="split Gram") as exc:
+            cl.group_action(Multivector.scalar(cl.dim, 1))
+        assert "\n" not in str(exc.value)
 
 
 class TestPin:

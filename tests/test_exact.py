@@ -38,10 +38,6 @@ def _ref_rref(m):
     return a, pivots
 
 
-def _mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
 def _ref_nullspace(m):
     ncols = len(m[0]) if m else 0
     red, pivots = _ref_rref(m)
@@ -99,25 +95,6 @@ class TestFractionFreeElimination:
             assert basis == _ref_nullspace(m)
             for v in basis:
                 assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
-
-    def test_solve_matches_the_fraction_loop(self, rng):
-        for m in _cases(rng):
-            if not m or not m[0]:
-                continue
-            x_true = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 7))) for _ in m[0]]
-            b = _mat_vec(m, x_true)
-            x = exact.solve(m, b)
-            aug = [row + [bi] for row, bi in zip(m, b)]
-            red, pivots = _ref_rref(aug)
-            expect = [Fraction(0)] * len(m[0])
-            for r, pc in enumerate(pivots):
-                expect[pc] = red[r][-1]
-            assert x == expect
-            assert _mat_vec(m, x) == b
-
-    def test_solve_reports_inconsistency(self):
-        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert exact.solve(m, [Fraction(1), Fraction(3)]) is None
 
     def test_inverse_matches_the_fraction_loop(self, rng):
         for n in range(0, 7):
