@@ -62,33 +62,29 @@ def column_space_basis(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return u[:, :r]
 
 
-def _projector(basis: np.ndarray) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return np.zeros((basis.shape[0], basis.shape[0]))
-    q = column_space_basis(basis)
-    return q @ q.T
-
-
-def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Operator-norm distance between the orthogonal projectors of two spans."""
-    diff = _projector(np.atleast_2d(a)) - _projector(np.atleast_2d(b))
-    return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
-
-
 def _projectors(bases: np.ndarray) -> np.ndarray:
-    """Orthogonal projectors onto the column spans of a stack of nonzero bases (N, m, k).
+    """Orthogonal projectors onto the column spans of a stack of bases (N, m, k).
 
     Each span is cut at ``DEFAULT_TOL`` like ``column_space_basis``: the left
-    singular vectors past the cut get weight zero.
+    singular vectors past the cut get weight zero.  A zero or empty basis
+    (k = 0) spans the zero subspace.
     """
+    if bases.shape[-1] == 0:  # the kernels of regular points are empty: no SVD to take
+        return np.zeros(bases.shape[:-1] + bases.shape[-2:-1])
     u, s, _ = np.linalg.svd(bases, full_matrices=False)
     q = u * (s > DEFAULT_TOL * s[:, :1])[:, None, :]
     return q @ q.transpose(0, 2, 1)
 
 
 def projector_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``subspace_distance`` of each pair of a stack: the bases a[i] and b[i], shapes (N, m, k) and (N, m, l)."""
+    """Operator-norm distance between the orthogonal projectors of the spans of a[i] and b[i],
+    for stacks of bases (N, m, k) and (N, m, l)."""
     return np.linalg.norm(_projectors(a) - _projectors(b), 2, axis=(1, 2))
+
+
+def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``projector_distances`` of one pair of bases (m, k) and (m, l)."""
+    return float(projector_distances(np.atleast_2d(a)[None], np.atleast_2d(b)[None])[0])
 
 
 class BilinearSpace:
@@ -115,18 +111,10 @@ class BilinearSpace:
             if self.gram_exact[i][j] != 0
         )
 
-    def signature(self) -> tuple[int, int]:
-        eig = np.linalg.eigvalsh(self.gram)
-        return int(np.sum(eig > 0)), int(np.sum(eig < 0))
-
     def is_exact(self) -> bool:
         return all(
             isinstance(x, (int, Fraction)) for row in self.gram_exact for x in row
         )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        p, q = self.signature()
-        return f"BilinearSpace(dim={self.dim}, signature=({p},{q}))"
 
 
 class Subspace:
@@ -147,10 +135,10 @@ class Subspace:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
-        return _projector(self.basis)
+        return _projectors(self.basis[None])[0]
 
     def distance(self, other: "Subspace") -> float:
-        return float(np.linalg.norm(self.projector() - other.projector(), 2))
+        return subspace_distance(self.basis, other.basis)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.dim == 0 or other.dim == 0:
@@ -171,9 +159,6 @@ class Subspace:
 
     def is_lagrangian(self, tol: float = DEFAULT_TOL) -> bool:
         return self.ambient.dim == 2 * self.dim and self.is_isotropic(tol)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Subspace(dim={self.dim} in {self.ambient.dim})"
 
 
 class LagrangianSubspace(Subspace):

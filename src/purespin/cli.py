@@ -168,9 +168,18 @@ def _split_orthogonal(space, rng):
     return m
 
 
+# The null spaces of the 2·samples spinors are one batched SVD of their (2^n, 2n) action
+# matrices, 2^(n+4)·n bytes each.  At 100 samples (one thread, CPython 3.11, peak RSS) n = 10
+# takes 0.30 s and 117 MB, n = 11 0.60 s and 209 MB, and n = 12 2.2 s and 356 MB; n = 16 would
+# need 3.4 GB for the action matrices alone.  Memory also grows linearly with --samples.
+SPINOR_MAX_N = 10
+
+
 def cmd_spinor(args) -> int:
     _require_at_least(args.samples, "--samples")
     _require_at_least(args.n, "--n")
+    if args.n > SPINOR_MAX_N:
+        raise ValueError(f"--n must be at most {SPINOR_MAX_N}")
     n, count = args.n, args.samples
     rng = np.random.default_rng(args.seed)
     # each sample draws the map of A^κ(V), then the map of A^κ(V*)

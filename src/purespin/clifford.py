@@ -166,12 +166,6 @@ class CliffordAlgebra:
             res.terms = {table[m]: v for m, v in out.items()}
         return res
 
-    def transpose(self, x: Multivector) -> Multivector:
-        """Canonical anti-automorphism, reversing each generator word: (−1)^{k(k−1)/2} on grade k."""
-        res = Multivector.zero(self.dim)
-        res.terms = {b: -c if len(b) % 4 > 1 else c for b, c in x.terms.items()}
-        return res
-
     # -- Clifford and Pin groups on the spin module ---------------------- #
 
     @cached_property
@@ -256,9 +250,6 @@ class CliffordElement:
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return CliffordElement(self.algebra, self.mv - other.mv)
-
-    def transpose(self) -> "CliffordElement":
-        return CliffordElement(self.algebra, self.algebra.transpose(self.mv))
 
 
 @dataclass

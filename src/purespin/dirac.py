@@ -2,9 +2,9 @@
 
 A linear Dirac structure is a Lagrangian subspace E of the doubled space.
 Forward/backward images under a linear map A : V -> V' are computed from the
-relation  v⊕α ~_A v'⊕α'  iff  v' = Av and α = A*α', both directly (as
-subspaces) and through the spinor line (pushforward/pullback), which must
-agree whenever the spinor route is nonzero.
+relation  v⊕α ~_A v'⊕α'  iff  v' = Av and α = A*α', as subspaces; the tests
+check them against the spinor line (pushforward/pullback), which must agree
+whenever the spinor route is nonzero.
 
 For an inner product B on V, the isometry V ⊕ V̄ -> V ⊕ V* sends an
 orthogonal map A to

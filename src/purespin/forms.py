@@ -33,7 +33,6 @@ __all__ = [
     "FD_STEP",
     "chevalley_eilenberg",
     "fd_exterior_derivative",
-    "fd_exterior_derivative_flat",
     "left_invariant_derivative",
     "three_form_norm",
     "two_form_derivative",
@@ -102,13 +101,3 @@ def fd_exterior_derivative(model: GroupModel, field: FormField, g,
     stencil = ((field(model.mul(g, p)), field(model.mul(g, m))) for p, m in zip(plus, minus))
     return from_mask_vector(left_invariant_derivative(model, value, _central_quotients(stencil, h)))
 
-
-def fd_exterior_derivative_flat(field: Callable[[np.ndarray], Multivector], x0,
-                                h: float = FD_STEP) -> Multivector:
-    """Exterior derivative of a form field on a vector space (flat chart).
-
-    Uses d(Σ f_I dx^I) = Σ_j dx^j ∧ ∂_j(Σ f_I dx^I) with central differences.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    stencil = ((field(x0 + s), field(x0 - s)) for s in h * np.eye(x0.size))
-    return from_mask_vector(_wedge_partials(_central_quotients(stencil, h)))

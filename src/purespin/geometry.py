@@ -41,8 +41,8 @@ from itertools import combinations
 import numpy as np
 
 from .bilinear import DEFAULT_TOL, LagrangianSubspace
-from .forms import fd_exterior_derivative_flat, left_invariant_derivative
-from .groups import GroupModel, expm_rows
+from .forms import left_invariant_derivative
+from .groups import GroupModel, expm
 from .multivector import Multivector, merge_blades
 from .spinor import DoubledSpace, from_mask_vector, rho_of_columns, rho_words
 
@@ -52,7 +52,6 @@ __all__ = [
     "cartan_dirac_fiber",
     "ghjw_value",
     "ghjw_matrix",
-    "eta_multivector",
     "PinLift",
     "ConjugacyClassPoint",
     "class_point",
@@ -68,7 +67,6 @@ __all__ = [
     "courant_bracket",
     "cartan_section_jet",
     "cartan_dirac_integrability",
-    "leaf_two_form_residual",
 ]
 
 
@@ -113,18 +111,6 @@ def _class_form_operator(model: GroupModel, a: np.ndarray) -> np.ndarray:
     """
     ba = model.B @ a
     return 0.5 * (ba - ba.mT)
-
-
-def eta_multivector(model: GroupModel) -> Multivector:
-    """Bi-invariant 3-form, constant in left trivialization: η(x,y,z) = -B(x,[y,z])/2."""
-    return _trivector(-0.5 * model.invariant_tensor)
-
-
-def _trivector(tensor: np.ndarray) -> Multivector:
-    """The 3-vector with the nonzero entries tensor[i, j, k], i < j < k, as its coefficients."""
-    d = tensor.shape[0]
-    return Multivector(d, {(i, j, k): float(tensor[i, j, k])
-                           for i, j, k in combinations(range(d), 3) if tensor[i, j, k] != 0})
 
 
 # --------------------------------------------------------------------------- #
@@ -207,7 +193,7 @@ class PinLift:
     ξ = ``model.log(g)``, the model's one logarithm, which refuses an element
     with no logarithm in the Lie algebra.  The dense (ψ, φ) of ``_dense``
     are taken at one element (n, n) or at a stack (N, n, n): a stack costs
-    one logarithm and a few exponentials (``groups.expm_rows``) and gives,
+    one logarithm and a few exponentials (``groups.expm``) and gives,
     row by row, the bits of a call per point.
     """
 
@@ -268,7 +254,7 @@ class PinLift:
             exponents = np.zeros((len(rows[part]), len(blocks), size * size))
             for k, block in enumerate(blocks):
                 exponents[:, k, block.entries] = (block.weights @ rows[part, :, None])[..., 0]
-            flows = expm_rows(exponents.reshape(-1, len(blocks), size, size))
+            flows = expm(exponents.reshape(-1, len(blocks), size, size))
             for k, cols in enumerate(columns):
                 cols[part] = flows[:, k][..., seeds[k]]
         return [cols.transpose(2, 0, 1).reshape((len(s),) + xi.shape[:-1] + (size,))
@@ -383,11 +369,6 @@ def _pivoted_frames(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     picks = np.array(bests, dtype=np.intp).reshape(len(bests), len(gen)).T
     eye = np.eye(gen.shape[-1])
     return [(one.T[pick[:rank]].T, eye[pick[:rank]].T) for one, pick, rank in zip(gen, picks, ranks)]
-
-
-def _pivoted_frame(gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_pivoted_frames`` of one square matrix."""
-    return _pivoted_frames(gen[None])[0]
 
 
 def class_points(model: GroupModel, g) -> list[ConjugacyClassPoint]:
@@ -697,30 +678,3 @@ def cartan_dirac_integrability(model: GroupModel, g, pin: PinLift) -> dict:
         "phi_same_parity_residual": float(np.linalg.norm(same_parity)),
     }
 
-
-def leaf_two_form_residual(point: ConjugacyClassPoint) -> float:
-    """‖dω_C - ι*η‖ at a class point, by differencing along the conjugation chart.
-
-    The chart is x -> exp(z(x)) g exp(-z(x)) with z(x) = Σ x_a ζ_a over the
-    stored frame parameters; chart frames are analytic (no nested
-    differencing), so the only error is the outer O(h²) quotient.
-    """
-    model, g = point.model, point.g
-    m = point.class_dim
-    if m == 0:
-        return 0.0
-    eta = eta_multivector(model)
-
-    def omega_components(x: np.ndarray) -> Multivector:
-        z = point.params @ x
-        c = model.exp(z)
-        a_h = section_matrix(model, model.mul(model.mul(c, g), model.inv(c)))
-        # the chart frame is (A_h - I)·dexp_frame(-z)·params (dexp_frame(-z) the
-        # right-trivialized differential of exp at z); the class form vanishes on
-        # ker(A_h - I), so it is read on these parameters directly
-        w = _ghjw_on_params(model, a_h, model.dexp_frame(-z) @ point.params)
-        return Multivector.from_antisymmetric_matrix(w)
-
-    d_omega = fd_exterior_derivative_flat(omega_components, np.zeros(m))
-    pulled_eta = eta.pullback(point.frame)
-    return (d_omega - pulled_eta).norm()

@@ -4,9 +4,9 @@ A :class:`GroupModel` packages a faithful matrix representation, an ordered
 basis of the Lie algebra, and an ad-invariant inner product B.  Group
 elements are plain numpy matrices in the representation; the adjoint action,
 structure constants and exponential are derived from the representation.
-``expm`` is the package's one matrix exponential (Padé scaling and squaring
-over stacks); ``expm_rows`` applies it to a stack of samples, each with the
-degree a call of its own would take.  ``GroupModel.log`` is each model's one logarithm (unitary
+``expm`` is the package's one matrix exponential (Padé scaling and squaring;
+each sample of a stack takes the degree a call of its own would take).
+``GroupModel.log`` is each model's one logarithm (unitary
 eigen-angles, the 3×3 rotation closed form, or the closed form on the
 semidirect product); it refuses an element whose logarithm is not in the Lie
 algebra.
@@ -34,7 +34,6 @@ _MEMBERSHIP_TOL = 1e-9
 
 __all__ = [
     "expm",
-    "expm_rows",
     "GroupModel",
     "su2_model",
     "so3_model",
@@ -101,32 +100,24 @@ def _pade(a: np.ndarray, m: int, squarings: int) -> np.ndarray:
 
 
 def expm(a) -> np.ndarray:
-    """exp of each matrix of a stack (..., n, n), by Padé scaling and squaring.
+    """exp of a matrix (n, n), or of each matrix of a stack (N, ..., n, n), by Padé scaling and squaring.
 
     Higham's 2005 method: the degree m in (3, 5, 7, 9, 13) and the number s
-    of squarings come from the largest 1-norm in the stack, so one call
-    applies one rational function to every matrix.
+    of squarings come from the largest 1-norm of each leading row, so row i
+    of a stack equals ``expm(a[i])`` bit for bit.  The rows that share a
+    plan are exponentiated in one call.
     """
     a = np.asarray(a)
-    return _pade(a, *_pade_plan(float(np.abs(a).sum(axis=-2).max())))
-
-
-def expm_rows(a) -> np.ndarray:
-    """exp of a stack (N, ..., n, n) row by row: row i equals ``expm(a[i])`` bit for bit.
-
-    Each row gets the degree and squarings of its own largest 1-norm, and
-    the rows that share them are exponentiated in one call, so a stack of
-    sample points costs a few calls and gives what a call per point gives.
-    """
-    a = np.asarray(a)
-    if len(a) == 1:
-        return expm(a)
+    if a.ndim == 2:
+        return _pade(a, *_pade_plan(float(np.abs(a).sum(axis=0).max())))
     norms = np.abs(a).sum(axis=-2).max(axis=tuple(range(1, a.ndim - 1)))
-    groups: dict[tuple[int, int], list[int]] = {}
+    plans: dict[tuple[int, int], list[int]] = {}
     for row, norm in enumerate(norms.tolist()):
-        groups.setdefault(_pade_plan(norm), []).append(row)
+        plans.setdefault(_pade_plan(norm), []).append(row)
+    if len(plans) == 1:  # the whole stack in one call, with no gather and scatter of its rows
+        return _pade(a, *plans.popitem()[0])
     out = np.empty(a.shape, dtype=np.result_type(a.dtype, float))
-    for plan, rows in groups.items():
+    for plan, rows in plans.items():
         out[rows] = _pade(a[rows], *plan)
     return out
 
@@ -160,10 +151,6 @@ class GroupModel:
 
     # -- representation-level operations ---------------------------------- #
 
-    def identity(self) -> np.ndarray:
-        dtype = complex if self._complex else float
-        return np.eye(self.rep_dim, dtype=dtype)
-
     def mul(self, g, h) -> np.ndarray:
         return g @ h
 
@@ -185,7 +172,7 @@ class GroupModel:
     def exp(self, coeffs) -> np.ndarray:
         """exp of ξ (d,) or of each row of a stack (..., d), each as a call of its own would give."""
         x = self.algebra_matrix(coeffs)
-        return expm_rows(x.reshape((-1,) + x.shape[-2:])).reshape(x.shape)
+        return expm(x.reshape((-1,) + x.shape[-2:])).reshape(x.shape)
 
     def log(self, g) -> np.ndarray:
         """ξ in the Lie algebra with exp ξ = g; a one-line ValueError if there is none.
@@ -236,8 +223,8 @@ class GroupModel:
 
         The least-squares coordinates leave roundoff of about 1e-16 where a
         constant vanishes (14 of su(3)'s 68 entries); entries at or below
-        1e-12 of the largest are set to zero, so that ``ad``, ``bracket``,
-        the spin generators and d_CE carry only the true constants.
+        1e-12 of the largest are set to zero, so that ``ad``, the invariant
+        tensor, the spin generators and d_CE carry only the true constants.
         """
         d = self.dim
         c = np.zeros((d, d, d))
@@ -247,16 +234,9 @@ class GroupModel:
         c[np.abs(c) <= 1e-12 * np.abs(c).max()] = 0.0
         return c
 
-    def bracket(self, x, y) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(x, dtype=float),
-                         np.asarray(y, dtype=float), self.structure)
-
     def ad(self, x) -> np.ndarray:
         """Matrix of ad_x = [x, ·] on coordinates (one per row of a stack x)."""
         return np.einsum("...i,ijk->...kj", np.asarray(x, dtype=float), self.structure)
-
-    def pairing(self, x, y) -> float:
-        return float(np.asarray(x, dtype=float) @ self.B @ np.asarray(y, dtype=float))
 
     @cached_property
     def invariant_tensor(self) -> np.ndarray:
@@ -318,9 +298,6 @@ class GroupModel:
     def random_element(self, rng: np.random.Generator, scale: float = 1.0,
                        count: int | None = None) -> np.ndarray:
         return self.exp(self.random_algebra(rng, scale, count))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"GroupModel({self.name}, dim={self.dim})"
 
 
 # --------------------------------------------------------------------------- #
@@ -444,7 +421,7 @@ class _CoadjointSemidirectModel(GroupModel):
         block = np.zeros(lead + (6, 6))
         block[..., :3, :3] = omega
         block[..., :3, 3:] = np.eye(3)
-        v = expm_rows(block.reshape(-1, 6, 6)).reshape(block.shape)[..., :3, 3:]
+        v = expm(block.reshape(-1, 6, 6)).reshape(block.shape)[..., :3, 3:]
         w = g[..., :3, 3].real
         x = np.zeros(lead + (4, 4))
         x[..., :3, :3] = omega

@@ -25,18 +25,16 @@ from .dirac import (
     graph_of_bivector_subspace,
     graph_of_two_form,
 )
-from .forms import fd_exterior_derivative, three_form_norm, two_form_derivative
+from .forms import three_form_norm, two_form_derivative
 from .geometry import (
     PinLift,
     _lift_density,
-    _pivoted_frame,
+    _pivoted_frames,
     cartan_dirac_fiber,
     class_point,
-    eta_multivector,
     ghjw_matrix,
 )
 from .groups import GroupModel, expm, product_model
-from .multivector import Multivector
 from .spinor import DoubledSpace
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "fuse",
     "tau_matrix",
     "mult_eta_identity_residual",
-    "fused_three_form_residual",
     "qham_volume_top",
     "kirillov_poisson_matrix",
     "homotopy_two_form",
@@ -247,22 +244,6 @@ def _prod_pair(base: GroupModel, a, b) -> np.ndarray:
     return out
 
 
-def fused_three_form_residual(factory: DoubleFactory, a, b) -> float:
-    """‖dω^fus - Φ*η‖ at (a, b) on the fused double (first structure axiom)."""
-    base, prod = factory.base, factory.product
-    r = base.rep_dim
-
-    def omega_field(point):
-        mat = np.asarray(point)
-        p = factory.fused_double_point(mat[:r, :r], mat[r:, r:])
-        return Multivector.from_antisymmetric_matrix(p.omega)
-
-    center = factory.fused_double_point(a, b)
-    d_omega = fd_exterior_derivative(prod, omega_field, _prod_pair(base, a, b))
-    rhs = eta_multivector(base).pullback(center.dphi.T)
-    return (d_omega - rhs).norm()
-
-
 # --------------------------------------------------------------------------- #
 # volume densities
 
@@ -340,7 +321,7 @@ def exp_orbit_qham_point(model: GroupModel, x) -> QHamPoint:
     x = np.asarray(x, dtype=float)
     d = model.dim
     neg_ad = -model.ad(x)
-    u, z = _pivoted_frame(neg_ad)  # the orbit tangent {[ζ, x]}
+    u, z = _pivoted_frames(neg_ad[None])[0]  # the orbit tangent {[ζ, x]}
     kks = z.T @ np.tensordot(x, model.invariant_tensor, 1) @ z
     w = homotopy_two_form(model, x)
     omega = kks + u.T @ w @ u

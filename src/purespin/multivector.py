@@ -4,10 +4,9 @@ A :class:`Multivector` of ambient dimension ``dim`` is a finite linear
 combination of basis blades ``e_I`` indexed by strictly increasing tuples
 ``I`` of indices in ``range(dim)``.  Coefficients may be exact
 (:class:`fractions.Fraction`, ``int``) or floating point; arithmetic never
-converts exact coefficients to floats on its own.  The linear maps
-``pullback`` and ``pushforward`` are the exception: they are float routes
-(one batched determinant per grade) and return float coefficients, exact
-inputs included.
+converts exact coefficients to floats on its own.  The linear map
+``pullback`` is the exception: it is a float route (one batched determinant
+per grade) and returns float coefficients, exact inputs included.
 
 The same container serves three roles in this package: elements of a wedge
 algebra of forms (``Λ V*``), elements of a wedge algebra of multivectors
@@ -21,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,33 +104,11 @@ class Multivector:
         coeffs = list(coeffs)
         return cls(len(coeffs), {(i,): c for i, c in enumerate(coeffs) if not _is_zero(c)})
 
-    @classmethod
-    def from_antisymmetric_matrix(cls, m) -> "Multivector":
-        """Two-form Σ_{i<j} m[i,j] e_i ∧ e_j from an antisymmetric matrix."""
-        m = np.asarray(m)
-        n = m.shape[0]
-        terms = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not _is_zero(m[i, j]):
-                    terms[(i, j)] = float(m[i, j]) if isinstance(m[i, j], np.floating) else m[i, j]
-        return cls(n, terms)
-
-    @classmethod
-    def top(cls, dim: int, value: Scalar = 1) -> "Multivector":
-        return cls(dim, {tuple(range(dim)): value})
-
     # ------------------------------------------------------------------ #
     # basic structure
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def coeff(self, blade: Iterable[int]) -> Scalar:
-        return self.terms.get(tuple(blade), 0)
-
-    def grade(self, k: int) -> "Multivector":
-        return Multivector(self.dim, {b: c for b, c in self.terms.items() if len(b) == k})
 
     def scalar_part(self) -> Scalar:
         return self.terms.get((), 0)
@@ -246,16 +223,6 @@ class Multivector:
             raise ValueError("matrix target dimension does not match form")
         return _compound_apply(self, m)
 
-    def pushforward(self, matrix) -> "Multivector":
-        """Pushforward A_* of a wedge of vectors under the matrix (target x source).
-
-        (A_*χ)_I = Σ_J χ_J det A[I, J]: the pullback formula applied to Aᵀ.
-        """
-        m = np.asarray(matrix, dtype=float)
-        if m.shape[1] != self.dim:
-            raise ValueError("matrix source dimension does not match multivector")
-        return _compound_apply(self, m.T)
-
     # ------------------------------------------------------------------ #
     # evaluation and numerics
 
@@ -275,16 +242,6 @@ class Multivector:
 
     def norm(self) -> float:
         return math.sqrt(sum(float(c) ** 2 for c in self.terms.values()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "0"
-        bits = []
-        for blade in sorted(self.terms, key=lambda b: (len(b), b)):
-            c = self.terms[blade]
-            name = "1" if not blade else "e" + "".join(str(i) for i in blade)
-            bits.append(f"{c}*{name}")
-        return " + ".join(bits)
 
 
 def _compound_apply(x: Multivector, m: np.ndarray) -> Multivector:

@@ -459,25 +459,15 @@ def transversality_by_pairing(phi: np.ndarray, psi: np.ndarray):
     return np.abs(chevalley_pairing(phi, psi)) > PAIRING_CUT
 
 
-def fixed_line_dimension(doubled: DoubledSpace, E: LagrangianSubspace,
-                         exact_basis=None) -> int:
-    """Dimension of {φ ∈ Λ V* : ρ(w)φ = 0 for all w ∈ E}.
+def fixed_line_dimension(doubled: DoubledSpace, basis) -> int:
+    """Dimension of {φ ∈ Λ V* : ρ(w)φ = 0 for all w ∈ E}, exactly, for a basis of E over the rationals.
 
-    The matrices ρ(w) = Σ_k w_k P_k of a basis of E are read off the ρ table
-    and stacked.  With ``exact_basis`` (columns over the rationals, each
-    scaled to integers) the rank is exact; otherwise SVD at the rank cut
-    ``DEFAULT_TOL``.
+    ``basis`` lists the columns of E, with int/Fraction entries; each column
+    is scaled to integers.  The matrices ρ(w) = Σ_k w_k P_k of the columns
+    are read off the ρ table and stacked, and their rank is exact.
     """
     size = 1 << doubled.n
-    if exact_basis is not None:
-        ws = np.array([exact.scale_to_integers(list(w))[1] for w in exact_basis], dtype=object).T
-        eye = np.eye(size, dtype=object)
-    else:
-        ws, eye = E.basis, np.eye(size)
+    ws = np.array([exact.scale_to_integers(list(w))[1] for w in basis], dtype=object).T
     # rho_of_columns(ws, eye)[b, s] is column s of ρ(w_b)
-    stacked = rho_of_columns(ws, eye).transpose(0, 2, 1).reshape(-1, size)
-    if exact_basis is not None:
-        return size - exact.rank(stacked.tolist())
-    s = np.linalg.svd(stacked, compute_uv=False)
-    cut = DEFAULT_TOL * (s[0] if s.size else 1.0)
-    return int(size - np.sum(s > cut))
+    stacked = rho_of_columns(ws, np.eye(size, dtype=object)).transpose(0, 2, 1).reshape(-1, size)
+    return size - exact.rank(stacked.tolist())

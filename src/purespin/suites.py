@@ -19,7 +19,6 @@ import numpy as np
 from . import exact
 from .bilinear import (
     BilinearSpace,
-    LagrangianSubspace,
     haar_orthogonal,
     make_split_space,
     projector_distances,
@@ -176,10 +175,7 @@ def criterion_2(seed: int) -> dict:
                 bot = [[(a[i][j] + eye[i][j]) * half for j in range(n)] for i in range(n)]
             basis = [[top[i][j] for i in range(n)] + [bot[i][j] for i in range(n)]
                      for j in range(n)]
-            lag = LagrangianSubspace(doubled.space,
-                                     np.array([[float(x) for x in col] for col in basis]).T,
-                                     check=False)
-            dim = fixed_line_dimension(doubled, lag, exact_basis=basis)
+            dim = fixed_line_dimension(doubled, basis)
             count += 1
             if dim != 1:
                 bad += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -23,10 +24,16 @@ from purespin.bilinear import (
 )
 from purespin.clifford import HALF, CliffordAlgebra, NotInCliffordGroup, PinElement, factor_into_reflections
 from purespin.dirac import _reflection_chain, dirac_image, is_strong_dirac, kappa_embed
-from purespin.forms import FD_STEP, fd_exterior_derivative, two_form_derivative
-from purespin.geometry import _trivector, section_matrix
+from purespin.forms import (
+    FD_STEP,
+    _central_quotients,
+    _wedge_partials,
+    fd_exterior_derivative,
+    two_form_derivative,
+)
+from purespin.geometry import ConjugacyClassPoint, _ghjw_on_params, section_matrix
 from purespin.groups import GroupModel, _ProductModel, expm, product_model
-from purespin.moment import QHamPoint, _eta_between, minimal_degeneracy
+from purespin.moment import DoubleFactory, QHamPoint, _eta_between, _prod_pair, minimal_degeneracy
 from purespin.multivector import Multivector
 from purespin.spinor import (
     DoubledSpace,
@@ -37,8 +44,51 @@ from purespin.spinor import (
     mask_vector,
     null_space,
     pure_null_spaces,
+    rho_of_columns,
     spinor_of_lagrangian,
 )
+
+
+# --------------------------------------------------------------------------- #
+# multivectors and group models, as the tests read them
+
+def from_antisymmetric_matrix(m) -> Multivector:
+    """The two-form Σ_{i<j} m[i, j] e_i ∧ e_j of an antisymmetric matrix."""
+    m = np.asarray(m)
+    n = m.shape[0]
+    return Multivector(n, {(i, j): float(m[i, j]) if isinstance(m[i, j], np.floating) else m[i, j]
+                           for i in range(n) for j in range(i + 1, n) if m[i, j] != 0})
+
+
+def top_form(dim: int, value=1) -> Multivector:
+    """value·e_0 ∧ ... ∧ e_{dim-1}."""
+    return Multivector(dim, {tuple(range(dim)): value})
+
+
+def grade(x: Multivector, k: int) -> Multivector:
+    """The grade-k part of x."""
+    return Multivector(x.dim, {b: c for b, c in x.terms.items() if len(b) == k})
+
+
+def pushforward(chi: Multivector, matrix) -> Multivector:
+    """A_*χ of a wedge of vectors under the matrix A (target × source):
+    (A_*χ)_I = Σ_J χ_J det A[I, J], the pullback by Aᵀ."""
+    return chi.pullback(np.asarray(matrix, dtype=float).T)
+
+
+def identity(model: GroupModel) -> np.ndarray:
+    """The identity of the model's representation, in the dtype of its basis."""
+    return np.eye(model.rep_dim, dtype=np.result_type(*model.basis))
+
+
+def bracket(model: GroupModel, x, y) -> np.ndarray:
+    """Coordinates of [x, y], read off the structure constants."""
+    return np.einsum("i,j,ijk->k", np.asarray(x, dtype=float), np.asarray(y, dtype=float), model.structure)
+
+
+def pairing(model: GroupModel, x, y) -> float:
+    """B(x, y) on coordinates."""
+    return float(np.asarray(x, dtype=float) @ model.B @ np.asarray(y, dtype=float))
 
 
 # --------------------------------------------------------------------------- #
@@ -89,9 +139,14 @@ def random_sparse_exact(algebra: CliffordAlgebra, rng) -> Multivector:
     return Multivector(algebra.dim, out)
 
 
+def clifford_transpose(x: Multivector) -> Multivector:
+    """Canonical anti-automorphism, reversing each generator word: (−1)^{k(k−1)/2} on grade k."""
+    return Multivector(x.dim, {b: -c if len(b) % 4 > 1 else c for b, c in x.terms.items()})
+
+
 def pin_normalize(algebra: CliffordAlgebra, g: Multivector) -> PinElement:
     """Scale g ∈ Γ(W) so that g^T g = ±1."""
-    t = algebra.mul(algebra.transpose(g), g)
+    t = algebra.mul(clifford_transpose(g), g)
     c = t.scalar_part()
     stray = math.sqrt(sum(float(v) ** 2 for b, v in t.terms.items() if b != ()))
     if stray > 1e-8 * max(1.0, abs(float(c))) or c == 0:
@@ -169,6 +224,14 @@ def swap_halves(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[n:], x[:n]])
 
 
+def fixed_space_dimension_by_svd(doubled: DoubledSpace, basis: np.ndarray) -> int:
+    """dim {φ : ρ(w)φ = 0 for the columns w of a float basis}, by SVD of the stacked ρ(w) at ``DEFAULT_TOL``."""
+    size = 1 << doubled.n
+    stacked = rho_of_columns(basis, np.eye(size)).transpose(0, 2, 1).reshape(-1, size)
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return int(size - np.sum(s > DEFAULT_TOL * s[0]))
+
+
 def graph_two_form_of(E: LagrangianSubspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Range, induced 2-form, and kernel of a Lagrangian E ⊂ V ⊕ V*.
 
@@ -198,7 +261,7 @@ def annihilator_volume(ann: np.ndarray) -> Multivector:
 def spinor_of_lagrangian_by_wedges(E: LagrangianSubspace) -> Multivector:
     """e^{-ω_S} ∧ μ of a Lagrangian as sparse ``Multivector`` wedges: the oracle of the dense route."""
     s_basis, ann, omega_s = _one_range(E)
-    two_form = Multivector.from_antisymmetric_matrix(s_basis @ omega_s @ s_basis.T)
+    two_form = from_antisymmetric_matrix(s_basis @ omega_s @ s_basis.T)
     return (-two_form).exp_wedge().wedge(annihilator_volume(ann))
 
 
@@ -278,9 +341,9 @@ def contraction_by_bivector(pi_mv: Multivector, phi: Multivector) -> Multivector
 def graph_of_bivector(doubled: DoubledSpace, pi) -> PureSpinor:
     """Pure spinor e^{-ι(π)} μ whose null space is Gr_π, μ the unit top form."""
     n = doubled.n
-    pi_mv = Multivector.from_antisymmetric_matrix(np.asarray(pi, dtype=float))
+    pi_mv = from_antisymmetric_matrix(np.asarray(pi, dtype=float))
     form = Multivector.zero(n)
-    term = Multivector.top(n)
+    term = top_form(n)
     k = 0
     sign = 1
     while term:
@@ -295,13 +358,13 @@ def graph_of_bivector(doubled: DoubledSpace, pi) -> PureSpinor:
 
 def gauge_transform_spinor(phi: Multivector, tau) -> Multivector:
     """Spinor-level gauge transformation e^{-τ} ∧ φ."""
-    t = Multivector.from_antisymmetric_matrix(np.asarray(tau, dtype=float))
+    t = from_antisymmetric_matrix(np.asarray(tau, dtype=float))
     return (-t).exp_wedge().wedge(phi)
 
 
 def b_volume_form(B: BilinearSpace) -> Multivector:
     """Riemannian volume form sqrt|det B| ε^1 ∧ ... ∧ ε^n of the inner product."""
-    return Multivector.top(B.dim, math.sqrt(abs(float(np.linalg.det(B.gram)))))
+    return top_form(B.dim, math.sqrt(abs(float(np.linalg.det(B.gram)))))
 
 
 def phi_of_orthogonal(A, B: BilinearSpace) -> PureSpinor:
@@ -344,6 +407,18 @@ def pullback_transversality(A, E: LagrangianSubspace, E_target: LagrangianSubspa
 # --------------------------------------------------------------------------- #
 # forms on a group
 
+def trivector(tensor: np.ndarray) -> Multivector:
+    """The 3-vector with the nonzero entries tensor[i, j, k], i < j < k, as its coefficients."""
+    d = tensor.shape[0]
+    return Multivector(d, {(i, j, k): float(tensor[i, j, k])
+                           for i, j, k in combinations(range(d), 3) if tensor[i, j, k] != 0})
+
+
+def eta_multivector(model: GroupModel) -> Multivector:
+    """Bi-invariant 3-form, constant in left trivialization: η(x,y,z) = -B(x,[y,z])/2."""
+    return trivector(-0.5 * model.invariant_tensor)
+
+
 def structure_trivector(model: GroupModel) -> Multivector:
     """A fixed representative of the structure trivector, indices raised by B^{-1}.
 
@@ -351,8 +426,8 @@ def structure_trivector(model: GroupModel) -> Multivector:
     section action is fitted, not asserted.
     """
     b_inv = model.B_inv
-    return _trivector(np.einsum("abc,ai,bj,ck->ijk", model.invariant_tensor, b_inv, b_inv, b_inv,
-                                optimize=True))
+    return trivector(np.einsum("abc,ai,bj,ck->ijk", model.invariant_tensor, b_inv, b_inv, b_inv,
+                               optimize=True))
 
 
 def tensor_stencil_derivative(model: GroupModel, field, g, h: float) -> np.ndarray:
@@ -365,6 +440,54 @@ def tensor_stencil_derivative(model: GroupModel, field, g, h: float) -> np.ndarr
     plus, minus = model.exp(h * np.eye(model.dim)), model.exp(-h * np.eye(model.dim))  # row i: exp(±h e_i)
     rows = np.array([field(model.mul(g, p)) - field(model.mul(g, m)) for p, m in zip(plus, minus)])
     return two_form_derivative(model, field(g), rows / (2.0 * h))
+
+
+def fd_exterior_derivative_flat(field, x0, h: float = FD_STEP) -> Multivector:
+    """Exterior derivative at x0 of a form field on a vector space (flat chart).
+
+    Uses d(Σ f_I dx^I) = Σ_j dx^j ∧ ∂_j(Σ f_I dx^I) with central differences.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    stencil = ((field(x0 + s), field(x0 - s)) for s in h * np.eye(x0.size))
+    return from_mask_vector(_wedge_partials(_central_quotients(stencil, h)))
+
+
+def leaf_two_form_residual(point: ConjugacyClassPoint) -> float:
+    """‖dω_C - ι*η‖ at a class point, by differencing along the conjugation chart.
+
+    The chart is x -> exp(z(x)) g exp(-z(x)) with z(x) = Σ x_a ζ_a over the
+    stored frame parameters; chart frames are analytic (no nested
+    differencing), so the only error is the outer O(h²) quotient.
+    """
+    model, g = point.model, point.g
+    m = point.class_dim
+    if m == 0:
+        return 0.0
+
+    def omega_components(x: np.ndarray) -> Multivector:
+        z = point.params @ x
+        c = model.exp(z)
+        a_h = section_matrix(model, model.mul(model.mul(c, g), model.inv(c)))
+        # the chart frame is (A_h - I)·dexp_frame(-z)·params (dexp_frame(-z) the
+        # right-trivialized differential of exp at z); the class form vanishes on
+        # ker(A_h - I), so it is read on these parameters directly
+        return from_antisymmetric_matrix(_ghjw_on_params(model, a_h, model.dexp_frame(-z) @ point.params))
+
+    d_omega = fd_exterior_derivative_flat(omega_components, np.zeros(m))
+    return (d_omega - eta_multivector(model).pullback(point.frame)).norm()
+
+
+def fused_three_form_residual(factory: DoubleFactory, a, b) -> float:
+    """‖dω^fus - Φ*η‖ at (a, b) on the fused double (first structure axiom), by the stencil."""
+    base, r = factory.base, factory.base.rep_dim
+
+    def omega_field(point):
+        mat = np.asarray(point)
+        return from_antisymmetric_matrix(factory.fused_double_point(mat[:r, :r], mat[r:, r:]).omega)
+
+    d_omega = fd_exterior_derivative(factory.product, omega_field, _prod_pair(base, a, b))
+    rhs = eta_multivector(base).pullback(factory.fused_double_point(a, b).dphi.T)
+    return (d_omega - rhs).norm()
 
 
 def moment_covector(model: GroupModel, g, xi) -> np.ndarray:
@@ -451,7 +574,7 @@ def regular_value_report(p: QHamPoint) -> dict:
     identity, the rank of its differential there, and the kernel dimensions
     entering the local regular-value criterion.
     """
-    at_identity = bool(np.linalg.norm(np.asarray(p.phi) - p.model.identity()) < 1e-9)
+    at_identity = bool(np.linalg.norm(np.asarray(p.phi) - identity(p.model)) < 1e-9)
     rank = p.dphi.shape[1] - nullspace_basis(p.dphi, scale=1.0).shape[1]
     return {
         "moment_is_identity": at_identity,

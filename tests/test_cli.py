@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import purespin
 from purespin import cli
 from purespin.cli import main
 
@@ -147,6 +148,15 @@ class TestVerifyAll:
         assert len(report["checks"]) == 12
         assert all(c["passed"] for c in report["checks"])
 
+    def test_report_version_is_the_package_version(self, verify_all_run):
+        # a report change beyond roundoff bumps the version, stated in the package and in
+        # pyproject.toml; the two must stay one number, and the report carries it
+        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+        _, report = verify_all_run
+        assert report["version"] == purespin.__version__ == declared
+
 
 class TestSampleCounts:
     @pytest.mark.parametrize("argv", [
@@ -238,6 +248,16 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as exc:
             main(["clifford", "--n", n, "--samples", "1"])
         assert exc.value.code == f"error: --n must be at most {cli.CLIFFORD_MAX_N}"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n", ["11", "16", "1000000"])
+    def test_spinor_dimension_is_capped(self, capsys, monkeypatch, n):
+        # at n = 16 the action matrices of 200 spinors alone would take 3.4 GB; nothing is drawn first
+        monkeypatch.setattr(cli, "DoubledSpace", _refuse_to_build)
+        monkeypatch.setattr(cli, "haar_orthogonal", _refuse_to_build)
+        with pytest.raises(SystemExit) as exc:
+            main(["spinor", "--n", n, "--samples", "1"])
+        assert exc.value.code == f"error: --n must be at most {cli.SPINOR_MAX_N}"
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [

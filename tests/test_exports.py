@@ -21,8 +21,9 @@ definition, or be named in ``bench/`` (as an identifier, or as a word of a
 ``layertrace.TRACED`` string); ``EXPORT_ALLOWLIST`` names the exceptions, each
 with its reason.  Likewise a public method of a ``src/purespin`` class must be
 referenced by its name in ``src/purespin`` outside its own body, or be named in
-``bench/``; ``METHOD_ALLOWLIST`` names the exceptions.  Code that only tests
-run belongs in ``tests/oracles.py``.
+``bench/``; ``METHOD_ALLOWLIST`` names the exceptions.  A method counts as
+referenced only through an ``ast.Attribute``, since it is reached as one.
+Code that only tests run belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -186,10 +187,8 @@ def _set_only_by(defaulted, program_trees, test_trees) -> list[str]:
 # Defaults that only tests set, with the reason each option stays.
 TEST_ONLY_DEFAULTS = {
     "fd_exterior_derivative(h)": "the stencil is the tests' oracle; its tests halve the step to show O(h²)",
-    "fd_exterior_derivative_flat(h)": "the stencil is the tests' oracle; its tests halve the step to show O(h²)",
     "null_space(diagnostics)": "the rank margins of the purity decision, for the run trace (ROADMAP item 10)",
     "random_element(scale)": "the spread of the draw; tests sample near the identity and past the half turn",
-    "top(value)": "a top form of given coefficient, the unit of the tests' volume forms",
 }
 
 
@@ -262,12 +261,7 @@ def test_traced_check_catches_defects():
 
 
 # Exports that no command, no benchmark round and no other module runs yet, with the reason each stays.
-EXPORT_ALLOWLIST = {
-    "geometry.leaf_two_form_residual":
-        "first structure axiom dω_C = ι*η on class leaves; qham verify is to report it (ROADMAP item 4)",
-    "moment.fused_three_form_residual":
-        "first structure axiom dω = Φ*η on the fused double; qham verify is to report it (ROADMAP item 4)",
-}
+EXPORT_ALLOWLIST: dict[str, str] = {}
 
 
 def _references(tree: ast.Module) -> list[tuple[str, str | None]]:
@@ -332,20 +326,15 @@ def test_export_check_catches_defects():
 
 
 # Public methods that no command, no benchmark round and no other method runs, with the reason each stays.
-METHOD_ALLOWLIST = {
-    "multivector.Multivector.grade":
-        "the grade-k part, the exterior algebra's projection; the tests' degree checks read it",
-    "multivector.Multivector.pushforward":
-        "A_*, the dual of pullback on Λ V; the tests state the covariant module's naturality through it",
-}
+METHOD_ALLOWLIST: dict[str, str] = {}
 
 
 def _unreferenced_methods(modules: dict[str, ast.Module], bench: set[str]) -> list[str]:
-    """``module.Class.method`` of each public method whose name no ``ast.Name`` or ``ast.Attribute``
-    outside its own body references, and that the benchmark does not name."""
-    refs = [(getattr(node, "id", None) or getattr(node, "attr", None), id(node))
-            for tree in modules.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
+    """``module.Class.method`` of each public method whose name no ``ast.Attribute`` outside its
+    own body references, and that the benchmark does not name.  A method is reached as an
+    attribute (``obj.m``, ``cls.m``), so a bare name, a local variable say, does not count."""
+    refs = [(node.attr, id(node)) for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)]
     out = []
     for module, tree in modules.items():
         for cls in ast.walk(tree):
@@ -379,8 +368,9 @@ def test_method_check_catches_defects():
                        "    def recursive(self): return self.recursive()\n"
                        "    def traced(self): pass\n"
                        "    def lonely(self): pass\n"
+                       "    def shadowed(self): pass\n"
                        "    def _private(self): pass\n"),
-        "b": ast.parse("def f(k): return k.used()\n"),
+        "b": ast.parse("def f(k):\n    shadowed = k.used()\n    return shadowed\n"),
     }
     bench = _bench_words([], {"a": ["K.traced"]})
-    assert _unreferenced_methods(modules, bench) == ["a.K.recursive", "a.K.lonely"]
+    assert _unreferenced_methods(modules, bench) == ["a.K.recursive", "a.K.lonely", "a.K.shadowed"]

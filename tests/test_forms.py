@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import purespin
-from oracles import moment_form_field, tensor_stencil_derivative
+from oracles import (
+    eta_multivector,
+    fd_exterior_derivative_flat,
+    from_antisymmetric_matrix,
+    grade,
+    moment_form_field,
+    tensor_stencil_derivative,
+)
 from purespin import forms
 from purespin.cli import main
 from purespin.forms import (
@@ -15,11 +22,10 @@ from purespin.forms import (
     _wedge_partials,
     chevalley_eilenberg,
     fd_exterior_derivative,
-    fd_exterior_derivative_flat,
     three_form_norm,
     two_form_derivative,
 )
-from purespin.geometry import PinLift, cartan_dirac_integrability, eta_multivector
+from purespin.geometry import PinLift, cartan_dirac_integrability
 from purespin.groups import get_model, product_model, su2_model
 from purespin.moment import _tau_partials, tau_matrix
 from purespin.multivector import Multivector
@@ -171,18 +177,18 @@ class TestTwoFormDerivative:
         model = request.getfixturevalue(name)
         d = model.dim
         omega = _random_two_form_tensor(d, rng)
-        dense = lambda m: mask_vector(Multivector.from_antisymmetric_matrix(m))
+        dense = lambda m: mask_vector(from_antisymmetric_matrix(m))
         for rows in (np.zeros((d, d, d)), np.array([_random_two_form_tensor(d, rng) for _ in range(d)])):
             expect = forms.left_invariant_derivative(model, dense(omega), np.array([dense(r) for r in rows]))
             got = two_form_derivative(model, omega, rows)
-            assert np.abs(got - _as_tensor(from_mask_vector(expect).grade(3))).max() <= 1e-14 * d
+            assert np.abs(got - _as_tensor(grade(from_mask_vector(expect), 3))).max() <= 1e-14 * d
 
     def test_flat_derivative_of_a_polynomial_field(self, rng):
         # ω(x) = x_0·a + x_1 x_2·b on R^4 has ∂_0ω = a, ∂_1ω = x_2 b, ∂_2ω = x_1 b, ∂_3ω = 0
         a, b = _random_two_form_tensor(4, rng), _random_two_form_tensor(4, rng)
         x = rng.standard_normal(4)
         rows = np.array([a, x[2] * b, x[1] * b, np.zeros((4, 4))])
-        field = lambda y: Multivector.from_antisymmetric_matrix(y[0] * a + y[1] * y[2] * b)
+        field = lambda y: from_antisymmetric_matrix(y[0] * a + y[1] * y[2] * b)
         expect = _as_tensor(fd_exterior_derivative_flat(field, x))
         assert np.abs(two_form_derivative(None, field(x), rows) - expect).max() <= 1e-9
 
@@ -204,7 +210,7 @@ class TestTwoFormDerivative:
         matrix = lambda p: tau_matrix(base, p[r:, r:])
         stencils = [lambda h: tensor_stencil_derivative(prod, matrix, pair, h)]
         if name != "su3":
-            form = lambda p: Multivector.from_antisymmetric_matrix(matrix(p))
+            form = lambda p: from_antisymmetric_matrix(matrix(p))
             stencils.append(lambda h: _as_tensor(fd_exterior_derivative(prod, form, pair, h)))
         for stencil in stencils:
             gaps = [np.abs(stencil(h) - exact).max() for h in (1e-3, 5e-4)]
@@ -215,8 +221,8 @@ class TestTwoFormDerivative:
 class TestStencil:
     @pytest.mark.parametrize("name", ["su2", "su3", "semidirect"])
     def test_stacked_steps_equal_single_steps_bit_for_bit(self, name, request, rng):
-        # the stencil exponentiates its 2d steps as two stacks; ``groups.expm_rows``
-        # gives each row the bits of a call of its own, so d is unchanged to the bit
+        # the stencil exponentiates its 2d steps as two stacks; ``groups.expm`` gives
+        # each row of a stack the bits of a call of its own, so d is unchanged to the bit
         model = request.getfixturevalue(name)
         g = model.random_element(rng)
         field = moment_form_field(model, model.random_algebra(rng))
@@ -245,13 +251,13 @@ def test_no_command_takes_a_step(monkeypatch, capsys):
     # integrability command still pass, so none of them takes a step
     modules = [purespin] + [importlib.import_module(f"purespin.{m.name}")
                             for m in pkgutil.iter_modules(purespin.__path__)]
-    for name in ("fd_exterior_derivative", "fd_exterior_derivative_flat", "_central_quotients"):
+    for name in ("fd_exterior_derivative", "_central_quotients"):
         original = getattr(forms, name)
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, _refuse)
     with pytest.raises(AssertionError, match="finite-difference"):
-        forms.fd_exterior_derivative_flat(lambda x: Multivector.scalar(1), np.zeros(1))
+        forms._central_quotients(iter(()), forms.FD_STEP)
     for number in (10, 11, 12):
         assert run_criterion(number, 7)["passed"], number
     assert main(["integrability", "--group", "su2", "--points", "2"]) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import SwapDoubleModel
+from oracles import SwapDoubleModel, bracket, identity, pairing
 from purespin.geometry import PinLift
 from purespin.groups import (
     _rotation_log,
@@ -54,8 +54,8 @@ class TestModelAxioms:
     def test_B_is_ad_invariant(self, model, rng):
         for _ in range(10):
             x, y, z = (model.random_algebra(rng) for _ in range(3))
-            lhs = model.pairing(model.bracket(x, y), z)
-            rhs = -model.pairing(y, model.bracket(x, z))
+            lhs = pairing(model, bracket(model, x, y), z)
+            rhs = -pairing(model, y, bracket(model, x, z))
             assert abs(lhs - rhs) < 1e-12
 
     def test_B_nondegenerate(self, model):
@@ -90,13 +90,13 @@ class TestModelAxioms:
         x, y = model.random_algebra(rng), model.random_algebra(rng)
         direct = model.coeffs(model.algebra_matrix(x) @ model.algebra_matrix(y)
                               - model.algebra_matrix(y) @ model.algebra_matrix(x))
-        assert np.linalg.norm(model.bracket(x, y) - direct) < 1e-10
+        assert np.linalg.norm(bracket(model, x, y) - direct) < 1e-10
 
     def test_jacobi_identity(self, model, rng):
         for _ in range(5):
             x, y, z = (model.random_algebra(rng) for _ in range(3))
-            cyclic = (model.bracket(x, model.bracket(y, z)) + model.bracket(y, model.bracket(z, x))
-                      + model.bracket(z, model.bracket(x, y)))
+            cyclic = (bracket(model, x, bracket(model, y, z)) + bracket(model, y, bracket(model, z, x))
+                      + bracket(model, z, bracket(model, x, y)))
             assert np.linalg.norm(cyclic) < 1e-12
 
     def test_structure_constants_hold_no_roundoff(self, model):
@@ -112,7 +112,7 @@ class TestModelAxioms:
 
     def test_invariant_tensor_is_the_pairing_of_brackets(self, model):
         eye = np.eye(model.dim)
-        expect = np.array([[[model.pairing(eye[i], model.bracket(eye[j], eye[k]))
+        expect = np.array([[[pairing(model, eye[i], bracket(model, eye[j], eye[k]))
                              for k in range(model.dim)]
                             for j in range(model.dim)]
                            for i in range(model.dim)])
@@ -139,7 +139,7 @@ class TestModelAxioms:
     def test_swap_has_no_logarithm(self, model):
         wr = SwapDoubleModel(model)
         with pytest.raises(ValueError, match="no logarithm"):
-            wr.log(wr.pair(model.identity(), model.identity(), swap=True))
+            wr.log(wr.pair(identity(model), identity(model), swap=True))
 
     def test_dexp_frame_matches_difference_quotient(self, model, rng):
         x = model.random_algebra(rng, 0.6)
@@ -291,8 +291,8 @@ class TestExpmAgainstScipy:
             block[:d, :d] = -model.ad(x)
             block[:d, d:] = np.eye(d)
             assert _relative(frame, scipy.linalg.expm(block)[:d, d:]) < 1e-13
-            # a stacked call equals the single call to roundoff
-            assert _relative(frame, model.dexp_frame(x)) < 1e-14
+            # each row of a stacked call takes its own Padé plan: it equals the single call bit for bit
+            assert np.array_equal(frame, model.dexp_frame(x))
 
     def test_su3_spin_block(self, su3, rng):
         block = PinLift(su3)._spin_blocks[0]
@@ -304,11 +304,11 @@ class TestExpmAgainstScipy:
             assert np.linalg.norm(expm(exponent) - reference) < 1e-13 * np.linalg.norm(reference)
 
     def test_stack_equals_single_calls(self, rng):
-        # one degree and one squaring count for the whole stack, from its largest norm
+        # each row gets the degree and squaring count of its own 1-norm, so the rows span four plans
         stack = np.array([s * rng.standard_normal((4, 4)) for s in (1e-3, 0.1, 1.0, 5.0)])
         stacked = expm(stack)
         for a, e in zip(stack, stacked):
-            assert _relative(e, expm(a)) < 1e-13
+            assert np.array_equal(e, expm(a))
             assert _relative(e, scipy.linalg.expm(a)) < 1e-13
 
 
